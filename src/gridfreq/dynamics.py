@@ -221,7 +221,7 @@ def rk4_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     h = scenario.h
 
     def f(st):
-        st = _refresh_load_omega(net, scenario, controllers, st)
+        # derivatives recomputes the load-bus omega itself
         return derivatives(net, costs, controllers, st, scenario.p,
                            scenario.mode, scenario.gains, scenario.load_inertia)
 

@@ -89,6 +89,20 @@ def test_missing_required_argument_returns_two(capsys):
     assert main(["plot"]) == 2
 
 
+@pytest.mark.parametrize("sub", ["equilibrium", "simulate", "certify"])
+def test_mode_dai_linear_is_rejected_by_the_parser(sub, tmp_path, net2_file,
+                                                    capsys):
+    # no flag supplies dai_linear's per-bus gains, so the CLI does not offer it
+    code = main([sub, "--net", net2_file, "--p", "[0.4, -0.4]",
+                 "--mode", "dai_linear", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    # the quoting of the choices differs between Python versions
+    assert "invalid choice" in err and "dai_linear" in err
+    assert "choose from" in err and "dai_general" in err and "primary" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_domain_error_returns_one(tmp_path, net2_file, capsys):
     # the single line (B = 1) cannot carry a 1.5 pu transfer
     code = main(["equilibrium", "--net", net2_file, "--p", "[1.5, -1.5]",
@@ -402,12 +416,24 @@ def test_train_config_file_with_flag_override(tmp_path, net2_file,
 # grad-check subcommand
 # --------------------------------------------------------------------------
 
-def test_grad_check_passes(capsys):
+def test_grad_check_passes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)     # the manifest lands in the working directory
     code = main(["grad-check", "--seed", "0", "--instances", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "gradient audit passed" in out
     assert out.count("max relative gradient error") == 2
+
+
+def test_grad_check_writes_manifest_into_fresh_outdir(tmp_path):
+    outdir = tmp_path / "fresh" / "audit"
+    assert main(["grad-check", "--seed", "3", "--instances", "1",
+                 "--outdir", str(outdir)]) == 0
+    doc = json.loads((outdir / "manifest.json").read_text())
+    assert doc["subcommand"] == "grad-check"
+    assert doc["config"] == {"seed": 3, "instances": 1}
+    assert doc["seeds"] == {"seed": 3}
+    assert doc["outputs"] == []
 
 
 # --------------------------------------------------------------------------

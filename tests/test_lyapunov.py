@@ -9,8 +9,9 @@ from gridfreq import lyapunov as lyap
 from gridfreq.dynamics import Scenario, SystemState
 from gridfreq.equilibrium import Equilibrium
 from gridfreq.lyapunov import LyapunovError
+from gridfreq.network import edge_angle_spread, to_center_of_inertia
 
-from conftest import three_bus, three_bus_gens, two_bus
+from conftest import random_connected_net, three_bus, three_bus_gens, two_bus
 
 
 def quad3():
@@ -247,35 +248,77 @@ def test_schur_block_agrees_with_full_Q_definiteness():
         delta = delta - delta.mean()
         epsilon = float(rng.choice([1e-3, 1e-2, 1e-1, 1.0, 10.0]))
         q_pd = bool(np.linalg.eigvalsh(lyap.assemble_Q(net, delta, epsilon)).min() > 0)
-        s_pd, _ = lyap.cholesky_pivots(lyap.schur_block(net, delta, epsilon))
+        s_pd = lyap.cholesky_factor(lyap.schur_block(net, delta, epsilon)) is not None
         assert q_pd == s_pd
+
+
+def random_primary_setup(seed, buses=6):
+    net = random_connected_net(seed, buses=buses, all_gens=True)
+    params = ctl.identity_params(n=net.n)
+    p = np.random.default_rng(100 + seed).uniform(-0.3, 0.3, net.n)
+    eq = eqm.solve_equilibrium(net, None, params, p, mode="primary")
+    return net, eq
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_batched_Q_and_schur_block_equal_per_state(seed):
+    net, eq = random_primary_setup(seed)
+    deltas, _, _ = lyap.sample_region_states(net, eq, 7, seed=seed)
+    for eps in (1e-1, 1e-3):
+        q = lyap.assemble_Q(net, deltas, eps)
+        sb = lyap.schur_block(net, deltas, eps)
+        assert q.shape == (7, 2 * net.n, 2 * net.n) and sb.shape == (7, net.n, net.n)
+        for k in range(7):
+            assert np.array_equal(q[k], lyap.assemble_Q(net, deltas[k], eps))
+            assert np.array_equal(sb[k], lyap.schur_block(net, deltas[k], eps))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_epsilon_search_matches_per_state_loop(seed):
+    net, eq = random_primary_setup(seed)
+    # ascending, and fine enough that the sampled states decide: the
+    # thresholds of these networks lie between 0.046 and 0.054
+    grid = tuple(np.arange(40, 61) * 1e-3)
+    res = lyap.epsilon_and_c_search(net, eq, grid=grid, samples=30, seed=seed)
+    deltas, _, _ = lyap.sample_region_states(net, eq, 30, seed=seed)
+    test_deltas = np.vstack([eq.delta_star[None, :], deltas])
+
+    def pd(a):
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    expected = next(eps for eps in sorted(grid, reverse=True)
+                    if all(pd(lyap.schur_block(net, dl, eps)) for dl in test_deltas))
+    assert res.epsilon == expected
+    lam = min(np.linalg.eigvalsh(lyap.assemble_Q(net, dl, expected))[0]
+              for dl in test_deltas)
+    assert res.lambda_min_q == pytest.approx(lam, rel=1e-12, abs=0)
+    pivots = [np.diag(np.linalg.cholesky(lyap.assemble_Q(net, dl, expected))) ** 2
+              for dl in test_deltas]
+    assert res.min_pivot == pytest.approx(min(p.min() for p in pivots),
+                                          rel=1e-12, abs=0)
 
 
 # --------------------------------------------------------------------------
 # dense symmetric linear algebra
 # --------------------------------------------------------------------------
 
-def test_cholesky_pivots_detects_definiteness():
+def test_cholesky_factor_detects_definiteness():
     rng = np.random.default_rng(0)
     for dim in (1, 2, 5, 9):
         a = rng.normal(size=(dim, dim))
         spd = a @ a.T + dim * np.eye(dim)
-        ok, piv = lyap.cholesky_pivots(spd)
-        assert ok and piv > 0
+        low = lyap.cholesky_factor(spd)
+        assert low is not None and np.all(np.diag(low) > 0)
+        assert np.allclose(low @ low.T, spd, rtol=1e-12, atol=1e-12)
         indef = spd - (np.linalg.eigvalsh(spd).max() + 1.0) * np.eye(dim)
-        ok2, piv2 = lyap.cholesky_pivots(indef)
-        assert not ok2 and piv2 <= 0
-
-
-def test_jacobi_eigenvalues_match_numpy():
-    rng = np.random.default_rng(1)
-    for dim in (1, 2, 3, 6, 10):
-        for _ in range(4):
-            a = rng.normal(size=(dim, dim))
-            a = 0.5 * (a + a.T)
-            ours = lyap.jacobi_eigenvalues(a)
-            ref = np.linalg.eigvalsh(a)
-            assert np.allclose(ours, ref, rtol=1e-10, atol=1e-10)
+        assert lyap.cholesky_factor(indef) is None
+        # a stack fails as soon as one of its matrices does
+        assert lyap.cholesky_factor(np.stack([spd, 2 * spd])) is not None
+        assert lyap.cholesky_factor(np.stack([spd, indef, spd])) is None
 
 
 # --------------------------------------------------------------------------
@@ -295,10 +338,69 @@ def test_sample_region_states_reproducible_and_prefix_stable():
     assert not np.array_equal(d4, d1)
 
 
+def _sample_region_states_loop(net, eq, count, seed=0,
+                               omega_range=lyap.OMEGA_RANGE, s_range=lyap.S_RANGE,
+                               margin=lyap.REGION_MARGIN, base_spread=0.4):
+    """Per-sample reference for the vectorized sampler."""
+    n = net.n
+    limit = np.pi / 2 - margin
+    deltas = np.empty((count, n))
+    omegas = np.empty((count, n))
+    ss = np.empty((count, n))
+    omega_star = eq.omega_star or 0.0
+    for k in range(count):
+        rng = np.random.default_rng([seed, k])
+        step = to_center_of_inertia(rng.uniform(-base_spread, base_spread, n))
+        for _ in range(64):
+            cand = eq.delta_star + step
+            if edge_angle_spread(net, cand) < limit:
+                break
+            step *= 0.5
+        else:
+            cand = eq.delta_star
+        deltas[k] = to_center_of_inertia(cand)
+        omegas[k] = omega_star + rng.uniform(-omega_range, omega_range, n)
+        ss[k] = (eq.s_star if eq.s_star is not None else 0.0) \
+            + rng.uniform(-s_range, s_range, n)
+    return deltas, omegas, ss
+
+
+def _assert_sampler_matches_loop(net, eq, count, seed, **kw):
+    got = lyap.sample_region_states(net, eq, count, seed=seed, **kw)
+    ref = _sample_region_states_loop(net, eq, count, seed=seed, **kw)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape and np.array_equal(g, r)
+    return ref
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_sample_region_states_match_per_sample_loop(seed):
+    net_p, _, _, eq_p = primary_setup()
+    net_d, _, _, _, eq_d = dai_setup()
+    setups = [(net_p, eq_p), (net_d, eq_d)]
+    setups += [random_primary_setup(s, buses=9) for s in range(3)]
+    for net, eq in setups:
+        for spread in (0.4, 3.0, 20.0):      # the wide draws need halvings
+            _assert_sampler_matches_loop(net, eq, 150, seed, base_spread=spread)
+
+
+def test_sample_region_states_fallback_matches_per_sample_loop():
+    # an equilibrium just inside the margin: huge steps never shrink below the
+    # rounding of its edge angles, so some samples fall back to delta*
+    net = three_bus_gens()
+    limit = np.pi / 2 - lyap.REGION_MARGIN
+    delta_star = to_center_of_inertia(np.array([0.3, 0.3 - limit + 1e-15, 0.1]))
+    assert edge_angle_spread(net, delta_star) < limit
+    eq = Equilibrium(gamma=None, u_star=np.zeros(3), delta_star=delta_star,
+                     s_star=None, omega_star=0.01)
+    deltas, _, _ = _assert_sampler_matches_loop(net, eq, 200, 2, base_spread=1e6)
+    fell_back = np.all(deltas == to_center_of_inertia(delta_star), axis=-1)
+    assert 0 < fell_back.sum() < 200
+
+
 def test_sample_region_states_respect_security_margin():
     net, params, p, eq = primary_setup()
     deltas, omegas, ss = lyap.sample_region_states(net, eq, 100, seed=6)
-    from gridfreq.network import edge_angle_spread
     for k in range(100):
         assert edge_angle_spread(net, deltas[k]) < np.pi / 2 - lyap.REGION_MARGIN
     assert np.max(np.abs(omegas - eq.omega_star)) <= lyap.OMEGA_RANGE
