@@ -37,10 +37,6 @@ DOMAIN_ERRORS = (network.NetworkError, costs_mod.CostError,
                  dynamics.DynamicsError, FloatingPointError, ValueError,
                  OSError)
 
-# dai_linear needs per-bus gains (Scenario.gains), which no flag supplies, so
-# that mode stays library-only
-CLI_MODES = ("dai_general", "primary")
-
 
 # --------------------------------------------------------------------------
 # shared plumbing
@@ -479,7 +475,7 @@ def build_parser():
     eq = sub.add_parser("equilibrium", help="solve the optimal steady state")
     _add_common(eq)
     eq.add_argument("--p", required=True, help="disturbance JSON file or inline JSON")
-    eq.add_argument("--mode", default="dai_general", choices=CLI_MODES)
+    eq.add_argument("--mode", default="dai_general", choices=dynamics.MODES)
     eq.add_argument("--checkpoint", default=None)
     eq.add_argument("--csv", default=None, help="also write a CSV table")
     eq.set_defaults(func=_cmd_equilibrium)
@@ -487,7 +483,7 @@ def build_parser():
     sim = sub.add_parser("simulate", help="integrate a disturbance scenario")
     _add_common(sim)
     sim.add_argument("--p", required=True)
-    sim.add_argument("--mode", default="dai_general", choices=CLI_MODES)
+    sim.add_argument("--mode", default="dai_general", choices=dynamics.MODES)
     sim.add_argument("--checkpoint", default=None)
     sim.add_argument("--T", type=float, default=40.0)
     sim.add_argument("--h", type=float, default=5e-4)
@@ -500,7 +496,7 @@ def build_parser():
     cert = sub.add_parser("certify", help="energy-decrease certification")
     _add_common(cert)
     cert.add_argument("--p", required=True)
-    cert.add_argument("--mode", default="dai_general", choices=CLI_MODES)
+    cert.add_argument("--mode", default="dai_general", choices=dynamics.MODES)
     cert.add_argument("--checkpoint", default=None)
     cert.add_argument("--T", type=float, default=40.0)
     cert.add_argument("--h", type=float, default=5e-4)

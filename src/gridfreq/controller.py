@@ -137,41 +137,62 @@ def validate_params(params: NetParams, warn=True):
     return bool(ok)
 
 
-def _deadband_shift(params: NetParams, x):
-    """Shift |x| toward zero by dz (identity when dz = 0)."""
-    return np.sign(x) * np.maximum(np.abs(x) - params.dz, 0.0)
+def _relu_pass(params: NetParams, x, keep=False):
+    """The stacked-ReLU evaluation every caller shares.
+
+    Returns (xe, g, relu_plus, relu_minus): the input after the deadband
+    shift (|x| moved toward zero by dz), the unclamped value g = f_plus +
+    f_minus, and the two (..., n, d) ReLU stacks.  Each stack is built in
+    place; unless keep is set the plus stack is dropped (returned as None)
+    before the minus stack is made, so plain evaluation holds one at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    xe = np.sign(x) * np.maximum(np.abs(x) - params.dz, 0.0)
+    xcol = xe[..., None]
+    relu_p = xcol - params.b_plus
+    np.maximum(relu_p, 0.0, out=relu_p)
+    g = np.sum(params.k_plus * relu_p, axis=-1)
+    if not keep:
+        relu_p = None
+    relu_m = params.b_minus - xcol
+    np.maximum(relu_m, 0.0, out=relu_m)
+    g = g + np.sum(params.k_minus * relu_m, axis=-1)
+    return xe, g, relu_p, relu_m
+
+
+def _slope(params: NetParams, x, xe):
+    """Right-limit slope of the unclamped policy at x (xe: its shifted input).
+
+    f_plus counts k_plus[j] wherever x' >= b_plus[j]; f_minus contributes
+    -k_minus[j] where x' < b_minus[j].  Zero inside the deadband.
+    """
+    xcol = xe[..., None]
+    slope = (np.sum(params.k_plus * (xcol >= params.b_plus), axis=-1)
+             + np.sum(-params.k_minus * (xcol < params.b_minus), axis=-1))
+    if np.any(params.dz > 0):
+        slope = slope * ((x >= params.dz) | (x < -params.dz))
+    return slope
+
+
+def _unsaturated(params: NetParams, g):
+    """Where the unclamped value g lies strictly inside (u_lo, u_hi)."""
+    return (g < params.u_hi) & (g > params.u_lo)
 
 
 def eval_u(params: NetParams, x):
     """Evaluate every bus policy; x broadcasts against (n,) on its last axis."""
-    x = np.asarray(x, dtype=float)
-    xe = _deadband_shift(params, x)[..., None]
-    f_plus = np.sum(params.k_plus * np.maximum(xe - params.b_plus, 0.0), axis=-1)
-    f_minus = np.sum(params.k_minus * np.maximum(-xe + params.b_minus, 0.0), axis=-1)
-    return np.clip(f_plus + f_minus, params.u_lo, params.u_hi)
+    return np.clip(_relu_pass(params, x)[1], params.u_lo, params.u_hi)
 
 
 def eval_slope(params: NetParams, x):
     """Right-limit derivative of eval_u at x (zero where saturated).
 
-    The slope of f_plus counts k_plus[j] whenever x' >= b_plus[j] (right
-    limit at breakpoints); f_minus contributes -k_minus[j] where x' <
-    b_minus[j].  Inside the deadband, and strictly beyond a saturation
-    bound, the slope is zero.
+    Inside the deadband, and strictly beyond a saturation bound, the slope
+    is zero.
     """
     x = np.asarray(x, dtype=float)
-    xe = _deadband_shift(params, x)
-    xcol = xe[..., None]
-    sp = np.sum(params.k_plus * (xcol >= params.b_plus), axis=-1)
-    sm = np.sum(-params.k_minus * (xcol < params.b_minus), axis=-1)
-    slope = sp + sm
-    if np.any(params.dz > 0):
-        active = (x >= params.dz) | (x < -params.dz)
-        slope = slope * active
-    g = np.sum(params.k_plus * np.maximum(xcol - params.b_plus, 0.0), axis=-1) \
-        + np.sum(params.k_minus * np.maximum(-xcol + params.b_minus, 0.0), axis=-1)
-    unsat = (g < params.u_hi) & (g > params.u_lo)
-    return np.where(unsat, slope, 0.0)
+    xe, g, _, _ = _relu_pass(params, x)
+    return np.where(_unsaturated(params, g), _slope(params, x, xe), 0.0)
 
 
 def lipschitz_constant(params: NetParams):

@@ -1,33 +1,34 @@
 """Closed-loop time integration.
 
-Three closed loops share one integrator:
+Two closed loops share one integrator:
 
 - dai_general: swing dynamics on generator buses, algebraic (instantaneous)
   frequency on load buses, and per-bus integral states s driven by the local
   frequency plus a marginal-cost consensus term over the communication graph.
-  The controllers map s_i to the injection u_i.
-- dai_linear: the classic linear rule u_i = k_i s_i with the same consensus
-  structure (a specialization of dai_general; kept as a separate code path
-  and cross-checked against it in the tests).
+  The controllers map s_i to the injection u_i; the classic linear rule
+  u_i = k_i s_i is dai_general with controller.scaled_identity_params(k).
 - primary: the all-machine droop model used for the exponential-stability
   analysis; every bus carries inertia (load buses get a small synthetic one),
   the controller input is the local frequency deviation, and there is no
   integral state.
 
-Angles are integrated in center-of-inertia gauge.  In the DAI modes the
+Angles are integrated in center-of-inertia gauge.  In the DAI mode the
 angle/integrator clocks carry the 2*pi*f0 factor explicitly; the primary
 mode follows the companion convention d(delta)/dt = omega - mean(omega).
 
-The Euler recursion evaluates the algebraic load frequencies from the
-current (delta, s) before any state is advanced; the same order is unrolled
-by the training module, so simulated trajectories and training rollouts are
-bit-identical for matching inputs.
+`derivatives` is the one closed-loop right-hand side: the steppers here and
+the training rollout, which calls it on a batch of states, all evaluate it.
+The load frequencies always come from the current (delta, s) before any
+state is advanced.  A rollout of one scenario replays its forward-Euler
+simulation bit for bit; in a larger batch the BLAS incidence products of
+the network module may sum a bus's edges in another order, which moves
+results in the last bits.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .costs import CostModel
 from .network import (PowerNetwork, comm_laplacian_apply, power_flows,
                       project_gauge)
 
-MODES = ("dai_general", "dai_linear", "primary")
+MODES = ("dai_general", "primary")
 DEFAULT_LOAD_INERTIA = 0.1   # synthetic m for load buses in primary mode (s)
 BLOWUP_LIMIT = 1e9           # all states are per-unit scale; beyond this the
                              # integration has lost the solution
@@ -50,7 +51,7 @@ class DynamicsError(RuntimeError):
 class SystemState:
     """Snapshot of (delta, omega, s); omega is full-length.
 
-    In DAI modes the load-bus omega components are the algebraic values
+    In DAI mode the load-bus omega components are the algebraic values
     implied by (delta, s) — outputs, not integrated states.  In primary mode
     every omega component is a state and s is unused (kept zero).
     """
@@ -73,7 +74,6 @@ class Scenario:
     h: float
     mode: str = "dai_general"
     initial: SystemState = None
-    gains: np.ndarray = None            # dai_linear only: u_i = gains[i] s_i
     load_inertia: float = DEFAULT_LOAD_INERTIA
 
     def __post_init__(self):
@@ -85,8 +85,6 @@ class Scenario:
             raise DynamicsError("horizon T must cover at least one step")
         if not np.all(np.isfinite(self.p)):
             raise DynamicsError("disturbance p must be finite")
-        if self.mode == "dai_linear" and self.gains is None:
-            raise DynamicsError("dai_linear mode needs per-bus gains")
 
     @property
     def steps(self):
@@ -119,63 +117,57 @@ def full_inertia(net: PowerNetwork, load_inertia=DEFAULT_LOAD_INERTIA):
     return m
 
 
+def _load_omega(net: PowerNetwork, flows, u, p):
+    """Load-bus power balance solved for omega: (-flow_i + p_i + u_i)/alpha_i."""
+    i = net.loads
+    return (-flows[..., i] + np.asarray(p)[..., i] + u[..., i]) / net.alpha[i]
+
+
 def load_bus_frequencies(net: PowerNetwork, delta, u, p):
     """Algebraic load-bus frequencies: omega_i = (-flow_i + p_i + u_i)/alpha_i.
 
     No implicit solve is needed: the load-bus power balance couples omega_i
     only through the diagonal alpha, so given (delta, u) it is a division.
     """
-    flows = power_flows(net, delta)
-    i = net.loads
-    return (-flows[..., i] + np.asarray(p)[..., i] + u[..., i]) / net.alpha[i]
-
-
-def control_input(scenario: Scenario, controllers: NetParams, state: SystemState):
-    """Per-bus injections for the scenario's mode at the given state."""
-    if scenario.mode == "dai_linear":
-        return scenario.gains * state.s
-    if scenario.mode == "primary":
-        if controllers is None:
-            return np.zeros(len(state.omega))
-        return eval_u(controllers, state.omega)
-    return eval_u(controllers, state.s)
+    return _load_omega(net, power_flows(net, delta), u, p)
 
 
 def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
-                state: SystemState, p, mode="dai_general", gains=None,
+                state: SystemState, p, mode="dai_general",
                 load_inertia=DEFAULT_LOAD_INERTIA):
-    """Time-derivative field (ddelta, domega, ds) for the chosen mode.
+    """The closed-loop right-hand side, on (..., n) state arrays.
 
-    In DAI modes the omega vector inside `state` is ignored on load buses
-    (recomputed algebraically) and domega is zero there; ds is zero in
-    primary mode.
+    Returns (ddelta, domega, ds, omega, u, mc): the time derivatives and the
+    algebraic quantities at the state.  In DAI mode the load-bus entries of
+    state.omega are ignored; omega carries their power-balance values and
+    domega is zero there.  In primary mode ds is zero.  mc is zero without
+    a cost model.
     """
     p = np.asarray(p, dtype=float)
-    n = net.n
     flows = power_flows(net, state.delta)
     two_pi_f0 = 2.0 * np.pi * net.f0
 
     if mode == "primary":
-        u = eval_u(controllers, state.omega) if controllers is not None \
-            else np.zeros(n)
+        omega = state.omega
+        u = eval_u(controllers, omega) if controllers is not None \
+            else np.zeros(np.shape(omega))
+        mc = costs.grad(u) if costs is not None else np.zeros_like(u)
         m = full_inertia(net, load_inertia)
-        ddelta = state.omega - state.omega.mean()
-        domega = (p - net.alpha * state.omega - u - flows) / m
-        return ddelta, domega, np.zeros(n)
+        ddelta = omega - omega.mean(axis=-1, keepdims=True)
+        domega = (p - net.alpha * omega - u - flows) / m
+        return ddelta, domega, np.zeros_like(omega), omega, u, mc
 
-    if mode == "dai_linear":
-        u = np.asarray(gains) * state.s
-    else:
-        u = eval_u(controllers, state.s)
+    u = eval_u(controllers, state.s)
     omega = state.omega.copy()
-    omega[net.loads] = load_bus_frequencies(net, state.delta, u, p)
+    omega[..., net.loads] = _load_omega(net, flows, u, p)
     mc = costs.grad(u)
-    ddelta = two_pi_f0 * (omega - omega.mean())
-    domega = np.zeros(n)
+    ddelta = two_pi_f0 * (omega - omega.mean(axis=-1, keepdims=True))
+    domega = np.zeros_like(omega)
     g = net.gens
-    domega[g] = (-net.alpha[g] * omega[g] - flows[g] + p[g] + u[g]) / net.m
+    domega[..., g] = (-net.alpha[g] * omega[..., g] - flows[..., g]
+                      + p[..., g] + u[..., g]) / net.m
     ds = -two_pi_f0 * omega - costs.zeta * comm_laplacian_apply(net, mc)
-    return ddelta, domega, ds
+    return ddelta, domega, ds, omega, u, mc
 
 
 def _check_sane(step_index, *arrays):
@@ -185,56 +177,51 @@ def _check_sane(step_index, *arrays):
             raise DynamicsError(f"integration blow-up at step {step_index}")
 
 
-def _refresh_load_omega(net, scenario, controllers, state: SystemState):
-    """Return state with load-bus omega set to its algebraic value."""
-    if scenario.mode == "primary":
-        return state
-    u = control_input(scenario, controllers, state)
-    omega = state.omega.copy()
-    omega[net.loads] = load_bus_frequencies(net, state.delta, u, scenario.p)
-    return replace(state, omega=omega)
+def _field(net, costs, controllers, scenario, state):
+    return derivatives(net, costs, controllers, state, scenario.p,
+                       scenario.mode, scenario.load_inertia)
 
 
 def euler_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
-               scenario: Scenario, state: SystemState, step_index=0) -> SystemState:
+               scenario: Scenario, state: SystemState, step_index=0,
+               stage=None) -> SystemState:
     """One forward-Euler step of the scenario's mode.
 
     Load-bus frequencies are evaluated from the pre-step (delta, s) and used
     in both the angle and integrator updates; generator frequencies advance
-    by the swing equation.  Raises on any non-finite result.
+    by the swing equation.  `stage` is derivatives() at `state` when the
+    caller already has it.  Raises on any non-finite result.
     """
     h = scenario.h
-    state = _refresh_load_omega(net, scenario, controllers, state)
-    ddelta, domega, ds = derivatives(net, costs, controllers, state,
-                                     scenario.p, scenario.mode, scenario.gains,
-                                     scenario.load_inertia)
-    delta = state.delta + h * ddelta
-    omega = state.omega + h * domega
-    s = state.s + h * ds
+    k = stage if stage is not None else _field(net, costs, controllers,
+                                               scenario, state)
+    delta = state.delta + h * k[0]
+    omega = k[3] + h * k[1]
+    s = state.s + h * k[2]
     _check_sane(step_index, delta, omega, s)
     return SystemState(project_gauge(delta), omega, s)
 
 
 def rk4_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
-             scenario: Scenario, state: SystemState, step_index=0) -> SystemState:
-    """Classical 4th-order step over the same derivative field."""
+             scenario: Scenario, state: SystemState, step_index=0,
+             stage=None) -> SystemState:
+    """Classical 4th-order step over the same derivative field; `stage` as
+    in euler_step."""
     h = scenario.h
 
     def f(st):
-        # derivatives recomputes the load-bus omega itself
-        return derivatives(net, costs, controllers, st, scenario.p,
-                           scenario.mode, scenario.gains, scenario.load_inertia)
+        return _field(net, costs, controllers, scenario, st)
 
-    def advance(st, k, fac):
-        return SystemState(st.delta + fac * k[0], st.omega + fac * k[1],
-                           st.s + fac * k[2])
+    def advance(k, fac):
+        return SystemState(state.delta + fac * k[0], k1[3] + fac * k[1],
+                           state.s + fac * k[2])
 
-    k1 = f(state)
-    k2 = f(advance(state, k1, 0.5 * h))
-    k3 = f(advance(state, k2, 0.5 * h))
-    k4 = f(advance(state, k3, h))
+    k1 = stage if stage is not None else f(state)
+    k2 = f(advance(k1, 0.5 * h))
+    k3 = f(advance(k2, 0.5 * h))
+    k4 = f(advance(k3, h))
     delta = state.delta + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    omega = state.omega + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    omega = k1[3] + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     s = state.s + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
     _check_sane(step_index, delta, omega, s)
     return SystemState(project_gauge(delta), omega, s)
@@ -245,7 +232,8 @@ def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
     """Integrate the scenario and record every step.
 
     Row l of the trajectory holds time l*h and the state with all algebraic
-    quantities (load omega, u, marginal costs) evaluated at that same step.
+    quantities (load omega, u, marginal costs) evaluated at that same step:
+    the first stage of step l, which the stepper then reuses.
     Deterministic: identical inputs give bit-identical trajectories.
     """
     if scenario.mode != "primary" and costs is None:
@@ -264,16 +252,13 @@ def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
     mc = np.empty((steps + 1, n))
 
     for l in range(steps + 1):
-        state = _refresh_load_omega(net, scenario, controllers, state)
-        ul = control_input(scenario, controllers, state)
+        stage = _field(net, costs, controllers, scenario, state)
         delta[l] = state.delta
-        omega[l] = state.omega
         s[l] = state.s
-        u[l] = ul
-        mc[l] = costs.grad(ul) if costs is not None else 0.0
+        omega[l], u[l], mc[l] = stage[3:]
         if l < steps:
             state = stepper(net, costs, controllers, scenario, state,
-                            step_index=l)
+                            step_index=l, stage=stage)
     return Trajectory(mode=scenario.mode, t=t, delta=delta, omega=omega,
                       s=s, u=u, mc=mc)
 

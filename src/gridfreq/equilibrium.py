@@ -169,7 +169,7 @@ def solve_equilibrium(net: PowerNetwork, costs: CostModel, params: NetParams,
                       p, mode="dai_general") -> Equilibrium:
     """Full fixed point of the chosen closed loop.
 
-    DAI modes: zero frequency deviation, common marginal cost, network flow
+    DAI mode: zero frequency deviation, common marginal cost, network flow
     solve, controller inversion.  Primary mode: scalar synchronous frequency,
     droop injections at that frequency, then the flow solve.
     """

@@ -2,7 +2,7 @@
 
 Two closed loops, two energy functions:
 
-- DAI modes: W = kinetic term + Bregman divergence of the network potential
+- DAI mode: W = kinetic term + Bregman divergence of the network potential
   + Bregman divergence of the controller integral L(s).  Its derivative
   along trajectories splits into three nonpositive pieces: generator
   damping, a marginal-cost consensus term (a scaled Laplacian bilinear
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import NetParams, eval_u
+from .controller import NetParams, _relu_pass, _slope, eval_u, select_bus
 from .costs import CostModel
 from .dynamics import SystemState, Trajectory, full_inertia
 from .equilibrium import Equilibrium
@@ -50,24 +50,6 @@ class LyapunovError(ValueError):
 # controller integral L(s) = sum_i int_0^{s_i} u_i
 # --------------------------------------------------------------------------
 
-def _unclamped_g(params: NetParams, i, x):
-    """f_plus + f_minus for bus i at inputs x (deadband applied, no clip)."""
-    xe = np.sign(x) * np.maximum(np.abs(x) - params.dz[i], 0.0)
-    xe = xe[..., None]
-    return (np.sum(params.k_plus[i] * np.maximum(xe - params.b_plus[i], 0.0), axis=-1)
-            + np.sum(params.k_minus[i] * np.maximum(-xe + params.b_minus[i], 0.0), axis=-1))
-
-
-def _unclamped_slope(params: NetParams, i, x):
-    """Right-limit slope of the unclamped bus-i policy at scalar x."""
-    dz = params.dz[i]
-    xe = np.sign(x) * max(abs(x) - dz, 0.0)
-    sp = np.sum(params.k_plus[i] * (xe >= params.b_plus[i]))
-    sm = np.sum(-params.k_minus[i] * (xe < params.b_minus[i]))
-    gate = 1.0 if (dz == 0.0 or x >= dz or x < -dz) else 0.0
-    return (sp + sm) * gate
-
-
 def build_integral_table(params: NetParams):
     """Per-bus exact antiderivative tables for the piecewise-linear policies.
 
@@ -79,6 +61,11 @@ def build_integral_table(params: NetParams):
     """
     tables = []
     for i in range(params.n):
+        bus = select_bus(params, i)
+
+        def unclamped(x):
+            return _relu_pass(bus, x[:, None])[1][:, 0]
+
         dz = params.dz[i]
         cand = [0.0, dz, -dz]
         for b in params.b_plus[i]:
@@ -86,7 +73,10 @@ def build_integral_table(params: NetParams):
         for b in params.b_minus[i]:
             cand += [b + dz, b - dz]
         nodes = np.unique(np.asarray(cand, dtype=float))
-        g = _unclamped_g(params, i, nodes)
+        g = unclamped(nodes)
+        # slopes beyond the outermost nodes, right and left
+        ends = np.array([[nodes[-1]], [nodes[0] - 1.0]])
+        m_right, m_left = _slope(bus, ends, _relu_pass(bus, ends)[0])[:, 0]
         crossings = []
         for bound in (params.u_hi[i], params.u_lo[i]):
             if not np.isfinite(bound):
@@ -96,20 +86,17 @@ def build_integral_table(params: NetParams):
             for k in hit:
                 t = gl[k] / (gl[k] - gr[k])
                 crossings.append(nodes[k] + t * (nodes[k + 1] - nodes[k]))
-            m_right = _unclamped_slope(params, i, nodes[-1])
             if m_right != 0.0:
                 t = (bound - g[-1]) / m_right
                 if t > 0:
                     crossings.append(nodes[-1] + t)
-            m_left = _unclamped_slope(params, i, nodes[0] - 1.0)
             if m_left != 0.0:
                 t = (bound - g[0]) / m_left
                 if t < 0:
                     crossings.append(nodes[0] + t)
         if crossings:
             nodes = np.unique(np.concatenate([nodes, crossings]))
-        u_nodes = np.clip(_unclamped_g(params, i, nodes),
-                          params.u_lo[i], params.u_hi[i])
+        u_nodes = np.clip(unclamped(nodes), params.u_lo[i], params.u_hi[i])
         seg = np.diff(nodes) * 0.5 * (u_nodes[:-1] + u_nodes[1:])
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         j0 = int(np.searchsorted(nodes, 0.0))
@@ -498,7 +485,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
                           eq, epsilon, load_inertia)
         cross_min = None
         min_pivot = None
-    elif traj.mode in ("dai_general", "dai_linear", "unknown"):
+    elif traj.mode in ("dai_general", "unknown"):
         table = build_integral_table(controllers)
         w = lyap_W(net, controllers, (traj.delta, traj.omega, traj.s), eq, table)
         wdot = lyap_W_dot(net, costs, controllers,

@@ -30,8 +30,9 @@ class PowerNetwork:
 
     Arrays are aligned to buses sorted by external id.  `m` is defined on
     generator buses only (length = len(gens)); `alpha` and `v` cover all
-    buses.  Lines and comm edges are stored sparsely as index pairs with
-    weights; dense matrices are only assembled on demand for small-n checks.
+    buses.  Lines and comm edges are stored as index pairs with weights,
+    plus a cached signed edge-by-bus incidence matrix per edge set (+1 at
+    i, -1 at j) that scatters edge quantities onto buses in one product.
     """
 
     ids: tuple              # external bus ids, sorted ascending
@@ -49,6 +50,8 @@ class PowerNetwork:
     f0: float               # nominal frequency (Hz)
     s_base: float = 100.0   # MVA base, bookkeeping only
     _line_w: np.ndarray = field(default=None, repr=False)   # v_i v_j B_ij cache
+    _line_inc: np.ndarray = field(default=None, repr=False)  # (lines, n)
+    _comm_inc: np.ndarray = field(default=None, repr=False)  # (comm edges, n)
 
     @property
     def n(self):
@@ -220,7 +223,10 @@ def network_from_dict(doc) -> PowerNetwork:
         comm_i=ci, comm_j=cj, comm_q=cq,
         f0=f0, s_base=s_base,
     )
+    eye = np.eye(len(ids))
     object.__setattr__(net, "_line_w", v[li] * v[lj] * lb)
+    object.__setattr__(net, "_line_inc", eye[li] - eye[lj])
+    object.__setattr__(net, "_comm_inc", eye[ci] - eye[cj])
     return net
 
 
@@ -270,12 +276,7 @@ def power_flows(net: PowerNetwork, delta):
     to zero (every line's flow leaves one end and enters the other).  Gauge
     invariant: adding a constant to all angles changes nothing.
     """
-    d = angle_differences(net, delta)
-    fe = net.line_w * np.sin(d)
-    out = np.zeros(np.shape(delta), dtype=float)
-    np.add.at(out.reshape(-1, net.n), (slice(None), net.line_i), fe.reshape(-1, len(net.line_b)))
-    np.subtract.at(out.reshape(-1, net.n), (slice(None), net.line_j), fe.reshape(-1, len(net.line_b)))
-    return out
+    return (net.line_w * np.sin(angle_differences(net, delta))) @ net._line_inc
 
 
 def potential_energy(net: PowerNetwork, delta):
@@ -291,8 +292,9 @@ def potential_energy(net: PowerNetwork, delta):
 def flow_jacobian(net: PowerNetwork, delta):
     """Dense Jacobian of power_flows: a weighted Laplacian.
 
-    Off-diagonal (i, j) is -v_i v_j B_ij cos(delta_ij); diagonals make rows
-    sum to zero.  Supports batch dims: returns (..., n, n).
+    Off-diagonal (i, j) is -v_i v_j B_ij cos(delta_ij); the diagonal is
+    minus the row sum of the off-diagonals.  Supports batch dims: returns
+    (..., n, n).
     """
     d = angle_differences(net, delta)
     w = net.line_w * np.cos(d)
@@ -300,10 +302,7 @@ def flow_jacobian(net: PowerNetwork, delta):
     H = np.zeros(shape)
     H[..., net.line_i, net.line_j] = -w
     H[..., net.line_j, net.line_i] = -w
-    diag = np.zeros(np.shape(delta))
-    np.add.at(diag.reshape(-1, net.n), (slice(None), net.line_i), w.reshape(-1, len(net.line_b)))
-    np.add.at(diag.reshape(-1, net.n), (slice(None), net.line_j), w.reshape(-1, len(net.line_b)))
-    H[..., np.arange(net.n), np.arange(net.n)] = diag
+    H[..., np.arange(net.n), np.arange(net.n)] = -H.sum(axis=-1)
     return H
 
 
@@ -311,20 +310,12 @@ def flow_jacobian_apply(net: PowerNetwork, delta, x):
     """Matrix-free product flow_jacobian(delta) @ x (used by the adjoint pass)."""
     d = angle_differences(net, delta)
     w = net.line_w * np.cos(d)
-    xe = w * (x[..., net.line_i] - x[..., net.line_j])
-    out = np.zeros(np.shape(x), dtype=float)
-    np.add.at(out.reshape(-1, net.n), (slice(None), net.line_i), xe.reshape(-1, len(net.line_b)))
-    np.subtract.at(out.reshape(-1, net.n), (slice(None), net.line_j), xe.reshape(-1, len(net.line_b)))
-    return out
+    return (w * (x[..., net.line_i] - x[..., net.line_j])) @ net._line_inc
 
 
 def comm_laplacian_apply(net: PowerNetwork, y):
     """Product L_Q @ y over the communication graph (batch dims allowed)."""
-    ye = net.comm_q * (y[..., net.comm_i] - y[..., net.comm_j])
-    out = np.zeros(np.shape(y), dtype=float)
-    np.add.at(out.reshape(-1, net.n), (slice(None), net.comm_i), ye.reshape(-1, len(net.comm_q)))
-    np.subtract.at(out.reshape(-1, net.n), (slice(None), net.comm_j), ye.reshape(-1, len(net.comm_q)))
-    return out
+    return (net.comm_q * (y[..., net.comm_i] - y[..., net.comm_j])) @ net._comm_inc
 
 
 def scaled_laplacian_bilinear(net: PowerNetwork, zeta, x, y):

@@ -1,8 +1,8 @@
 """Gradient-descent training of the monotone policies through the dynamics.
 
-The discrete-time rollout (forward Euler, identical recursion order to the
-simulator) is unrolled over L steps for a batch of random disturbances, and
-the loss
+The discrete-time rollout (forward Euler over dynamics.derivatives, the
+simulator's own right-hand side, evaluated on the whole batch at once) is
+unrolled over L steps for a batch of random disturbances, and the loss
 
     J = mean over batch [ sum_gens max_l |omega_i at step l+1|
                           + rho * (1/L) sum_i sum_l C_i(u_i(s_i at step l)) ]
@@ -25,10 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .controller import (NetParams, RawParams, eval_slope, eval_u,
-                         init_raw_params, transform_params, validate_params)
+# eval_u is not called here but stays importable from this module, as the
+# benchmark's tracer test looks it up through training
+from .controller import (NetParams, RawParams, _relu_pass, _slope,
+                         _unsaturated, eval_u, init_raw_params,
+                         transform_params, validate_params)
 from .costs import CostModel
-from .network import PowerNetwork, comm_laplacian_apply, flow_jacobian_apply, power_flows
+from .dynamics import SystemState, derivatives
+from .network import PowerNetwork, comm_laplacian_apply, flow_jacobian_apply
 
 
 @dataclass(frozen=True)
@@ -82,19 +86,16 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     """Unroll the closed loop for a disturbance batch and score it.
 
     p has shape (B, n).  Returns the scalar loss (batch mean) and the tape
-    for backprop.  The recursion order matches dynamics.euler_step: load
-    frequencies from the pre-step state, then angle/frequency/integrator
-    updates from the same step's quantities.
+    for backprop.  Each step is dynamics.euler_step's update over
+    dynamics.derivatives, without the gauge re-projection.
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
     B = p.shape[0]
     n = net.n
-    g, ll = net.gens, net.loads
+    g = net.gens
     L = cfg.steps
     h = cfg.h
-    two_pi_f0 = 2.0 * np.pi * net.f0
-    zeta = costs.zeta
 
     theta = np.zeros((L + 1, B, n))
     omega_g = np.zeros((L + 1, B, len(g)))
@@ -102,19 +103,15 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     if initial is not None:
         theta[0], omega_g[0], s[0] = initial
 
+    omega = np.zeros((B, n))              # load entries are ignored
     cost_acc = np.zeros(B)
     for l in range(L):
-        u = eval_u(params, s[l])
-        flows = power_flows(net, theta[l])
-        omega = np.zeros((B, n))
         omega[:, g] = omega_g[l]
-        omega[:, ll] = (-flows[:, ll] + p[:, ll] + u[:, ll]) / net.alpha[ll]
-        mc = costs.grad(u)
-        lap = zeta * comm_laplacian_apply(net, mc)
-        theta[l + 1] = theta[l] + h * (two_pi_f0 * (omega - omega.mean(axis=-1, keepdims=True)))
-        omega_g[l + 1] = omega_g[l] + h * (
-            (-net.alpha[g] * omega_g[l] - flows[:, g] + p[:, g] + u[:, g]) / net.m)
-        s[l + 1] = s[l] + h * (-two_pi_f0 * omega - lap)
+        ddelta, domega, ds, _, u, _ = derivatives(
+            net, costs, params, SystemState(theta[l], omega, s[l]), p)
+        theta[l + 1] = theta[l] + h * ddelta
+        omega_g[l + 1] = omega_g[l] + h * domega[:, g]
+        s[l + 1] = s[l] + h * ds
         cost_acc += costs.values(u).sum(axis=-1)
         if not (np.all(np.isfinite(s[l + 1])) and np.all(np.isfinite(omega_g[l + 1]))
                 and np.all(np.isfinite(theta[l + 1]))):
@@ -167,7 +164,9 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
         g_w = g_w + np.where(tape.nadir_step == l, tape.nadir_sign, 0.0)
 
         sl = tape.s[l]
-        u = eval_u(params, sl)
+        xe, g_unc, relu_p, relu_m = _relu_pass(params, sl, keep=True)
+        u = np.clip(g_unc, params.u_lo, params.u_hi)
+        unsat = _unsaturated(params, g_unc)
         mc = costs.grad(u)
 
         # adjoint of the full omega vector used by the theta and s updates
@@ -193,22 +192,16 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
         # running cost term (every step l = 0..L-1)
         a_u += (cfg.rho / L) * mc
 
-        # controller parameter gradients at input s[l]
-        xe = np.sign(sl) * np.maximum(np.abs(sl) - params.dz, 0.0)
-        xcol = xe[..., None]
-        relu_p = np.maximum(xcol - params.b_plus, 0.0)
-        relu_m = np.maximum(-xcol + params.b_minus, 0.0)
-        g_unc = np.sum(params.k_plus * relu_p, axis=-1) \
-            + np.sum(params.k_minus * relu_m, axis=-1)
-        unsat = (g_unc < params.u_hi) & (g_unc > params.u_lo)
+        # controller parameter gradients at input s[l]; a breakpoint moves
+        # the output only where its ReLU is strictly active
         a_eff = (a_u * unsat)[..., None]
         gk_p += np.sum(a_eff * relu_p, axis=0)
-        gb_p += np.sum(a_eff * (-params.k_plus) * (xcol > params.b_plus), axis=0)
+        gb_p += np.sum(a_eff * (-params.k_plus) * (relu_p > 0), axis=0)
         gk_m += np.sum(a_eff * relu_m, axis=0)
-        gb_m += np.sum(a_eff * params.k_minus * (xcol < params.b_minus), axis=0)
+        gb_m += np.sum(a_eff * params.k_minus * (relu_m > 0), axis=0)
 
         # state adjoints for the previous step
-        slope = eval_slope(params, sl)
+        slope = np.where(unsat, _slope(params, sl, xe), 0.0)
         g_s = g_s + slope * a_u
         g_w = (1.0 - h * net.alpha[g] * inv_m) * g_w + a_omega[:, g]
         g_theta = g_theta + flow_jacobian_apply(net, tape.theta[l], a_flows)
@@ -268,7 +261,7 @@ def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
     """
     params = tape.params
     s = tape.s[:-1]                                  # inputs used in the loss
-    xe = np.sign(s) * np.maximum(np.abs(s) - params.dz, 0.0)
+    xe, g_unc, _, _ = _relu_pass(params, s)
     moving = xe != 0.0
     if np.any(moving & (np.abs(xe) < tol)):          # near the origin breakpoint
         return True
@@ -281,14 +274,8 @@ def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
     if np.any(params.dz > 0) and np.any(
             (np.abs(np.abs(s) - params.dz) < tol) & (s != 0.0)):
         return True
-    finite_hi = np.isfinite(params.u_hi)
-    finite_lo = np.isfinite(params.u_lo)
-    if np.any(finite_hi) or np.any(finite_lo):
-        g_unc = np.sum(params.k_plus * np.maximum(xe[..., None] - params.b_plus, 0.0), axis=-1) \
-            + np.sum(params.k_minus * np.maximum(-xe[..., None] + params.b_minus, 0.0), axis=-1)
-        if np.any(finite_hi & (np.abs(g_unc - params.u_hi) < tol) & moving):
-            return True
-        if np.any(finite_lo & (np.abs(g_unc - params.u_lo) < tol) & moving):
+    for bound in (params.u_hi, params.u_lo):         # saturation crossings
+        if np.any(np.isfinite(bound) & (np.abs(g_unc - bound) < tol) & moving):
             return True
     abs_om = np.abs(tape.omega_g[1:])
     if abs_om.shape[0] >= 2:

@@ -13,22 +13,32 @@ from gridfreq.training import TrainConfig
 from conftest import three_bus, two_bus
 
 
-def test_rollout_matches_simulate_bitwise():
-    # the unrolled recursion must replay dynamics.euler_step exactly
+@pytest.mark.parametrize("masks", [{}, dict(u_lo=-0.02, u_hi=0.03, dz=2e-3)],
+                         ids=["unbounded", "saturation-deadband"])
+def test_rollout_matches_simulate_bitwise(masks):
+    # every batch row of the unrolled recursion must replay its own
+    # dynamics.euler_step run exactly
     net = three_bus()
     costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
     rng = np.random.default_rng(12)
     raw = ctl.init_raw_params(3, 3, rng)
-    cfg = TrainConfig(d=3, h=1e-3, T=0.5, batch_size=1, seed=0)
-    p = np.array([[-0.5, -0.2, 0.1]])
+    cfg = TrainConfig(d=3, h=1e-3, T=0.5, batch_size=3, seed=0, **masks)
+    p = np.array([[-0.5, -0.2, 0.1], [0.4, -0.3, 0.2], [0.1, 0.2, -0.6]])
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg)
 
-    params = ctl.transform_params(raw, dz=cfg.dz)
-    scen = dyn.Scenario(p=p[0], T=cfg.T, h=cfg.h)
-    traj = dyn.simulate(scen, net, costs, params)
-    assert np.array_equal(tape.theta[:, 0, :], traj.delta)
-    assert np.array_equal(tape.omega_g[:, 0, :], traj.omega[:, net.gens])
-    assert np.array_equal(tape.s[:, 0, :], traj.s)
+    params = ctl.transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
+    for b in range(3):
+        scen = dyn.Scenario(p=p[b], T=cfg.T, h=cfg.h)
+        traj = dyn.simulate(scen, net, costs, params)
+        assert np.array_equal(tape.theta[:, b, :], traj.delta)
+        assert np.array_equal(tape.omega_g[:, b, :], traj.omega[:, net.gens])
+        assert np.array_equal(tape.s[:, b, :], traj.s)
+    if masks:
+        # the case exercises both clamps and both sides of the deadband
+        u = ctl.eval_u(params, tape.s)
+        assert np.any(u == cfg.u_lo) and np.any(u == cfg.u_hi)
+        inside = (np.abs(tape.s) < cfg.dz) & (tape.s != 0.0)
+        assert np.any(inside) and np.any(np.abs(tape.s) > cfg.dz)
 
 
 def test_loss_is_batch_mean():
@@ -72,29 +82,43 @@ def test_nadir_term_is_peak_frequency_magnitude():
 
 
 def test_backprop_matches_finite_differences():
-    checked = 0
-    for seed in range(30):
-        rng = np.random.default_rng(seed)
-        net = two_bus(b=float(rng.uniform(0.5, 2.0)))
-        costs = cm.random_power_costs(2, rng)
-        raw = ctl.init_raw_params(2, 2, rng)
-        cfg = TrainConfig(d=2, h=1e-3, T=4e-3, batch_size=2, seed=seed)
-        p = rng.uniform(-2.0, 2.0, size=(2, 2))
-        _, tape = trn.rollout_loss(net, costs, raw, p, cfg)
-        if trn.gradient_tie_risk(tape):
-            continue
-        analytic = trn.backprop(tape, net, costs)
-        fd = trn.finite_difference_gradients(net, costs, raw, p, cfg)
-        num = den = 0.0
-        for name in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
-            a, f = getattr(analytic, name), getattr(fd, name)
-            num = max(num, float(np.max(np.abs(a - f))))
-            den = max(den, float(np.max(np.abs(f))))
-        assert num / max(den, 1e-12) < 1e-4
-        checked += 1
-        if checked >= 4:
-            break
-    assert checked >= 4  # enough clean instances actually audited
+    # unbounded policies over 4 ms, then saturation bounds and a deadband
+    # over 16 ms: the integral states reach about 1e-3 by then, so bounds of
+    # 2e-4 clamp many inputs early enough for the saturation gate on the
+    # state adjoint to matter, and dz = 2e-4 leaves others in the deadband
+    seen = dict(saturated=0, deadband=0, active=0)
+    for masks in (dict(T=4e-3), dict(T=1.6e-2, u_lo=-2e-4, u_hi=2e-4, dz=2e-4)):
+        checked = 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            net = two_bus(b=float(rng.uniform(0.5, 2.0)))
+            costs = cm.random_power_costs(2, rng)
+            raw = ctl.init_raw_params(2, 2, rng)
+            cfg = TrainConfig(d=2, h=1e-3, batch_size=2, seed=seed, **masks)
+            p = rng.uniform(-2.0, 2.0, size=(2, 2))
+            _, tape = trn.rollout_loss(net, costs, raw, p, cfg)
+            if trn.gradient_tie_risk(tape):
+                continue
+            analytic = trn.backprop(tape, net, costs)
+            fd = trn.finite_difference_gradients(net, costs, raw, p, cfg)
+            num = den = 0.0
+            for name in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
+                a, f = getattr(analytic, name), getattr(fd, name)
+                num = max(num, float(np.max(np.abs(a - f))))
+                den = max(den, float(np.max(np.abs(f))))
+            assert num / max(den, 1e-12) < 1e-4
+            if cfg.dz > 0:
+                x = tape.s[:-1]
+                u = ctl.eval_u(tape.params, x)
+                clamped = (u == cfg.u_lo) | (u == cfg.u_hi)
+                seen["saturated"] += int(np.sum(clamped))
+                seen["deadband"] += int(np.sum((np.abs(x) < cfg.dz) & (x != 0.0)))
+                seen["active"] += int(np.sum((np.abs(x) > cfg.dz) & ~clamped))
+            checked += 1
+            if checked >= 4:
+                break
+        assert checked >= 4  # enough clean instances actually audited
+    assert min(seen.values()) >= 1, seen
 
 
 def test_gradient_tie_risk_clean_case():
