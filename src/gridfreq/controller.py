@@ -21,13 +21,29 @@ can therefore move the raw (mu, chi) parameters freely.
 All parameter arrays carry a leading bus axis: shape (n, d) for mu/k/b and
 (n, d-1) for chi.  Evaluation broadcasts: x may be any shape broadcastable
 against (n,) on its last axis.
+
+Evaluation reads per-bus tables built once per NetParams.  With the plus
+breakpoints sorted ascending (k reordered to match), x' > b_plus holds on a
+prefix of them, so with c = #(x' > b_plus)
+
+    f_plus(x') = K_plus[c] x' - C_plus[c],
+    K_plus = [0, cumsum(k_plus)],  C_plus = [0, cumsum(k_plus * b_plus)],
+
+and the minus side mirrors this with the breakpoints sorted descending and
+c = #(x' < b_minus).  The right-limit slope gathers K the same way (with
+x' >= b_plus on the plus side).  Sorting inside the tables keeps directly
+built parameters with unsorted or repeated breakpoints exact.  The counts
+come from bool masks with the d axis leading, so no (..., n, d) float
+stack is formed; training's adjoint bins its parameter terms by the same
+counts.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,6 +106,12 @@ class NetParams:
     def d(self):
         return self.k_plus.shape[1]
 
+    @cached_property
+    def _tables(self):
+        """Evaluation tables, built on first use; the arrays are read-only
+        from then on."""
+        return _Tables(self)
+
 
 def transform_params(raw: RawParams, u_lo=None, u_hi=None, dz=None) -> NetParams:
     """Map unconstrained parameters to guaranteed-monotone network form."""
@@ -137,51 +159,100 @@ def validate_params(params: NetParams, warn=True):
     return bool(ok)
 
 
-def _relu_pass(params: NetParams, x, keep=False):
-    """The stacked-ReLU evaluation every caller shares.
+class _Tables:
+    """Cumulative slope/intercept tables of one NetParams (module docstring).
 
-    Returns (xe, g, relu_plus, relu_minus): the input after the deadband
-    shift (|x| moved toward zero by dz), the unclamped value g = f_plus +
-    f_minus, and the two (..., n, d) ReLU stacks.  Each stack is built in
-    place; unless keep is set the plus stack is dropped (returned as None)
-    before the minus stack is made, so plain evaluation holds one at a time.
+    Row bus*(d+1) + c of `plus` holds (K, -C) of the plus side and of
+    `minus` (-K, C) of the minus side, so g is the sum of the two rows'
+    first entries times x' plus their second entries.  Counts are summed
+    as uint8 while d < 256.
     """
-    x = np.asarray(x, dtype=float)
-    xe = np.sign(x) * np.maximum(np.abs(x) - params.dz, 0.0)
-    xcol = xe[..., None]
-    relu_p = xcol - params.b_plus
-    np.maximum(relu_p, 0.0, out=relu_p)
-    g = np.sum(params.k_plus * relu_p, axis=-1)
-    if not keep:
-        relu_p = None
-    relu_m = params.b_minus - xcol
-    np.maximum(relu_m, 0.0, out=relu_m)
-    g = g + np.sum(params.k_minus * relu_m, axis=-1)
-    return xe, g, relu_p, relu_m
 
+    def __init__(self, params: NetParams):
+        n, d = params.k_plus.shape
+        self.order_p = np.argsort(params.b_plus, axis=-1, kind="stable")
+        self.order_m = np.argsort(-params.b_minus, axis=-1, kind="stable")
+        self.sorted_p = np.take_along_axis(params.b_plus, self.order_p, -1)
+        self.sorted_m = np.take_along_axis(params.b_minus, self.order_m, -1)
+        self.k_p = np.take_along_axis(params.k_plus, self.order_p, -1)
+        self.k_m = np.take_along_axis(params.k_minus, self.order_m, -1)
+        self.bp = np.ascontiguousarray(self.sorted_p.T)       # (d, n)
+        self.bm = np.ascontiguousarray(self.sorted_m.T)
 
-def _slope(params: NetParams, x, xe):
-    """Right-limit slope of the unclamped policy at x (xe: its shifted input).
+        def prefix(a):
+            return np.concatenate([np.zeros((n, 1)), np.cumsum(a, -1)], -1)
 
-    f_plus counts k_plus[j] wherever x' >= b_plus[j]; f_minus contributes
-    -k_minus[j] where x' < b_minus[j].  Zero inside the deadband.
-    """
-    xcol = xe[..., None]
-    slope = (np.sum(params.k_plus * (xcol >= params.b_plus), axis=-1)
-             + np.sum(-params.k_minus * (xcol < params.b_minus), axis=-1))
-    if np.any(params.dz > 0):
-        slope = slope * ((x >= params.dz) | (x < -params.dz))
-    return slope
+        self.K_p, self.K_m = prefix(self.k_p), prefix(self.k_m)     # (n, d+1)
+        C_p, C_m = prefix(self.k_p * self.sorted_p), prefix(self.k_m * self.sorted_m)
+        self.plus = np.stack([self.K_p, -C_p], -1).reshape(-1, 2)
+        self.minus = np.stack([-self.K_m, C_m], -1).reshape(-1, 2)
+        self.off = np.arange(n) * (d + 1)
+        self.count_dtype = np.uint8 if d < 256 else np.intp
+        self.dz, self.u_lo, self.u_hi = params.dz, params.u_lo, params.u_hi
+        self.shifted = bool(np.any(params.dz > 0))
+        self.clamped = bool(np.any(np.isfinite(params.u_lo))
+                            or np.any(np.isfinite(params.u_hi)))
 
+    def shift(self, x):
+        """The input after the deadband shift (|x| moved toward zero by dz)."""
+        if not self.shifted:
+            return x
+        return np.sign(x) * np.maximum(np.abs(x) - self.dz, 0.0)
 
-def _unsaturated(params: NetParams, g):
-    """Where the unclamped value g lies strictly inside (u_lo, u_hi)."""
-    return (g < params.u_hi) & (g > params.u_lo)
+    def _count(self, mask):
+        return np.add.reduce(mask.view(np.uint8), axis=0, dtype=self.count_dtype)
+
+    def _breakpoints(self, xe):
+        """The (d, n) sorted breakpoints, shaped to compare against xe."""
+        if xe.ndim <= 1:
+            return self.bp, self.bm
+        lead = (slice(None),) + (None,) * (xe.ndim - 1)
+        return self.bp[lead], self.bm[lead]
+
+    def index(self, xe, strict=True):
+        """Table rows bus*(d+1) + c on each side: c = #(x' > b_plus) and
+        #(x' < b_minus), or #(x' >= b_plus) and #(x' <= b_minus) when not
+        strict."""
+        bp, bm = self._breakpoints(xe)
+        if strict:
+            cp, cm = self._count(xe > bp), self._count(xe < bm)
+        else:
+            cp, cm = self._count(xe >= bp), self._count(xe <= bm)
+        return self.off + cp, self.off + cm
+
+    def value(self, xe, ip, im):
+        """The unclamped g = f_plus + f_minus at x' from its table rows."""
+        pair = self.plus.take(ip, axis=0)
+        pair += self.minus.take(im, axis=0)
+        return pair[..., 0] * xe + pair[..., 1]
+
+    def unclamped(self, x):
+        """g = f_plus + f_minus at x (float array, last axis against n)."""
+        xe = self.shift(x)
+        return self.value(xe, *self.index(xe))
+
+    def slope(self, x, xe, im):
+        """Right-limit slope of g at x (im: the strict minus rows): k_plus
+        counts where x' >= b_plus, -k_minus where x' < b_minus.  Zero
+        inside the deadband."""
+        ip = self.off + self._count(xe >= self._breakpoints(xe)[0])
+        slope = self.K_p.take(ip) - self.K_m.take(im)
+        if self.shifted:
+            slope = slope * ((x >= self.dz) | (x < -self.dz))
+        return slope
+
+    def clamp(self, g):
+        return np.clip(g, self.u_lo, self.u_hi) if self.clamped else g
+
+    def unsaturated(self, g):
+        """Where the unclamped value g lies strictly inside (u_lo, u_hi)."""
+        return (g < self.u_hi) & (g > self.u_lo)
 
 
 def eval_u(params: NetParams, x):
     """Evaluate every bus policy; x broadcasts against (n,) on its last axis."""
-    return np.clip(_relu_pass(params, x)[1], params.u_lo, params.u_hi)
+    t = params._tables
+    return t.clamp(t.unclamped(np.asarray(x, dtype=float)))
 
 
 def eval_slope(params: NetParams, x):
@@ -190,9 +261,11 @@ def eval_slope(params: NetParams, x):
     Inside the deadband, and strictly beyond a saturation bound, the slope
     is zero.
     """
+    t = params._tables
     x = np.asarray(x, dtype=float)
-    xe, g, _, _ = _relu_pass(params, x)
-    return np.where(_unsaturated(params, g), _slope(params, x, xe), 0.0)
+    xe = t.shift(x)
+    ip, im = t.index(xe)
+    return np.where(t.unsaturated(t.value(xe, ip, im)), t.slope(x, xe, im), 0.0)
 
 
 def lipschitz_constant(params: NetParams):

@@ -61,19 +61,18 @@ class CostModel:
     def values(self, u):
         """Per-bus cost C_i(u_i); u may carry leading batch dims."""
         u = np.asarray(u, dtype=float)
-        return (self.c / self.r) * u ** self.r + self.b
+        return (self.c / self.r) * _power(u, self.r) + self.b
 
     def grad(self, u):
         """Marginal cost C_i'(u_i) = c_i u^(r-1)."""
-        u = np.asarray(u, dtype=float)
-        return self.c * u ** (self.r - 1)
+        return self.c * _power(np.asarray(u, dtype=float), self.r - 1)
 
     def curvature(self, u):
         """Second derivative C_i''(u_i) = c_i (r-1) u^(r-2), nonnegative."""
         u = np.asarray(u, dtype=float)
         if self.r == 2:
-            return np.broadcast_to(self.c, u.shape).astype(float).copy()
-        return self.c * (self.r - 1) * u ** (self.r - 2)
+            return np.broadcast_to(self.c, u.shape).astype(float)
+        return self.c * (self.r - 1) * _power(u, self.r - 2)
 
     def grad_inverse(self, y):
         """Per-bus inverse of the marginal cost: u with C_i'(u) = y_i."""
@@ -105,6 +104,15 @@ class CostModel:
             else:
                 return root
         return out
+
+
+def _power(u, k):
+    """u**k for an integer k >= 1 by repeated multiplication: libm pow, which
+    ** calls for exponents other than 2, is some twenty times slower."""
+    out = u
+    for _ in range(k - 1):
+        out = out * u
+    return out
 
 
 def _bisect_increasing(f, target, tol=BISECT_TOL, limit=BRACKET_LIMIT,

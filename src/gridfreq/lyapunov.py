@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .controller import NetParams, _relu_pass, _slope, eval_u, select_bus
+from .controller import NetParams, eval_u
 from .costs import CostModel
 from .dynamics import SystemState, Trajectory, full_inertia
 from .equilibrium import Equilibrium
@@ -58,25 +58,22 @@ def build_integral_table(params: NetParams):
     where the unclamped policy crosses a finite saturation bound), the
     clipped policy values there, and the exact integral from 0 to each node
     (trapezoids between nodes are exact because u is linear between them).
+    The unclamped values at every candidate kink come from one evaluation
+    of the controller tables; the slopes beyond the outermost nodes are the
+    tables' full sums.
     """
+    t = params._tables
+    dz = params.dz[:, None]
+    cand = np.concatenate([np.zeros_like(dz), dz, -dz, params.b_plus + dz,
+                           params.b_plus - dz, params.b_minus + dz,
+                           params.b_minus - dz], axis=1)
+    cand.sort(axis=1)
+    g_cand = t.unclamped(cand.T).T
+    m_right, m_left = t.K_p[:, -1], -t.K_m[:, -1]
     tables = []
     for i in range(params.n):
-        bus = select_bus(params, i)
-
-        def unclamped(x):
-            return _relu_pass(bus, x[:, None])[1][:, 0]
-
-        dz = params.dz[i]
-        cand = [0.0, dz, -dz]
-        for b in params.b_plus[i]:
-            cand += [b + dz, b - dz]
-        for b in params.b_minus[i]:
-            cand += [b + dz, b - dz]
-        nodes = np.unique(np.asarray(cand, dtype=float))
-        g = unclamped(nodes)
-        # slopes beyond the outermost nodes, right and left
-        ends = np.array([[nodes[-1]], [nodes[0] - 1.0]])
-        m_right, m_left = _slope(bus, ends, _relu_pass(bus, ends)[0])[:, 0]
+        keep = np.concatenate([[True], np.diff(cand[i]) != 0])
+        nodes, g = cand[i][keep], g_cand[i][keep]
         crossings = []
         for bound in (params.u_hi[i], params.u_lo[i]):
             if not np.isfinite(bound):
@@ -84,19 +81,22 @@ def build_integral_table(params: NetParams):
             gl, gr = g[:-1] - bound, g[1:] - bound
             hit = np.nonzero(gl * gr < 0)[0]
             for k in hit:
-                t = gl[k] / (gl[k] - gr[k])
-                crossings.append(nodes[k] + t * (nodes[k + 1] - nodes[k]))
-            if m_right != 0.0:
-                t = (bound - g[-1]) / m_right
-                if t > 0:
-                    crossings.append(nodes[-1] + t)
-            if m_left != 0.0:
-                t = (bound - g[0]) / m_left
-                if t < 0:
-                    crossings.append(nodes[0] + t)
+                tk = gl[k] / (gl[k] - gr[k])
+                crossings.append(nodes[k] + tk * (nodes[k + 1] - nodes[k]))
+            if m_right[i] != 0.0:
+                tk = (bound - g[-1]) / m_right[i]
+                if tk > 0:
+                    crossings.append(nodes[-1] + tk)
+            if m_left[i] != 0.0:
+                tk = (bound - g[0]) / m_left[i]
+                if tk < 0:
+                    crossings.append(nodes[0] + tk)
         if crossings:
             nodes = np.unique(np.concatenate([nodes, crossings]))
-        u_nodes = np.clip(unclamped(nodes), params.u_lo[i], params.u_hi[i])
+            x = np.zeros((len(nodes), params.n))
+            x[:, i] = nodes
+            g = t.unclamped(x)[:, i]
+        u_nodes = np.clip(g, params.u_lo[i], params.u_hi[i])
         seg = np.diff(nodes) * 0.5 * (u_nodes[:-1] + u_nodes[1:])
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         j0 = int(np.searchsorted(nodes, 0.0))

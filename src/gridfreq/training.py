@@ -27,8 +27,7 @@ import numpy as np
 
 # eval_u is not called here but stays importable from this module, as the
 # benchmark's tracer test looks it up through training
-from .controller import (NetParams, RawParams, _relu_pass, _slope,
-                         _unsaturated, eval_u, init_raw_params,
+from .controller import (NetParams, RawParams, eval_u, init_raw_params,
                          transform_params, validate_params)
 from .costs import CostModel
 from .dynamics import SystemState, derivatives
@@ -150,13 +149,13 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
     inv_alpha_l = 1.0 / net.alpha[ll]
     inv_m = 1.0 / net.m
 
+    t = params._tables
+    rows = n * (params.d + 1)
     g_theta = np.zeros((B, n))
     g_w = np.zeros((B, len(g)))
     g_s = np.zeros((B, n))
-    gk_p = np.zeros_like(params.k_plus)
-    gb_p = np.zeros_like(params.b_plus)
-    gk_m = np.zeros_like(params.k_minus)
-    gb_m = np.zeros_like(params.b_minus)
+    # per table row (bus, count c): sums of a and a * x' on each side
+    hist = np.zeros((4, rows))
 
     for l in range(L - 1, -1, -1):
         # nadir injection: omega_g[l+1] enters the loss max for buses whose
@@ -164,9 +163,11 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
         g_w = g_w + np.where(tape.nadir_step == l, tape.nadir_sign, 0.0)
 
         sl = tape.s[l]
-        xe, g_unc, relu_p, relu_m = _relu_pass(params, sl, keep=True)
-        u = np.clip(g_unc, params.u_lo, params.u_hi)
-        unsat = _unsaturated(params, g_unc)
+        xe = t.shift(sl)
+        ip, im = t.index(xe)
+        g_unc = t.value(xe, ip, im)
+        u = t.clamp(g_unc)
+        unsat = t.unsaturated(g_unc)
         mc = costs.grad(u)
 
         # adjoint of the full omega vector used by the theta and s updates
@@ -192,25 +193,36 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
         # running cost term (every step l = 0..L-1)
         a_u += (cfg.rho / L) * mc
 
-        # controller parameter gradients at input s[l]; a breakpoint moves
-        # the output only where its ReLU is strictly active
-        a_eff = (a_u * unsat)[..., None]
-        gk_p += np.sum(a_eff * relu_p, axis=0)
-        gb_p += np.sum(a_eff * (-params.k_plus) * (relu_p > 0), axis=0)
-        gk_m += np.sum(a_eff * relu_m, axis=0)
-        gb_m += np.sum(a_eff * params.k_minus * (relu_m > 0), axis=0)
+        # controller parameter gradients at input s[l], binned by table row;
+        # a breakpoint moves the output only where its ReLU is strictly
+        # active, which is where the row's count exceeds its sorted position
+        a_eff = a_u * unsat
+        a_x = a_eff * xe
+        for k, (row, w) in enumerate(((ip, a_eff), (ip, a_x), (im, a_eff), (im, a_x))):
+            hist[k] += np.bincount(row.ravel(), w.ravel(), rows)
 
         # state adjoints for the previous step
-        slope = np.where(unsat, _slope(params, sl, xe), 0.0)
+        slope = np.where(unsat, t.slope(sl, xe, im), 0.0)
         g_s = g_s + slope * a_u
         g_w = (1.0 - h * net.alpha[g] * inv_m) * g_w + a_omega[:, g]
         g_theta = g_theta + flow_jacobian_apply(net, tape.theta[l], a_flows)
 
-    # chain through the square/telescoping reparameterization; batch mean
-    gk_p /= B
-    gb_p /= B
-    gk_m /= B
-    gb_m /= B
+    # sorted breakpoint j is active for every count above j: tail sums of
+    # the histograms, then back to the caller's breakpoint order; batch mean
+    s0p, s1p, s0m, s1m = np.cumsum(
+        hist.reshape(4, n, -1)[..., :0:-1], axis=-1)[..., ::-1] / B
+
+    def unsort(a, order):
+        out = np.empty_like(a)
+        np.put_along_axis(out, order, a, axis=-1)
+        return out
+
+    gk_p = unsort(s1p - t.sorted_p * s0p, t.order_p)
+    gb_p = unsort(-t.k_p * s0p, t.order_p)
+    gk_m = unsort(t.sorted_m * s0m - s1m, t.order_m)
+    gb_m = unsort(t.k_m * s0m, t.order_m)
+
+    # chain through the square/telescoping reparameterization
     g_mu_p = 2.0 * raw.mu_plus * (gk_p - np.concatenate(
         [gk_p[:, 1:], np.zeros((n, 1))], axis=1))
     g_mu_m = -2.0 * raw.mu_minus * (gk_m - np.concatenate(
@@ -260,17 +272,26 @@ def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
     breakpoint cannot cross it under a parameter perturbation.
     """
     params = tape.params
+    t = params._tables
     s = tape.s[:-1]                                  # inputs used in the loss
-    xe, g_unc, _, _ = _relu_pass(params, s)
+    xe = t.shift(s)
+    ip, im = t.index(xe)
+    g_unc = t.value(xe, ip, im)
     moving = xe != 0.0
     if np.any(moving & (np.abs(xe) < tol)):          # near the origin breakpoint
         return True
-    if params.d > 1:
-        for bp in (params.b_plus, params.b_minus):   # movable breakpoints j >= 1
-            dist = np.abs(xe[..., None] - bp[..., 1:])
-            risky = (dist < tol) & (moving[..., None] | (bp[..., 1:] != 0.0))
-            if np.any(risky):
-                return True
+    # the nearest breakpoints strictly below and above x' sit just outside
+    # the run the strict and weak counts bracket (inf pads where none);
+    # equal ones are exact hits
+    jp, jm = t.index(xe, strict=False)
+    bus = np.arange(params.n)
+    for srt, end, strict, weak in ((t.sorted_p, np.inf, ip, jp),
+                                   (t.sorted_m, -np.inf, im, jm)):
+        pad = np.pad(srt, ((0, 0), (1, 1)), constant_values=(-end, end)).ravel()
+        near = np.minimum(np.abs(xe - pad.take(strict + bus)),
+                          np.abs(xe - pad.take(weak + bus + 1)))
+        if np.any((near < tol) | ((weak != strict) & moving)):
+            return True
     if np.any(params.dz > 0) and np.any(
             (np.abs(np.abs(s) - params.dz) < tol) & (s != 0.0)):
         return True

@@ -7,8 +7,15 @@ through the cached line-weight arrays.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gridfreq import network
+
+# property tests draw the same examples on every run, so tier-1 reruns stay
+# deterministic; no example database is written
+settings.register_profile("gridfreq", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("gridfreq")
 
 
 def two_bus(b=1.0):

@@ -15,7 +15,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridfreq import cli, controller, dynamics
+from gridfreq import cli, controller, dynamics, training
 from gridfreq.cli import main
 
 from conftest import three_bus, two_bus
@@ -434,6 +434,39 @@ def test_grad_check_writes_manifest_into_fresh_outdir(tmp_path):
     assert doc["config"] == {"seed": 3, "instances": 1}
     assert doc["seeds"] == {"seed": 3}
     assert doc["outputs"] == []
+
+
+def _train_argv(tmp_path, net_file, costs_file):
+    return ["train", "--net", net_file, "--costs", costs_file, "--grad-check",
+            "--d", "3", "--epochs", "1", "--T", "0.01", "--batch-size", "2",
+            "--outdir", str(tmp_path)]
+
+
+def test_train_grad_check_audits_the_loaded_network(tmp_path, net3_file,
+                                                    quartic_costs_file, capsys):
+    assert main(_train_argv(tmp_path, net3_file, quartic_costs_file)) == 0
+    out = capsys.readouterr().out
+    assert "gradient audit passed on the 3-bus network (d = 3, batch 2" in out
+    assert (tmp_path / "checkpoint.json").exists()
+
+
+def test_train_grad_check_failure_exits_one(tmp_path, net3_file,
+                                            quartic_costs_file, capsys,
+                                            monkeypatch):
+    exact = training.backprop
+
+    def doubled(*args):
+        g = exact(*args)
+        return controller.RawParams(2 * g.mu_plus, 2 * g.mu_minus,
+                                    2 * g.chi_plus, 2 * g.chi_minus)
+
+    monkeypatch.setattr(training, "backprop", doubled)
+    assert main(_train_argv(tmp_path, net3_file, quartic_costs_file)) == 1
+    captured = capsys.readouterr()
+    assert "gradient audit FAILED on the 3-bus network" in captured.out
+    assert "gradient audit failed" in captured.err
+    assert "threshold 1e-4" in captured.err
+    assert not (tmp_path / "checkpoint.json").exists()
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,18 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
+from gridfreq import costs as cm
+from gridfreq import training as trn
 from gridfreq.controller import NetParams, RawParams
+from gridfreq.training import TrainConfig
+
+from conftest import random_connected_net
 
 
 def test_identity_is_slope_one():
@@ -193,3 +201,199 @@ def test_checkpoint_rejects_foreign_json(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="not a controller checkpoint"):
         ctl.load_checkpoint(path)
+
+
+# --------------------------------------------------------------------------
+# table evaluation against the stacked-ReLU oracle
+# --------------------------------------------------------------------------
+
+def relu_oracle(params, x):
+    """The stacked-ReLU evaluation the tables replaced.
+
+    Returns (u, slope, unsat, g, scale): the clamped output, the gated
+    right-limit slope, the strict saturation mask, the unclamped value and
+    the size of its terms, sum_j |k_j| (|x'| + |b_j|) over both sides.
+    """
+    x = np.asarray(x, dtype=float)
+    xe = np.sign(x) * np.maximum(np.abs(x) - params.dz, 0.0)
+    xcol = xe[..., None]
+    relu_p = np.maximum(xcol - params.b_plus, 0.0)
+    relu_m = np.maximum(params.b_minus - xcol, 0.0)
+    g = (np.sum(params.k_plus * relu_p, axis=-1)
+         + np.sum(params.k_minus * relu_m, axis=-1))
+    slope = (np.sum(params.k_plus * (xcol >= params.b_plus), axis=-1)
+             + np.sum(-params.k_minus * (xcol < params.b_minus), axis=-1))
+    if np.any(params.dz > 0):
+        slope = slope * ((x >= params.dz) | (x < -params.dz))
+    unsat = (g < params.u_hi) & (g > params.u_lo)
+    scale = (np.sum(np.abs(params.k_plus) * (np.abs(xcol) + np.abs(params.b_plus)), axis=-1)
+             + np.sum(np.abs(params.k_minus) * (np.abs(xcol) + np.abs(params.b_minus)), axis=-1))
+    return (np.clip(g, params.u_lo, params.u_hi), np.where(unsat, slope, 0.0),
+            unsat, g, scale)
+
+
+@st.composite
+def policies_and_inputs(draw, dyadic):
+    """A directly built NetParams (unsorted, duplicated breakpoints, finite
+    or infinite saturation bounds, optional deadband) and a (B, n) input
+    batch placed on breakpoints shifted by the deadband, on +-dz, at zero
+    and in between.
+
+    dyadic draws every number as a small multiple of 1/16, so that every
+    sum and product is exact in any order; otherwise numbers are floats in
+    [-4, 4].
+    """
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 6))
+    if dyadic:
+        number = st.integers(-64, 64).map(lambda i: i / 16.0)
+    else:
+        number = st.floats(-4.0, 4.0, allow_nan=False)
+    pool = draw(st.lists(number, min_size=1, max_size=2 * d))   # shared: duplicates
+
+    def grid(shape, elements):
+        return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))).reshape(shape)
+
+    b_plus = grid((n, d), st.sampled_from(pool))
+    b_minus = grid((n, d), st.sampled_from(pool))
+    k_plus = grid((n, d), number)
+    k_minus = grid((n, d), number)
+    dz = np.abs(grid((n,), st.one_of(st.just(0.0), number)))
+    lo = grid((n,), st.one_of(st.just(-np.inf), number))
+    hi = grid((n,), st.one_of(st.just(np.inf), number))
+    params = NetParams(k_plus=k_plus, b_plus=b_plus, k_minus=k_minus,
+                       b_minus=b_minus, u_lo=np.minimum(lo, hi),
+                       u_hi=np.maximum(lo, hi), dz=dz)
+    B = draw(st.integers(1, 5))
+    x = np.empty((B, n))
+    for i in range(n):
+        bps = np.concatenate([b_plus[i], b_minus[i]])
+        on_breakpoints = list(bps + dz[i]) + list(bps - dz[i]) + [dz[i], -dz[i], 0.0]
+        x[:, i] = draw(st.lists(st.one_of(st.sampled_from(on_breakpoints), number),
+                                min_size=B, max_size=B))
+    return params, x
+
+
+@given(policies_and_inputs(dyadic=True))
+def test_tables_equal_relu_oracle_exactly_on_dyadic_inputs(case):
+    params, x = case
+    u, slope, unsat, _, _ = relu_oracle(params, x)
+    assert np.array_equal(ctl.eval_u(params, x), u)
+    assert np.array_equal(ctl.eval_slope(params, x), slope)
+    t = params._tables
+    assert np.array_equal(t.unsaturated(t.unclamped(x)), unsat)
+
+
+@given(policies_and_inputs(dyadic=False))
+def test_tables_match_relu_oracle(case):
+    # the tables sum k in sorted prefix order and the oracle in its own
+    # order, so values and slopes agree to rounding; the masks agree
+    # exactly wherever rounding cannot move g across a bound
+    params, x = case
+    u, slope, unsat, g, scale = relu_oracle(params, x)
+    t = params._tables
+    g_tab = t.unclamped(x)
+    assert np.all(np.abs(g_tab - g) <= 1e-14 * scale)
+    assert np.all(np.abs(ctl.eval_u(params, x) - u) <= 1e-14 * scale)
+    ksum = np.sum(np.abs(params.k_plus) + np.abs(params.k_minus), axis=-1)
+    clear = ((np.abs(g - params.u_lo) > 1e-14 * scale)
+             & (np.abs(g - params.u_hi) > 1e-14 * scale))
+    assert np.array_equal(t.unsaturated(g_tab)[clear], unsat[clear])
+    assert np.all(np.abs(ctl.eval_slope(params, x) - slope)[clear]
+                  <= 1e-14 * np.broadcast_to(ksum, x.shape)[clear])
+
+
+def test_tables_count_past_255_breakpoints():
+    # counts are summed as uint8 up to d = 255 and in a wider type above
+    rng = np.random.default_rng(5)
+    params = ctl.transform_params(ctl.init_raw_params(2, 300, rng))
+    x = rng.uniform(-20.0, 20.0, (50, 2))
+    u, slope, _, _, scale = relu_oracle(params, x)
+    assert np.all(np.abs(ctl.eval_u(params, x) - u) <= 1e-14 * scale)
+    assert np.allclose(ctl.eval_slope(params, x), slope, rtol=1e-13, atol=0.0)
+
+
+def oracle_backprop(tape, net, costs):
+    """training.backprop with per-step stacked-ReLU products for the
+    parameter adjoints, as before the histogram form."""
+    cfg, params, raw = tape.cfg, tape.params, tape.raw
+    B, n = tape.p.shape
+    g, ll = net.gens, net.loads
+    L, h = cfg.steps, cfg.h
+    two_pi_f0 = 2.0 * np.pi * net.f0
+    inv_m = 1.0 / net.m
+    g_theta, g_w, g_s = np.zeros((B, n)), np.zeros((B, len(g))), np.zeros((B, n))
+    gk_p, gb_p = np.zeros_like(params.k_plus), np.zeros_like(params.b_plus)
+    gk_m, gb_m = np.zeros_like(params.k_minus), np.zeros_like(params.b_minus)
+    for l in range(L - 1, -1, -1):
+        g_w = g_w + np.where(tape.nadir_step == l, tape.nadir_sign, 0.0)
+        sl = tape.s[l]
+        u, slope, unsat, _, _ = relu_oracle(params, sl)
+        xcol = (np.sign(sl) * np.maximum(np.abs(sl) - params.dz, 0.0))[..., None]
+        relu_p = np.maximum(xcol - params.b_plus, 0.0)
+        relu_m = np.maximum(params.b_minus - xcol, 0.0)
+        pg = g_theta - g_theta.mean(axis=-1, keepdims=True)
+        a_omega = two_pi_f0 * h * pg - two_pi_f0 * h * g_s
+        a_u, a_flows = np.zeros((B, n)), np.zeros((B, n))
+        a_u[:, g] += h * inv_m * g_w
+        a_flows[:, g] -= h * inv_m * g_w
+        a_wl = a_omega[:, ll] / net.alpha[ll]
+        a_u[:, ll] += a_wl
+        a_flows[:, ll] -= a_wl
+        a_u += costs.curvature(u) * (-h * trn.comm_laplacian_apply(net, costs.zeta * g_s))
+        a_u += (cfg.rho / L) * costs.grad(u)
+        a_eff = (a_u * unsat)[..., None]
+        gk_p += np.sum(a_eff * relu_p, axis=0)
+        gb_p += np.sum(a_eff * (-params.k_plus) * (relu_p > 0), axis=0)
+        gk_m += np.sum(a_eff * relu_m, axis=0)
+        gb_m += np.sum(a_eff * params.k_minus * (relu_m > 0), axis=0)
+        g_s = g_s + slope * a_u
+        g_w = (1.0 - h * net.alpha[g] * inv_m) * g_w + a_omega[:, g]
+        g_theta = g_theta + trn.flow_jacobian_apply(net, tape.theta[l], a_flows)
+    gk_p, gb_p, gk_m, gb_m = gk_p / B, gb_p / B, gk_m / B, gb_m / B
+
+    def shifted(a):
+        return a - np.concatenate([a[:, 1:], np.zeros((n, 1))], axis=1)
+
+    def tail(a):
+        return np.cumsum(a[:, ::-1], axis=1)[:, ::-1][:, 1:]
+
+    return RawParams(mu_plus=2.0 * raw.mu_plus * shifted(gk_p),
+                     mu_minus=-2.0 * raw.mu_minus * shifted(gk_m),
+                     chi_plus=2.0 * raw.chi_plus * tail(gb_p),
+                     chi_minus=-2.0 * raw.chi_minus * tail(gb_m))
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 16), masked=st.booleans(), permuted=st.booleans())
+def test_histogram_adjoint_matches_per_step_products(seed, masked, permuted):
+    """A small random rollout from a random integral state (inputs across
+    the breakpoints, some chi zero so breakpoints repeat), optionally with
+    saturation and a deadband, and optionally with each bus's (k, b) pairs
+    shuffled on the tape: the same policies with unsorted breakpoints, so
+    the histograms have to be mapped back to the caller's order."""
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(seed, buses=4)
+    costs = cm.random_power_costs(net.n, rng)
+    raw = ctl.init_raw_params(net.n, 4, rng)
+    raw.chi_plus[:, 1] = 0.0
+    cfg = TrainConfig(d=4, h=1e-3, T=0.02, batch_size=3, seed=seed,
+                      **(dict(u_lo=-0.3, u_hi=0.25, dz=0.05) if masked else {}))
+    p = rng.uniform(-2.0, 2.0, (3, net.n))
+    initial = (np.zeros((3, net.n)), np.zeros((3, len(net.gens))),
+               rng.uniform(-1.0, 1.0, (3, net.n)))
+    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
+    if permuted:
+        prm = tape.params
+        perm = np.argsort(rng.random(prm.k_plus.shape), axis=-1)
+        perm_m = np.argsort(rng.random(prm.k_plus.shape), axis=-1)
+        tape = replace(tape, params=replace(
+            prm, k_plus=np.take_along_axis(prm.k_plus, perm, -1),
+            b_plus=np.take_along_axis(prm.b_plus, perm, -1),
+            k_minus=np.take_along_axis(prm.k_minus, perm_m, -1),
+            b_minus=np.take_along_axis(prm.b_minus, perm_m, -1)))
+    new, old = trn.backprop(tape, net, costs), oracle_backprop(tape, net, costs)
+    for f in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
+        a, b = getattr(new, f), getattr(old, f)
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(np.max(np.abs(b), initial=0.0), 1e-300), f

@@ -139,3 +139,18 @@ def test_batched_evaluation_broadcasts():
     assert vals.shape == (6, 3)
     for k in range(6):
         assert np.allclose(vals[k], model.values(u[k]), atol=1e-15)
+
+
+@pytest.mark.parametrize("r", [2, 4, 6, 8])
+def test_power_kernels_match_pow_forms(r):
+    # grad, values and curvature multiply u by itself instead of calling pow;
+    # they agree with the ** forms to 4 ulp of each entry, over eight decades
+    rng = np.random.default_rng(r)
+    model = cm.power_costs(r, rng.uniform(0.1, 3.0, 7), b=rng.uniform(0.0, 1e-3, 7))
+    u = rng.uniform(-3.0, 3.0, (2000, 7)) * 10.0 ** rng.uniform(-4.0, 4.0, (2000, 7))
+    for new, ref in ((model.grad(u), model.c * u ** (r - 1)),
+                     (model.values(u), (model.c / r) * u ** r + model.b),
+                     (model.curvature(u), model.c * (r - 1) * u ** (r - 2))):
+        assert new.shape == u.shape
+        assert np.all(np.abs(new - ref) <= 4 * np.spacing(np.abs(ref)))
+    assert np.allclose(model.grad_inverse(model.grad(u)), u, rtol=1e-12, atol=0.0)
