@@ -166,6 +166,8 @@ def svg_line_chart(t, series, title, ylabel):
     def sy(y):
         return mt + (hi - y) / (hi - lo) * ih
 
+    xs = [f"{x:.2f}," for x in sx(t).tolist()]
+
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
            f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -197,8 +199,8 @@ def svg_line_chart(t, series, title, ylabel):
                f'text-anchor="middle">{ylabel}</text>')
     for k, (name, vals) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = " ".join(f"{sx(float(tx)):.2f},{sy(float(v)):.2f}"
-                       for tx, v in zip(t, np.asarray(vals, dtype=float)))
+        ys = sy(np.asarray(vals, dtype=float)).tolist()
+        pts = " ".join([f"{x}{y:.2f}" for x, y in zip(xs, ys)])
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.2"/>')
         ly = mt + 14 + 16 * k
@@ -265,6 +267,12 @@ def _cmd_simulate(args):
     costs = _load_costs(net, args) if args.mode != "primary" else None
     params = _load_controllers(net, args)
     scenario = _scenario_from_args(net, args)
+    limit = dynamics.max_stable_step(net, costs, params, scenario, args.integrator)
+    if args.h > limit:
+        raise dynamics.DynamicsError(
+            f"--h {args.h:g} exceeds the {args.integrator} stability limit "
+            f"h <= {limit:.3g} s of the closed loop linearized at the initial "
+            f"state")
     stepper = dynamics.rk4_step if args.integrator == "rk4" else dynamics.euler_step
     traj = dynamics.simulate(scenario, net, costs, params, stepper=stepper)
 
@@ -477,13 +485,11 @@ def _cmd_grad_check(args):
 
 def _cmd_plot(args):
     traj = dynamics.read_csv(args.traj)
-    with open(args.traj) as fh:
-        header = fh.readline().strip().split(",")
+    header = dynamics.csv_header(traj.n)
     wanted = [c.strip() for c in args.cols.split(",")]
     series = {}
-    for name in header[1:]:
+    for col, name in enumerate(header[1:], 1):
         if any(name == w or name.startswith(w + "_") for w in wanted):
-            col = header.index(name)
             block, rem = divmod(col - 1, traj.n)
             if name == "W":
                 vals = traj.W

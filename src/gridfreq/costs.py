@@ -16,6 +16,7 @@ the general monotone case and doubles as an oracle for the analytic path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class CostModel:
     def n(self):
         return len(self.c)
 
-    @property
+    @cached_property
     def zeta(self):
         """Per-bus scaling in C_i'(u) = C_o'(zeta_i u)."""
         if self.family == "shifted_common":
@@ -95,15 +96,7 @@ class CostModel:
             return np.sign(y) * np.abs(y) ** (1.0 / (self.r - 1))
         if method != "bisection":
             raise CostError(f"unknown inversion method {method!r}")
-        out = np.empty(y.shape)
-        for idx in np.ndindex(y.shape or (1,)):
-            target = float(y[idx]) if y.shape else float(y)
-            root = _bisect_increasing(lambda x: float(self.common_grad(x)), target)
-            if y.shape:
-                out[idx] = root
-            else:
-                return root
-        return out
+        return _bisect_increasing(self.common_grad, y if y.shape else float(y))
 
 
 def _power(u, k):
@@ -121,7 +114,13 @@ def _bisect_increasing(f, target, tol=BISECT_TOL, limit=BRACKET_LIMIT,
 
     Stops on |f(x) - target| < tol, falling back to float-resolution stall
     (the midpoint stops moving) when the local slope makes that unreachable.
+    An array of targets is solved elementwise in one pass (_bisect_each).
     """
+    if np.ndim(target) > 0:
+        root, exhausted = _bisect_each(f, target, tol, limit)
+        if exhausted.any():
+            raise CostError(exhausted_msg)
+        return root
     lo, hi = -1.0, 1.0
     while f(hi) < target:
         hi *= 2.0
@@ -145,6 +144,39 @@ def _bisect_increasing(f, target, tol=BISECT_TOL, limit=BRACKET_LIMIT,
             return nxt
         mid = nxt
     return mid
+
+
+def _bisect_each(f, target, tol=BISECT_TOL, limit=BRACKET_LIMIT):
+    """_bisect_increasing on every element of an array of targets at once.
+
+    f maps an array of points to the values there, elementwise.  Each
+    element takes the scalar path's bracket doublings, midpoints and stops,
+    and is frozen once it is done.  Returns the roots and the mask of the
+    targets whose bracket ran past the limit (their roots mean nothing).
+    """
+    target = np.asarray(target, dtype=float)
+    lo, hi = np.full(target.shape, -1.0), np.full(target.shape, 1.0)
+    exhausted = np.zeros(target.shape, dtype=bool)
+    for end, sign in ((hi, 1.0), (lo, -1.0)):
+        grow = ~exhausted & (sign * f(end) < sign * target)
+        while grow.any():
+            end[grow] *= 2.0
+            exhausted |= grow & (sign * end > limit)
+            grow &= ~exhausted & (sign * f(end) < sign * target)
+    mid = 0.5 * (lo + hi)
+    live = np.ones(target.shape, dtype=bool)
+    for _ in range(400):
+        res = f(mid) - target
+        live &= ~(np.abs(res) < tol)
+        below = res < 0
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+        nxt = 0.5 * (lo + hi)
+        mid = np.where(live, nxt, mid)
+        live &= (nxt != lo) & (nxt != hi)
+        if not live.any():
+            break
+    return mid, exhausted
 
 
 def power_costs(r, c, b=None) -> CostModel:

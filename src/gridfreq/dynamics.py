@@ -18,6 +18,8 @@ mode follows the companion convention d(delta)/dt = omega - mean(omega).
 
 `derivatives` is the one closed-loop right-hand side: the steppers here and
 the training rollout, which calls it on a batch of states, all evaluate it.
+States travel as one (..., 3, n) array of (delta, omega, s), so a stage
+advance or the RK4 combination is a single array operation.
 The load frequencies always come from the current (delta, s) before any
 state is advanced.  A rollout of one scenario replays its forward-Euler
 simulation bit for bit; in a larger batch the BLAS incidence products of
@@ -27,7 +29,6 @@ results in the last bits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,7 @@ MODES = ("dai_general", "primary")
 DEFAULT_LOAD_INERTIA = 0.1   # synthetic m for load buses in primary mode (s)
 BLOWUP_LIMIT = 1e9           # all states are per-unit scale; beyond this the
                              # integration has lost the solution
+CSV_BLOCK_ROWS = 2048        # rows formatted per write: bounds write_csv's memory
 
 
 class DynamicsError(RuntimeError):
@@ -63,6 +65,10 @@ class SystemState:
     @staticmethod
     def zeros(n):
         return SystemState(np.zeros(n), np.zeros(n), np.zeros(n))
+
+    def stack(self):
+        """The (..., 3, n) array that derivatives and the steppers take."""
+        return np.stack((self.delta, self.omega, self.s), axis=-2)
 
 
 @dataclass(frozen=True)
@@ -112,15 +118,13 @@ class Trajectory:
 
 def full_inertia(net: PowerNetwork, load_inertia=DEFAULT_LOAD_INERTIA):
     """Inertia vector over all buses for the primary (all-machine) mode."""
-    m = np.full(net.n, float(load_inertia))
-    m[net.gens] = net.m
-    return m
+    return np.where(net._is_gen, net._m_bus, float(load_inertia))
 
 
-def _load_omega(net: PowerNetwork, flows, u, p):
-    """Load-bus power balance solved for omega: (-flow_i + p_i + u_i)/alpha_i."""
-    i = net.loads
-    return (-flows[..., i] + np.asarray(p)[..., i] + u[..., i]) / net.alpha[i]
+def _balance_omega(net: PowerNetwork, flows, u, p):
+    """Power balance solved for omega on every bus, (-flow_i + p_i + u_i)/alpha_i;
+    the load buses' algebraic frequencies are its load entries."""
+    return (-flows + p + u) / net.alpha
 
 
 def load_bus_frequencies(net: PowerNetwork, delta, u, p):
@@ -129,102 +133,128 @@ def load_bus_frequencies(net: PowerNetwork, delta, u, p):
     No implicit solve is needed: the load-bus power balance couples omega_i
     only through the diagonal alpha, so given (delta, u) it is a division.
     """
-    return _load_omega(net, power_flows(net, delta), u, p)
+    return _balance_omega(net, power_flows(net, delta), u, p)[..., net.loads]
 
 
 def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
-                state: SystemState, p, mode="dai_general",
-                load_inertia=DEFAULT_LOAD_INERTIA):
-    """The closed-loop right-hand side, on (..., n) state arrays.
+                x, p, mode="dai_general", load_inertia=DEFAULT_LOAD_INERTIA):
+    """The closed-loop right-hand side on stacked (..., 3, n) states.
 
-    Returns (ddelta, domega, ds, omega, u, mc): the time derivatives and the
+    x holds (delta, omega, s) along axis -2.  Returns (k, omega, u, mc): k is
+    the time derivative in the layout of x, and omega, u, mc are the
     algebraic quantities at the state.  In DAI mode the load-bus entries of
-    state.omega are ignored; omega carries their power-balance values and
-    domega is zero there.  In primary mode ds is zero.  mc is zero without
-    a cost model.
+    x's omega are ignored; omega carries their power-balance values and k's
+    omega row is zero there.  In primary mode k's s row is zero.  mc is zero
+    without a cost model.
     """
-    p = np.asarray(p, dtype=float)
-    flows = power_flows(net, state.delta)
-    two_pi_f0 = 2.0 * np.pi * net.f0
+    omega = x[..., 1, :]
+    flows = power_flows(net, x[..., 0, :])
+    k = np.zeros(x.shape)
 
     if mode == "primary":
-        omega = state.omega
         u = eval_u(controllers, omega) if controllers is not None \
-            else np.zeros(np.shape(omega))
+            else np.zeros(omega.shape)
         mc = costs.grad(u) if costs is not None else np.zeros_like(u)
-        m = full_inertia(net, load_inertia)
-        ddelta = omega - omega.mean(axis=-1, keepdims=True)
-        domega = (p - net.alpha * omega - u - flows) / m
-        return ddelta, domega, np.zeros_like(omega), omega, u, mc
+        k[..., 0, :] = omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n
+        k[..., 1, :] = (p - net.alpha * omega - u - flows) \
+            / full_inertia(net, load_inertia)
+        return k, omega, u, mc
 
-    u = eval_u(controllers, state.s)
-    omega = state.omega.copy()
-    omega[..., net.loads] = _load_omega(net, flows, u, p)
+    two_pi_f0 = 2.0 * np.pi * net.f0
+    u = eval_u(controllers, x[..., 2, :])
+    omega = np.where(net._is_gen, omega, _balance_omega(net, flows, u, p))
     mc = costs.grad(u)
-    ddelta = two_pi_f0 * (omega - omega.mean(axis=-1, keepdims=True))
-    domega = np.zeros_like(omega)
-    g = net.gens
-    domega[..., g] = (-net.alpha[g] * omega[..., g] - flows[..., g]
-                      + p[..., g] + u[..., g]) / net.m
-    ds = -two_pi_f0 * omega - costs.zeta * comm_laplacian_apply(net, mc)
-    return ddelta, domega, ds, omega, u, mc
+    k[..., 0, :] = two_pi_f0 * (
+        omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n)
+    np.divide(-net.alpha * omega - flows + p + u, net._m_bus,
+              out=k[..., 1, :], where=net._is_gen)
+    k[..., 2, :] = -two_pi_f0 * omega - costs.zeta * comm_laplacian_apply(net, mc)
+    return k, omega, u, mc
 
 
-def _check_sane(step_index, *arrays):
-    """Raise on non-finite or absurdly large states (divergence, not drift)."""
-    for a in arrays:
-        if not np.all(np.isfinite(a)) or np.max(np.abs(a), initial=0.0) > BLOWUP_LIMIT:
-            raise DynamicsError(f"integration blow-up at step {step_index}")
-
-
-def _field(net, costs, controllers, scenario, state):
-    return derivatives(net, costs, controllers, state, scenario.p,
+def _field(net, costs, controllers, scenario, x):
+    return derivatives(net, costs, controllers, x, scenario.p,
                        scenario.mode, scenario.load_inertia)
 
 
+def _advance(step_index, x, omega, dx):
+    """x + dx, with the omega row advanced from the algebraic omega of the
+    step's first stage; raises on non-finite or absurdly large states
+    (divergence, not drift), then re-projects the angle gauge."""
+    out = x + dx
+    out[..., 1, :] = omega + dx[..., 1, :]
+    if not np.abs(out).max() <= BLOWUP_LIMIT:
+        raise DynamicsError(f"integration blow-up at step {step_index}")
+    out[..., 0, :] = project_gauge(out[..., 0, :])
+    return out
+
+
 def euler_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
-               scenario: Scenario, state: SystemState, step_index=0,
-               stage=None) -> SystemState:
-    """One forward-Euler step of the scenario's mode.
+               scenario: Scenario, x, step_index=0, stage=None):
+    """One forward-Euler step of the scenario's mode on a (..., 3, n) state.
 
     Load-bus frequencies are evaluated from the pre-step (delta, s) and used
     in both the angle and integrator updates; generator frequencies advance
-    by the swing equation.  `stage` is derivatives() at `state` when the
-    caller already has it.  Raises on any non-finite result.
+    by the swing equation.  `stage` is derivatives() at `x` when the caller
+    already has it.  Raises on any non-finite result.
     """
-    h = scenario.h
-    k = stage if stage is not None else _field(net, costs, controllers,
-                                               scenario, state)
-    delta = state.delta + h * k[0]
-    omega = k[3] + h * k[1]
-    s = state.s + h * k[2]
-    _check_sane(step_index, delta, omega, s)
-    return SystemState(project_gauge(delta), omega, s)
+    k, omega = (stage or _field(net, costs, controllers, scenario, x))[:2]
+    return _advance(step_index, x, omega, scenario.h * k)
 
 
 def rk4_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
-             scenario: Scenario, state: SystemState, step_index=0,
-             stage=None) -> SystemState:
+             scenario: Scenario, x, step_index=0, stage=None):
     """Classical 4th-order step over the same derivative field; `stage` as
     in euler_step."""
     h = scenario.h
+    k1, omega = (stage or _field(net, costs, controllers, scenario, x))[:2]
+    k2 = _field(net, costs, controllers, scenario, x + (0.5 * h) * k1)[0]
+    k3 = _field(net, costs, controllers, scenario, x + (0.5 * h) * k2)[0]
+    k4 = _field(net, costs, controllers, scenario, x + h * k3)[0]
+    return _advance(step_index, x, omega, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
-    def f(st):
-        return _field(net, costs, controllers, scenario, st)
 
-    def advance(k, fac):
-        return SystemState(state.delta + fac * k[0], k1[3] + fac * k[1],
-                           state.s + fac * k[2])
+# stability functions R(z) of the steppers: a step multiplies a mode of
+# the linearized loop with eigenvalue lam by R(h * lam)
+_STABILITY = {"euler": lambda z: 1 + z,
+              "rk4": lambda z: 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))}
 
-    k1 = stage if stage is not None else f(state)
-    k2 = f(advance(k1, 0.5 * h))
-    k3 = f(advance(k2, 0.5 * h))
-    k4 = f(advance(k3, h))
-    delta = state.delta + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    omega = k1[3] + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    s = state.s + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    _check_sane(step_index, delta, omega, s)
-    return SystemState(project_gauge(delta), omega, s)
+
+def max_stable_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
+                    scenario: Scenario, method="rk4"):
+    """Largest step h at which `method` ("euler" or "rk4") is stable on the
+    closed loop linearized at the scenario's initial state.
+
+    One batched derivatives call evaluates the field at the initial state
+    and at every state coordinate moved up and down by 1e-7 times
+    max(1, |coordinate|); the one-sided differences give two Jacobians, as
+    the policies have a kink at the origin, where the integral states start.
+    h is stable when |R(h lam)| <= 1 for every eigenvalue lam of either
+    with a negative real part.  Eigenvalues on the imaginary axis or right
+    of it (the angle gauge, the algebraic load frequencies) are left out:
+    no step size damps them.  Returns inf when no eigenvalue limits h.
+    """
+    initial = scenario.initial or SystemState.zeros(net.n)
+    x0 = initial.stack().ravel()
+    N = x0.size
+    eps = 1e-7 * np.maximum(1.0, np.abs(x0))
+    x = np.tile(x0, (2 * N + 1, 1))
+    i = np.arange(N)
+    x[1 + i, i] += eps
+    x[1 + N + i, i] -= eps
+    k = _field(net, costs, controllers, scenario,
+               x.reshape(-1, 3, net.n))[0].reshape(2 * N + 1, N)
+    lam = np.concatenate([np.linalg.eigvals((k[1:N + 1] - k[0]) / eps[:, None]),
+                          np.linalg.eigvals((k[0] - k[N + 1:]) / eps[:, None])])
+    lam = lam[lam.real < -1e-9 * np.abs(lam).max(initial=0.0)]
+    if lam.size == 0:
+        return np.inf
+    # walk out along each eigenvalue's ray to the first exit from the
+    # stability region; both regions lie inside |z| < 4
+    rho = np.linspace(0.0, 4.0, 4001)[1:]
+    inside = np.abs(_STABILITY[method](rho[:, None] * (lam / np.abs(lam)))) <= 1.0
+    first_out = np.argmin(inside, axis=0)
+    return float(np.min(np.where(first_out > 0, rho[first_out - 1], 0.0) / np.abs(lam)))
 
 
 def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
@@ -240,59 +270,50 @@ def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
         raise DynamicsError("DAI modes need a cost model")
     n = net.n
     steps = scenario.steps
-    state = scenario.initial or SystemState.zeros(n)
-    if len(state.delta) != n:
+    initial = scenario.initial or SystemState.zeros(n)
+    if len(initial.delta) != n:
         raise DynamicsError("initial state size does not match network")
+    x = initial.stack()
 
     t = np.arange(steps + 1) * scenario.h
-    delta = np.empty((steps + 1, n))
-    omega = np.empty((steps + 1, n))
-    s = np.empty((steps + 1, n))
-    u = np.empty((steps + 1, n))
-    mc = np.empty((steps + 1, n))
-
+    delta, omega, s, u, mc = np.empty((5, steps + 1, n))
     for l in range(steps + 1):
-        stage = _field(net, costs, controllers, scenario, state)
-        delta[l] = state.delta
-        s[l] = state.s
-        omega[l], u[l], mc[l] = stage[3:]
+        stage = _field(net, costs, controllers, scenario, x)
+        delta[l], s[l] = x[0], x[2]
+        omega[l], u[l], mc[l] = stage[1:]
         if l < steps:
-            state = stepper(net, costs, controllers, scenario, state,
-                            step_index=l, stage=stage)
+            x = stepper(net, costs, controllers, scenario, x,
+                        step_index=l, stage=stage)
     return Trajectory(mode=scenario.mode, t=t, delta=delta, omega=omega,
                       s=s, u=u, mc=mc)
 
 
+def csv_header(n):
+    """Column names of the trajectory CSV for an n-bus network."""
+    return (["t"] + [f"{name}_{i}" for name in ("omega", "s", "u", "mc")
+                     for i in range(1, n + 1)] + ["W"])
+
+
 def write_csv(traj: Trajectory, path):
-    """Trajectory CSV: t, omega_1..n, s_1..n, u_1..n, mc_1..n, W."""
-    n = traj.n
-    header = (["t"]
-              + [f"omega_{i}" for i in range(1, n + 1)]
-              + [f"s_{i}" for i in range(1, n + 1)]
-              + [f"u_{i}" for i in range(1, n + 1)]
-              + [f"mc_{i}" for i in range(1, n + 1)]
-              + ["W"])
+    """Trajectory CSV: t, omega_1..n, s_1..n, u_1..n, mc_1..n, W (empty when
+    not computed), every value as repr(float), CRLF line ends."""
+    end = ",\r\n" if traj.W is None else "\r\n"
+    cols = [traj.t[:, None], traj.omega, traj.s, traj.u, traj.mc]
+    if traj.W is not None:
+        cols.append(traj.W[:, None])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for l in range(len(traj.t)):
-            row = ([repr(float(traj.t[l]))]
-                   + [repr(float(x)) for x in traj.omega[l]]
-                   + [repr(float(x)) for x in traj.s[l]]
-                   + [repr(float(x)) for x in traj.u[l]]
-                   + [repr(float(x)) for x in traj.mc[l]])
-            row.append("" if traj.W is None else repr(float(traj.W[l])))
-            w.writerow(row)
+        fh.write(",".join(csv_header(traj.n)) + "\r\n")
+        for lo in range(0, len(traj.t), CSV_BLOCK_ROWS):
+            rows = np.hstack([c[lo:lo + CSV_BLOCK_ROWS] for c in cols]).tolist()
+            fh.write("".join([",".join(map(repr, row)) + end for row in rows]))
 
 
 def read_csv(path):
     """Inverse of write_csv; returns a Trajectory without angles (not stored)."""
     with open(path) as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    n = (len(header) - 2) // 4
-    arr = np.array([[float(x) if x != "" else np.nan for x in row]
-                    for row in data])
+        n = (len(fh.readline().split(",")) - 2) // 4
+        arr = np.loadtxt(fh, delimiter=",", ndmin=2,
+                         converters={4 * n + 1: lambda x: float(x or "nan")})
     t = arr[:, 0]
     omega = arr[:, 1:1 + n]
     s = arr[:, 1 + n:1 + 2 * n]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import NetParams, eval_u
-from .costs import CostError, CostModel, _bisect_increasing
+from .costs import CostModel, _bisect_each, _bisect_increasing
 from .network import (PowerNetwork, edge_angle_spread, flow_jacobian,
                       power_flows, to_center_of_inertia)
 
@@ -114,34 +114,34 @@ def newton_power_flow(net: PowerNetwork, injections, guess=None) -> np.ndarray:
 def solve_s_star(params: NetParams, u_star, bus_ids=None) -> np.ndarray:
     """Integral states mapping through the controllers to the target u*.
 
-    Each bus is a scalar monotone inversion: bisect eval_u (piecewise linear,
-    nondecreasing) to hit u*_i.  A target beyond the saturation bounds, or
-    beyond the policy's actual range, cannot be realized by any s.
+    Each bus is a scalar monotone inversion of eval_u (piecewise linear,
+    nondecreasing) to hit u*_i; the policies are separable, so one bisection
+    over the vector of buses with u*_i != 0 serves them all.  A target beyond
+    the saturation bounds, or beyond the policy's actual range, cannot be
+    realized by any s; the lowest-index such bus is reported.
     """
     u_star = np.asarray(u_star, dtype=float)
     n = params.n
     ids = bus_ids if bus_ids is not None else list(range(n))
+    live = u_star != 0.0
+    outside = live & ((u_star > params.u_hi) | (u_star < params.u_lo))
+    solve = np.flatnonzero(live & ~outside)
+
+    def u_of_s(s):
+        x = np.zeros(n)
+        x[solve] = s
+        return eval_u(params, x)[solve]
+
     s_star = np.zeros(n)
-    for i in range(n):
-        ui = float(u_star[i])
-        if ui == 0.0:
-            continue
-        if ui > params.u_hi[i] or ui < params.u_lo[i]:
-            raise EquilibriumError(
-                f"equilibrium outside controller range at bus {ids[i]}: "
-                f"u* = {ui:.6g} not within [{params.u_lo[i]:.6g}, {params.u_hi[i]:.6g}]")
-
-        def u_of_s(s, _i=i):
-            x = np.zeros(n)
-            x[_i] = s
-            return float(eval_u(params, x)[_i])
-
-        try:
-            s_star[i] = _bisect_increasing(u_of_s, ui, limit=1e9)
-        except CostError:
-            raise EquilibriumError(
-                f"equilibrium outside controller range at bus {ids[i]}: "
-                f"u* = {ui:.6g} unreachable") from None
+    s_star[solve], unreachable = _bisect_each(u_of_s, u_star[solve], limit=1e9)
+    failed = outside.copy()
+    failed[solve[unreachable]] = True
+    if failed.any():
+        i = np.flatnonzero(failed)[0]
+        why = (f"not within [{params.u_lo[i]:.6g}, {params.u_hi[i]:.6g}]"
+               if outside[i] else "unreachable")
+        raise EquilibriumError(f"equilibrium outside controller range at bus "
+                               f"{ids[i]}: u* = {u_star[i]:.6g} {why}")
     return s_star
 
 

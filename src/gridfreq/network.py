@@ -52,6 +52,8 @@ class PowerNetwork:
     _line_w: np.ndarray = field(default=None, repr=False)   # v_i v_j B_ij cache
     _line_inc: np.ndarray = field(default=None, repr=False)  # (lines, n)
     _comm_inc: np.ndarray = field(default=None, repr=False)  # (comm edges, n)
+    _is_gen: np.ndarray = field(default=None, repr=False)    # bool, per bus
+    _m_bus: np.ndarray = field(default=None, repr=False)     # m on gens, 1 on loads
 
     @property
     def n(self):
@@ -227,6 +229,10 @@ def network_from_dict(doc) -> PowerNetwork:
     object.__setattr__(net, "_line_w", v[li] * v[lj] * lb)
     object.__setattr__(net, "_line_inc", eye[li] - eye[lj])
     object.__setattr__(net, "_comm_inc", eye[ci] - eye[cj])
+    is_gen, m_bus = np.zeros(len(ids), dtype=bool), np.ones(len(ids))
+    is_gen[gens], m_bus[gens] = True, net.m
+    object.__setattr__(net, "_is_gen", is_gen)
+    object.__setattr__(net, "_m_bus", m_bus)
     return net
 
 
@@ -254,8 +260,7 @@ def project_gauge(delta):
     state is considered corrupted.
     """
     delta = np.asarray(delta, dtype=float)
-    drift = np.abs(delta.mean(axis=-1))
-    worst = float(np.max(drift))
+    worst = float(np.abs(np.add.reduce(delta, axis=-1) / delta.shape[-1]).max())
     if worst > GAUGE_ERROR:
         raise NetworkError(f"angle gauge drift {worst:.3e} exceeds {GAUGE_ERROR}")
     if worst > GAUGE_CORRECT:
@@ -263,10 +268,17 @@ def project_gauge(delta):
     return delta
 
 
+def _edge_diff(a, i, j):
+    """a_i - a_j along the last axis.  A single state is indexed without the
+    Ellipsis, whose set-up costs more than the gather itself at n = 39."""
+    if a.ndim == 1:
+        return a[i] - a[j]
+    return a[..., i] - a[..., j]
+
+
 def angle_differences(net: PowerNetwork, delta):
     """Per-line angle differences delta_i - delta_j (batch dims allowed)."""
-    delta = np.asarray(delta, dtype=float)
-    return delta[..., net.line_i] - delta[..., net.line_j]
+    return _edge_diff(np.asarray(delta, dtype=float), net.line_i, net.line_j)
 
 
 def power_flows(net: PowerNetwork, delta):
@@ -315,7 +327,8 @@ def flow_jacobian_apply(net: PowerNetwork, delta, x):
 
 def comm_laplacian_apply(net: PowerNetwork, y):
     """Product L_Q @ y over the communication graph (batch dims allowed)."""
-    return (net.comm_q * (y[..., net.comm_i] - y[..., net.comm_j])) @ net._comm_inc
+    return (net.comm_q * _edge_diff(np.asarray(y), net.comm_i, net.comm_j)) \
+        @ net._comm_inc
 
 
 def scaled_laplacian_bilinear(net: PowerNetwork, zeta, x, y):

@@ -30,7 +30,7 @@ import numpy as np
 from .controller import (NetParams, RawParams, eval_u, init_raw_params,
                          transform_params, validate_params)
 from .costs import CostModel
-from .dynamics import SystemState, derivatives
+from .dynamics import derivatives
 from .network import PowerNetwork, comm_laplacian_apply, flow_jacobian_apply
 
 
@@ -52,6 +52,18 @@ class TrainConfig:
     u_lo: float = None          # optional saturation for the trained policies
     u_hi: float = None
     dz: float = 0.0
+
+    def __post_init__(self):
+        for name in ("d", "batch_size", "epochs"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"TrainConfig.{name} must be an integer >= 1, "
+                                 f"got {value!r}")
+        if not self.h > 0:
+            raise ValueError(f"TrainConfig.h must be positive, got {self.h!r}")
+        if not self.T >= self.h:
+            raise ValueError(f"TrainConfig.T must cover at least one step h = "
+                             f"{self.h!r}, got {self.T!r}")
 
     @property
     def steps(self):
@@ -102,18 +114,16 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     if initial is not None:
         theta[0], omega_g[0], s[0] = initial
 
-    omega = np.zeros((B, n))              # load entries are ignored
+    x = np.zeros((B, 3, n))               # load omega entries stay zero
+    x[:, 0], x[:, 1, g], x[:, 2] = theta[0], omega_g[0], s[0]
     cost_acc = np.zeros(B)
     for l in range(L):
-        omega[:, g] = omega_g[l]
-        ddelta, domega, ds, _, u, _ = derivatives(
-            net, costs, params, SystemState(theta[l], omega, s[l]), p)
-        theta[l + 1] = theta[l] + h * ddelta
-        omega_g[l + 1] = omega_g[l] + h * domega[:, g]
-        s[l + 1] = s[l] + h * ds
+        k, _, u, _ = derivatives(net, costs, params, x, p)
+        k *= h
+        x += k
+        theta[l + 1], omega_g[l + 1], s[l + 1] = x[:, 0], x[:, 1, g], x[:, 2]
         cost_acc += costs.values(u).sum(axis=-1)
-        if not (np.all(np.isfinite(s[l + 1])) and np.all(np.isfinite(omega_g[l + 1]))
-                and np.all(np.isfinite(theta[l + 1]))):
+        if not np.isfinite(x).all():
             raise FloatingPointError(f"integration blow-up at rollout step {l}")
 
     abs_om = np.abs(omega_g[1:])                      # (L, B, n_gen)

@@ -6,6 +6,7 @@ subprocess to pin down the installed entry point's returncode behaviour.
 """
 
 import json
+from importlib import resources
 import hashlib
 import os
 import subprocess
@@ -231,6 +232,19 @@ def test_simulate_lyapunov_flag_fills_w_column(tmp_path, net2_file,
     assert np.all(traj.W >= 0.0)
 
 
+def test_simulate_rejects_a_step_beyond_the_stability_limit(tmp_path, capsys):
+    # RK4 at h = 2 ms leaves its stability region on the 39-bus case and
+    # would settle into a spurious oscillation of several pu
+    net = str(resources.files("gridfreq") / "data" / "case39.json")
+    code = main(["simulate", "--net", net, "--p", '{"13":-3,"21":-3,"27":-3}',
+                 "--T", "5", "--h", "2e-3", "--integrator", "rk4",
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--h 0.002 exceeds the rk4 stability limit h <= 0.000859 s" in err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_simulate_rk4_integrator_flag(tmp_path, net2_file, quad2_costs_file,
                                       capsys):
     code = main(["simulate", "--net", net2_file, "--costs", quad2_costs_file,
@@ -370,6 +384,26 @@ def test_train_writes_checkpoint_history_manifest(tmp_path, net2_file,
     doc = json.loads((tmp_path / "manifest.json").read_text())
     assert doc["seeds"] == {"seed": 3}
     assert doc["config"]["train"]["epochs"] == 2
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--epochs", "0", "epochs"), ("--epochs", "-2", "epochs"),
+    ("--batch-size", "0", "batch_size"), ("--d", "0", "d"),
+    ("--h", "0", "TrainConfig.h"), ("--T", "1e-4", "TrainConfig.T"),
+])
+def test_train_rejects_nonpositive_sizes_before_training(tmp_path, net2_file,
+                                                         quad2_costs_file,
+                                                         capsys, flag, value,
+                                                         field):
+    flags = list(TRAIN_FLAGS)
+    flags[flags.index(flag) + 1] = value
+    code = main(["train", "--net", net2_file, "--costs", quad2_costs_file,
+                 "--outdir", str(tmp_path), "--out", "ck.json"] + flags)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "ck.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_trained_checkpoint_drives_simulation(tmp_path, net2_file,

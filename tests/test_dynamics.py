@@ -1,3 +1,7 @@
+import csv
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -5,10 +9,11 @@ from gridfreq import controller as ctl
 from gridfreq import costs as cm
 from gridfreq import dynamics as dyn
 from gridfreq import equilibrium as eqm
+from gridfreq import network
 from gridfreq.dynamics import DynamicsError, Scenario, SystemState
-from gridfreq.network import power_flows
+from gridfreq.network import comm_laplacian_apply, power_flows, project_gauge
 
-from conftest import three_bus, three_bus_gens, two_bus
+from conftest import nine_bus, three_bus, three_bus_gens, two_bus
 
 
 def quad3():
@@ -57,7 +62,8 @@ def test_derivatives_stationary_at_equilibrium():
     p = np.array([-0.6, -0.2, -0.2])
     eq = eqm.solve_equilibrium(net, costs, params, p)
     state = SystemState(eq.delta_star.copy(), np.zeros(3), eq.s_star.copy())
-    ddelta, domega, ds, *_ = dyn.derivatives(net, costs, params, state, p)
+    (ddelta, domega, ds), *_ = dyn.derivatives(net, costs, params,
+                                               state.stack(), p)
     assert np.max(np.abs(ddelta)) < 1e-9
     assert np.max(np.abs(domega)) < 1e-9
     assert np.max(np.abs(ds)) < 1e-9
@@ -70,8 +76,8 @@ def test_primary_derivatives_stationary_at_equilibrium():
     eq = eqm.solve_equilibrium(net, None, params, p, mode="primary")
     omega = np.full(3, eq.omega_star)
     state = SystemState(eq.delta_star.copy(), omega, np.zeros(3))
-    ddelta, domega, *_ = dyn.derivatives(net, None, params, state, p,
-                                         mode="primary")
+    (ddelta, domega, _), *_ = dyn.derivatives(net, None, params, state.stack(),
+                                              p, mode="primary")
     assert np.max(np.abs(ddelta)) < 1e-9
     assert np.max(np.abs(domega)) < 1e-8
 
@@ -96,8 +102,8 @@ def test_euler_matches_hand_rolled_step():
     p = np.array([-0.3, 0.0])
     h = 1e-3
     scen = Scenario(p=p, T=h, h=h)
-    state0 = SystemState.zeros(2)
-    out = dyn.euler_step(net, costs, params, scen, state0)
+    state0 = SystemState.zeros(2).stack()
+    out = SystemState(*dyn.euler_step(net, costs, params, scen, state0))
     # by hand: flows(0) = 0, omega = 0, u = s = 0
     # ds = -2 pi f0 * omega - zeta * L_Q mc = 0 at the origin
     # domega_g = (p - alpha*omega - flow + u)/m
@@ -107,7 +113,8 @@ def test_euler_matches_hand_rolled_step():
     assert np.allclose(out.s, 0.0, atol=1e-15)
     # one more step: now omega feeds the angle and integrator clocks
     scen2 = Scenario(p=p, T=2 * h, h=h)
-    out2 = dyn.euler_step(net, costs, params, scen2, out, step_index=1)
+    out2 = SystemState(*dyn.euler_step(net, costs, params, scen2, out.stack(),
+                                       step_index=1))
     omega_bar = out.omega - out.omega.mean()
     assert np.allclose(out2.delta, h * two_pi_f0 * omega_bar, atol=1e-18)
     assert np.allclose(out2.s, -h * two_pi_f0 * out.omega, atol=1e-18)
@@ -255,3 +262,294 @@ def test_csv_header_and_golden_first_rows(tmp_path):
     # row 1: omega_1 after one Euler step = h * p_1 / m_1
     second = lines[2].split(",")
     assert float(second[1]) == pytest.approx(1e-3 * (-0.3) / 3.0, abs=1e-18)
+
+
+# --------------------------------------------------------------------------
+# stacked-state stepping against a frozen copy of the SystemState loop
+# --------------------------------------------------------------------------
+
+def _oracle_field(net, costs, controllers, state, p, mode, load_inertia):
+    """The closed-loop right-hand side, one state component at a time."""
+    p = np.asarray(p, dtype=float)
+    flows = power_flows(net, state.delta)
+    two_pi_f0 = 2.0 * np.pi * net.f0
+    if mode == "primary":
+        omega = state.omega
+        u = ctl.eval_u(controllers, omega) if controllers is not None \
+            else np.zeros(np.shape(omega))
+        mc = costs.grad(u) if costs is not None else np.zeros_like(u)
+        m = dyn.full_inertia(net, load_inertia)
+        ddelta = omega - omega.mean(axis=-1, keepdims=True)
+        domega = (p - net.alpha * omega - u - flows) / m
+        return ddelta, domega, np.zeros_like(omega), omega, u, mc
+    u = ctl.eval_u(controllers, state.s)
+    omega = state.omega.copy()
+    i = net.loads
+    omega[..., i] = (-flows[..., i] + p[..., i] + u[..., i]) / net.alpha[i]
+    mc = costs.grad(u)
+    ddelta = two_pi_f0 * (omega - omega.mean(axis=-1, keepdims=True))
+    domega = np.zeros_like(omega)
+    g = net.gens
+    domega[..., g] = (-net.alpha[g] * omega[..., g] - flows[..., g]
+                      + p[..., g] + u[..., g]) / net.m
+    ds = -two_pi_f0 * omega - costs.zeta * comm_laplacian_apply(net, mc)
+    return ddelta, domega, ds, omega, u, mc
+
+
+def _oracle_simulate(scen, net, costs, controllers, rk4):
+    """(delta, omega, s, u, mc) rows of the SystemState Euler/RK4 loop."""
+    h = scen.h
+
+    def f(st):
+        return _oracle_field(net, costs, controllers, st, scen.p, scen.mode,
+                             scen.load_inertia)
+
+    state = scen.initial or SystemState.zeros(net.n)
+    rows = []
+    for l in range(scen.steps + 1):
+        k1 = f(state)
+        rows.append((state.delta, k1[3], state.s, k1[4], k1[5]))
+        if l == scen.steps:
+            break
+        if rk4:
+            def advance(k, fac):
+                return SystemState(state.delta + fac * k[0], k1[3] + fac * k[1],
+                                   state.s + fac * k[2])
+            k2 = f(advance(k1, 0.5 * h))
+            k3 = f(advance(k2, 0.5 * h))
+            k4 = f(advance(k3, h))
+            inc = [(h / 6.0) * (k1[j] + 2 * k2[j] + 2 * k3[j] + k4[j])
+                   for j in range(3)]
+        else:
+            inc = [h * k1[j] for j in range(3)]
+        state = SystemState(project_gauge(state.delta + inc[0]),
+                            k1[3] + inc[1], state.s + inc[2])
+    return [np.array(col) for col in zip(*rows)]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def case39():
+    return network.network_from_dict(json.loads(
+        (resources.files("gridfreq") / "data" / "case39.json").read_text()))
+
+
+def _case39_setup(seed=4):
+    net = case39()
+    rng = np.random.default_rng(seed)
+    costs = cm.random_power_costs(net.n, rng, r=4)
+    params = ctl.transform_params(ctl.init_raw_params(net.n, 20, rng))
+    p = np.zeros(net.n)
+    p[rng.choice(net.n, 3, replace=False)] = -3.0
+    return net, costs, params, p
+
+
+def _saturated_three_bus():
+    net = three_bus()
+    costs = cm.power_costs(4, np.array([0.8, 1.1, 0.9]))
+    rng = np.random.default_rng(2)
+    params = ctl.transform_params(ctl.init_raw_params(3, 3, rng),
+                                  u_lo=-0.25, u_hi=0.25, dz=0.02)
+    return net, costs, params, np.array([-0.6, -0.3, 0.1])
+
+
+def _stepping_cases():
+    net, costs, params, p = _case39_setup()
+    for rk4 in (False, True):
+        yield (f"case39-dai-{'rk4' if rk4 else 'euler'}",
+               Scenario(p=p, T=0.02, h=5e-4), net, costs, params, rk4)
+    yield ("case39-primary", Scenario(p=p, T=0.02, h=5e-4, mode="primary"),
+           net, None, params, True)
+    yield ("three-bus-primary-euler",
+           Scenario(p=np.array([-0.5, -0.2, 0.1]), T=0.2, h=1e-3,
+                    mode="primary"), three_bus(), None,
+           ctl.identity_params(3), False)
+    net, costs, params, p = _saturated_three_bus()
+    yield ("three-bus-saturation-deadband", Scenario(p=p, T=1.5, h=2e-3),
+           net, costs, params, True)
+    rng = np.random.default_rng(8)
+    delta0 = rng.uniform(-0.1, 0.1, 3)
+    initial = SystemState(delta0 - delta0.mean(), rng.uniform(-0.01, 0.01, 3),
+                          rng.uniform(-0.5, 0.5, 3))
+    yield ("three-bus-initial", Scenario(p=p, T=0.3, h=2e-3, initial=initial),
+           net, costs, params, True)
+
+
+@pytest.mark.parametrize("case", list(_stepping_cases()), ids=lambda c: c[0])
+def test_stacked_stepping_replays_the_state_loop_bit_for_bit(case):
+    _, scen, net, costs, params, rk4 = case
+    stepper = dyn.rk4_step if rk4 else dyn.euler_step
+    traj = dyn.simulate(scen, net, costs, params, stepper=stepper)
+    delta, omega, s, u, mc = _oracle_simulate(scen, net, costs, params, rk4)
+    assert same_bits(traj.t, np.arange(scen.steps + 1) * scen.h)
+    for name, ref in (("delta", delta), ("omega", omega), ("s", s), ("u", u),
+                      ("mc", mc)):
+        assert same_bits(getattr(traj, name), ref), name
+
+
+def test_saturation_case_crosses_the_deadband_and_the_bounds():
+    # the oracle case above must exercise both nonsmooth features
+    net, costs, params, p = _saturated_three_bus()
+    traj = dyn.simulate(Scenario(p=p, T=1.5, h=2e-3), net, costs, params,
+                        stepper=dyn.rk4_step)
+    assert np.any(np.abs(traj.u) == 0.25)
+    inside = (traj.s != 0.0) & (np.abs(traj.s) < 0.02)
+    assert np.any(inside) and np.all(traj.u[inside] == 0.0)
+
+
+def test_blow_up_check_catches_nan_and_inf():
+    net = two_bus()
+    costs = cm.quadratic_costs(np.ones(2))
+    params = ctl.identity_params(n=2)
+    scen = Scenario(p=np.zeros(2), T=1e-3, h=1e-3)
+    for bad in (np.nan, np.inf, 2e9):
+        x = np.zeros((3, 2))
+        x[2, 0] = bad
+        with pytest.raises(DynamicsError, match="integration blow-up at step 7"), \
+                np.errstate(invalid="ignore"):
+            dyn.rk4_step(net, costs, params, scen, x, step_index=7)
+
+
+# --------------------------------------------------------------------------
+# step-size guard
+# --------------------------------------------------------------------------
+
+def test_stability_limits_sit_at_the_edge_of_stability():
+    # on the 39-bus case the fastest mode is a stiff real one, where the
+    # Euler and RK4 limits are 2/|lam| and 2.785/|lam|
+    net, costs, params, p = _case39_setup()
+    scen = Scenario(p=p, T=1.0, h=5e-4)
+    euler = dyn.max_stable_step(net, costs, params, scen, "euler")
+    rk4 = dyn.max_stable_step(net, costs, params, scen, "rk4")
+    assert 1.38 < rk4 / euler < 1.40
+    # beyond the limit the stiff mode grows until the flow nonlinearity
+    # holds it in a spurious oscillation of several pu, with no blow-up
+    for stepper, limit in ((dyn.euler_step, euler), (dyn.rk4_step, rk4)):
+        ok = dyn.simulate(Scenario(p=p, T=300 * limit, h=0.98 * limit), net,
+                          costs, params, stepper=stepper)
+        bad = dyn.simulate(Scenario(p=p, T=300 * limit, h=1.05 * limit), net,
+                           costs, params, stepper=stepper)
+        assert np.max(np.abs(ok.omega)) < 0.05 < 1.0 < np.max(np.abs(bad.omega))
+
+
+def _guarded_runs():
+    """(name, net, costs, params, scenario, method) for the step sizes the
+    acceptance tests and the benchmark integrate with; the CLI tests run
+    the guard themselves."""
+    net, costs, params, p = _case39_setup(0)
+    yield "case39 rk4 5e-4", net, costs, params, Scenario(p=p, T=1.0, h=5e-4), "rk4"
+    yield "case39 euler 5e-4", net, costs, params, Scenario(p=p, T=1.0, h=5e-4), "euler"
+    yield ("case39 identity rk4 5e-4", net, costs, ctl.identity_params(net.n),
+           Scenario(p=p, T=1.0, h=5e-4), "rk4")
+    yield ("3-bus restoration rk4 2e-3", three_bus(), quad3(),
+           ctl.identity_params(3), Scenario(p=np.array([-1.5, -0.5, 0.0]),
+                                            T=40.0, h=2e-3), "rk4")
+    yield ("9-bus restoration rk4 2e-3", nine_bus(),
+           cm.quadratic_costs(np.random.default_rng(5).uniform(0.5, 2.0, 9)),
+           ctl.identity_params(9), Scenario(p=np.r_[-0.8, -0.4, 0.2, np.zeros(6)],
+                                            T=40.0, h=2e-3), "rk4")
+    yield ("3-bus primary rk4 2e-3", three_bus_gens(), None, None,
+           Scenario(p=np.array([-0.6, -0.3, 0.2]), T=40.0, h=2e-3,
+                    mode="primary"), "rk4")
+    yield ("3-bus certify rk4 2e-3", three_bus(), quad3(), ctl.identity_params(3),
+           Scenario(p=np.array([-0.3, -0.15, 0.0]), T=5.0, h=2e-3), "rk4")
+
+
+@pytest.mark.parametrize("run", list(_guarded_runs()), ids=lambda r: r[0])
+def test_step_guard_accepts_the_step_sizes_in_use(run):
+    _, net, costs, params, scen, method = run
+    assert scen.h <= dyn.max_stable_step(net, costs, params, scen, method)
+
+
+def test_step_guard_rejects_the_case39_rk4_run_at_2ms():
+    net = case39()
+    p = np.zeros(net.n)
+    for bus in (13, 21, 27):
+        p[net.index_of(bus)] = -3.0
+    costs = cm.random_power_costs(net.n, np.random.default_rng(0), r=4)
+    limit = dyn.max_stable_step(net, costs, ctl.identity_params(net.n),
+                                Scenario(p=p, T=5.0, h=2e-3), "rk4")
+    assert 5e-4 < limit < 2e-3
+
+
+# --------------------------------------------------------------------------
+# CSV I/O against frozen copies of the csv-module writer and reader
+# --------------------------------------------------------------------------
+
+def _oracle_write_csv(traj, path):
+    n = traj.n
+    header = (["t"] + [f"omega_{i}" for i in range(1, n + 1)]
+              + [f"s_{i}" for i in range(1, n + 1)]
+              + [f"u_{i}" for i in range(1, n + 1)]
+              + [f"mc_{i}" for i in range(1, n + 1)] + ["W"])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for l in range(len(traj.t)):
+            row = ([repr(float(traj.t[l]))]
+                   + [repr(float(x)) for x in traj.omega[l]]
+                   + [repr(float(x)) for x in traj.s[l]]
+                   + [repr(float(x)) for x in traj.u[l]]
+                   + [repr(float(x)) for x in traj.mc[l]])
+            row.append("" if traj.W is None else repr(float(traj.W[l])))
+            w.writerow(row)
+
+
+def _oracle_read_rows(path):
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    return np.array([[float(x) if x != "" else np.nan for x in row]
+                     for row in rows[1:]])
+
+
+SPECIAL = np.array([-0.0, 5e-324, 1.7976931348623157e308, np.nan, np.inf,
+                    -np.inf, -5e-324, 2.2250738585072014e-308, 0.1, -1e22])
+
+
+def _odd_trajectory(rows, n, with_w, seed=0):
+    rng = np.random.default_rng(seed)
+    cols = [rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-12, 12, (rows, n))
+            for _ in range(4)]
+    for c in cols:
+        c.flat[:SPECIAL.size] = SPECIAL
+    W = None
+    if with_w:
+        W = np.abs(rng.standard_normal(rows))
+        W[:3] = [-0.0, np.nan, 5e-324]
+    return dyn.Trajectory(mode="dai_general", t=np.arange(rows) * 5e-4,
+                          delta=cols[0], omega=cols[0], s=cols[1], u=cols[2],
+                          mc=cols[3], W=W)
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+@pytest.mark.parametrize("rows, n, block", [(40, 3, 2048), (301, 39, 64),
+                                            (7, 2, 3)])
+def test_write_csv_matches_the_csv_module_bytes(tmp_path, monkeypatch, with_w,
+                                                rows, n, block):
+    monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", block)
+    traj = _odd_trajectory(rows, n, with_w)
+    dyn.write_csv(traj, tmp_path / "new.csv")
+    _oracle_write_csv(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+def test_read_csv_returns_the_written_bits(tmp_path, with_w):
+    traj = _odd_trajectory(120, 5, with_w, seed=3)
+    path = tmp_path / "traj.csv"
+    dyn.write_csv(traj, path)
+    back = dyn.read_csv(path)
+    old = _oracle_read_rows(path)
+    for name, j in (("t", slice(0, 1)), ("omega", slice(1, 6)), ("s", slice(6, 11)),
+                    ("u", slice(11, 16)), ("mc", slice(16, 21))):
+        got = getattr(back, name)
+        assert same_bits(got, getattr(traj, name)), name
+        assert same_bits(got, old[:, j].reshape(got.shape)), name
+    if with_w:
+        assert same_bits(back.W, traj.W)
+    else:
+        assert back.W is None

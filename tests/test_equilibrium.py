@@ -167,3 +167,72 @@ def test_solve_equilibrium_primary_fixed_point():
     assert res["flow_residual_max"] < 1e-9
     # u at equilibrium is the droop response to the synchronous frequency
     assert np.allclose(eq.u_star, np.full(3, eq.omega_star), atol=1e-9)
+
+
+def _oracle_s_star(params, u_star):
+    """Per-bus scalar bisection, as solve_s_star did it one bus at a time."""
+    n = params.n
+    s_star = np.zeros(n)
+    for i in range(n):
+        if u_star[i] == 0.0:
+            continue
+
+        def u_of_s(s, _i=i):
+            x = np.zeros(n)
+            x[_i] = s
+            return float(ctl.eval_u(params, x)[_i])
+
+        s_star[i] = cm._bisect_increasing(u_of_s, float(u_star[i]), limit=1e9)
+    return s_star
+
+
+@pytest.mark.parametrize("masks", [{}, {"u_lo": -0.6, "u_hi": 0.6},
+                                   {"dz": 0.05},
+                                   {"u_lo": -0.6, "u_hi": 0.6, "dz": 0.05}])
+def test_solve_s_star_equals_per_bus_bisection_bit_for_bit(masks):
+    for seed in range(12):
+        rng = np.random.default_rng(seed + 40)
+        n = int(rng.integers(2, 9))
+        params = ctl.transform_params(ctl.init_raw_params(n, 5, rng), **masks)
+        u_star = ctl.eval_u(params, rng.uniform(-3.0, 3.0, n))
+        u_star[rng.uniform(size=n) < 0.2] = 0.0
+        s = eqm.solve_s_star(params, u_star)
+        ref = _oracle_s_star(params, u_star)
+        assert np.array_equal(s.view(np.uint64), ref.view(np.uint64)), seed
+
+
+def _flat_policies(n, flat):
+    """Identity policies except on the `flat` buses, whose slope 1e-12 cannot
+    reach |u| = 0.5 within the bisection's bracket limit of 1e9."""
+    gains = np.ones(n)
+    gains[flat] = 1e-12
+    return ctl.scaled_identity_params(gains, u_lo=-1.0, u_hi=1.0)
+
+
+def test_solve_s_star_names_the_lowest_unreachable_bus():
+    params = _flat_policies(5, [2, 4])
+    u_star = np.array([0.5, -0.5, 0.5, 0.3, -0.5])
+    with pytest.raises(EquilibriumError, match="at bus 12: u\\* = 0.5 unreachable"):
+        eqm.solve_s_star(params, u_star, bus_ids=[10, 11, 12, 13, 14])
+
+
+@pytest.mark.parametrize("outside, unreachable, named", [
+    (1, 3, "at bus 11: u\\* = 1.5 not within"),
+    (3, 1, "at bus 11: u\\* = 0.5 unreachable"),
+])
+def test_solve_s_star_reports_the_lowest_failing_bus_of_either_kind(
+        outside, unreachable, named):
+    params = _flat_policies(4, [unreachable])
+    u_star = np.full(4, 0.5)
+    u_star[outside] = 1.5
+    with pytest.raises(EquilibriumError, match=named):
+        eqm.solve_s_star(params, u_star, bus_ids=[10, 11, 12, 13])
+
+
+def test_elementwise_bisection_freezes_each_element():
+    # targets that converge at very different iteration counts, and one
+    # that stalls on float resolution, each equal the scalar solve
+    targets = np.array([0.0, 1e-3, 7.25, -3.5e5, 123.456, 2.0 ** -40])
+    got = cm._bisect_increasing(lambda x: x ** 3, targets)
+    for g, t in zip(got, targets):
+        assert g == cm._bisect_increasing(lambda x: x ** 3, float(t))

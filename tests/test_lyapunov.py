@@ -140,7 +140,7 @@ def test_W_dot_matches_directional_derivative():
         omega = omega.copy()
         omega[net.loads] = dyn.load_bus_frequencies(net, delta, u, p)
         state = SystemState(delta, omega, s)
-        f = dyn.derivatives(net, costs, params, state, p)
+        f = dyn.derivatives(net, costs, params, state.stack(), p)[0]
         wp = lyap.lyap_W(net, params,
                          (delta + eps * f[0], omega + eps * f[1], s + eps * f[2]),
                          eq, table)
@@ -216,7 +216,8 @@ def test_V_dot_matches_directional_derivative():
     eps = 1e-6
     for k in range(12):
         state = SystemState(deltas[k], omegas[k], np.zeros(3))
-        f = dyn.derivatives(net, None, params, state, p, mode="primary")
+        f = dyn.derivatives(net, None, params, state.stack(), p,
+                            mode="primary")[0]
         vp = lyap.lyap_V(net, (deltas[k] + eps * f[0], omegas[k] + eps * f[1],
                                None), eq, 0.01)
         vm = lyap.lyap_V(net, (deltas[k] - eps * f[0], omegas[k] - eps * f[1],
