@@ -268,17 +268,10 @@ def project_gauge(delta):
     return delta
 
 
-def _edge_diff(a, i, j):
-    """a_i - a_j along the last axis.  A single state is indexed without the
-    Ellipsis, whose set-up costs more than the gather itself at n = 39."""
-    if a.ndim == 1:
-        return a[i] - a[j]
-    return a[..., i] - a[..., j]
-
-
 def angle_differences(net: PowerNetwork, delta):
     """Per-line angle differences delta_i - delta_j (batch dims allowed)."""
-    return _edge_diff(np.asarray(delta, dtype=float), net.line_i, net.line_j)
+    delta = np.asarray(delta, dtype=float)
+    return delta[..., net.line_i] - delta[..., net.line_j]
 
 
 def power_flows(net: PowerNetwork, delta):
@@ -327,8 +320,7 @@ def flow_jacobian_apply(net: PowerNetwork, delta, x):
 
 def comm_laplacian_apply(net: PowerNetwork, y):
     """Product L_Q @ y over the communication graph (batch dims allowed)."""
-    return (net.comm_q * _edge_diff(np.asarray(y), net.comm_i, net.comm_j)) \
-        @ net._comm_inc
+    return (net.comm_q * (y[..., net.comm_i] - y[..., net.comm_j])) @ net._comm_inc
 
 
 def scaled_laplacian_bilinear(net: PowerNetwork, zeta, x, y):
