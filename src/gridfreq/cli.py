@@ -262,17 +262,24 @@ def _scenario_from_args(net, args):
     return dynamics.Scenario(p=p, T=args.T, h=args.h, mode=args.mode)
 
 
-def _cmd_simulate(args):
-    net = network.load_network(args.net)
-    costs = _load_costs(net, args) if args.mode != "primary" else None
-    params = _load_controllers(net, args)
-    scenario = _scenario_from_args(net, args)
+def _check_step(net, costs, params, scenario, args):
+    """Refuse a step size beyond the integrator's stability limit before
+    integrating: an unstable step would read as a blow-up or, in certify,
+    as a failed energy-decrease check."""
     limit = dynamics.max_stable_step(net, costs, params, scenario, args.integrator)
     if args.h > limit:
         raise dynamics.DynamicsError(
             f"--h {args.h:g} exceeds the {args.integrator} stability limit "
             f"h <= {limit:.3g} s of the closed loop linearized at the initial "
             f"state")
+
+
+def _cmd_simulate(args):
+    net = network.load_network(args.net)
+    costs = _load_costs(net, args) if args.mode != "primary" else None
+    params = _load_controllers(net, args)
+    scenario = _scenario_from_args(net, args)
+    _check_step(net, costs, params, scenario, args)
     stepper = dynamics.rk4_step if args.integrator == "rk4" else dynamics.euler_step
     traj = dynamics.simulate(scenario, net, costs, params, stepper=stepper)
 
@@ -307,6 +314,7 @@ def _cmd_certify(args):
     costs = _load_costs(net, args) if args.mode != "primary" else None
     params = _load_controllers(net, args)
     scenario = _scenario_from_args(net, args)
+    _check_step(net, costs, params, scenario, args)
     stepper = dynamics.euler_step if args.integrator == "euler" else dynamics.rk4_step
     traj = dynamics.simulate(scenario, net, costs, params, stepper=stepper)
     eq = eq_mod.solve_equilibrium(net, costs, params, scenario.p, mode=args.mode)

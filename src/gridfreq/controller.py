@@ -35,7 +35,10 @@ x' >= b_plus on the plus side).  Sorting inside the tables keeps directly
 built parameters with unsorted or repeated breakpoints exact.  The counts
 come from bool masks with the d axis leading, so no (..., n, d) float
 stack is formed; training's adjoint bins its parameter terms by the same
-counts.
+counts.  The masks compare the inputs against the breakpoints tiled
+along them, so each comparison runs over all rows of n buses at once, not
+over n entries at a time; the tiled copy holds at most TILE_ELEMENTS
+breakpoints per side, and longer inputs are counted in chunks of rows.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from functools import cached_property
 import numpy as np
 
 SLOPE_WARN_FLOOR = 1e-6
+TILE_ELEMENTS = 1 << 16     # tiled breakpoints per side (512 kB of float64)
 
 
 @dataclass(frozen=True)
@@ -108,8 +112,8 @@ class NetParams:
 
     @cached_property
     def _tables(self):
-        """Evaluation tables, built on first use; the arrays are read-only
-        from then on."""
+        """Evaluation tables, built on first use; the table arrays are
+        read-only from then on (only the tiled breakpoint copy grows)."""
         return _Tables(self)
 
 
@@ -176,8 +180,14 @@ class _Tables:
         self.sorted_m = np.take_along_axis(params.b_minus, self.order_m, -1)
         self.k_p = np.take_along_axis(params.k_plus, self.order_p, -1)
         self.k_m = np.take_along_axis(params.k_minus, self.order_m, -1)
-        self.bp = np.ascontiguousarray(self.sorted_p.T)       # (d, n)
-        self.bm = np.ascontiguousarray(self.sorted_m.T)
+        # (side, d, n) sorted breakpoints, tiled along the entries up to
+        # tile_size = rows * n of them (d * tile_size <= TILE_ELEMENTS, or
+        # one row); the copy grows to the largest input seen, and `layouts`
+        # maps an input shape to the copy's two (d,) + shape views
+        self.bpm = np.stack([self.sorted_p.T, self.sorted_m.T])
+        self.tile_size = max(1, TILE_ELEMENTS // (d * n)) * n
+        self.tiled = self.bpm
+        self.layouts = {}
 
         def prefix(a):
             return np.concatenate([np.zeros((n, 1)), np.cumsum(a, -1)], -1)
@@ -199,26 +209,43 @@ class _Tables:
             return x
         return np.sign(x) * np.maximum(np.abs(x) - self.dz, 0.0)
 
-    def _count(self, mask):
-        return np.add.reduce(mask.view(np.uint8), axis=0, dtype=self.count_dtype)
+    def _count(self, xe, side, op):
+        """#(op(x', b)) over the d sorted breakpoints b of one side (0 plus,
+        1 minus), for every entry of xe (last axis against n).  Inputs
+        longer than the tiled copy are counted in chunks of its rows."""
+        b = self.layouts.get(xe.shape)
+        if b is None:
+            n = self.off.size
+            if xe.shape[-1:] != (n,):
+                return self._count(np.broadcast_to(xe, xe.shape[:-1] + (n,)), side, op)
+            if xe.size > self.tile_size:
+                rows, step = xe.reshape(-1, n), self.tile_size // n
+                return np.concatenate([self._count(rows[lo:lo + step], side, op)
+                                       for lo in range(0, len(rows), step)]
+                                      ).reshape(xe.shape)
+            b = self._layout(xe.shape)
+        return np.add.reduce(op(xe, b[side]).view(np.uint8), axis=0,
+                             dtype=self.count_dtype)
 
-    def _breakpoints(self, xe):
-        """The (d, n) sorted breakpoints, shaped to compare against xe."""
-        if xe.ndim <= 1:
-            return self.bp, self.bm
-        lead = (slice(None),) + (None,) * (xe.ndim - 1)
-        return self.bp[lead], self.bm[lead]
+    def _layout(self, shape):
+        """The breakpoints of both sides laid out as (d,) + shape views of
+        the tiled copy, growing the copy when the shape needs more rows."""
+        size = int(np.prod(shape))
+        if self.tiled.shape[-1] < size:
+            self.tiled = np.tile(self.bpm, size // self.off.size)
+            self.layouts = {}
+        views = tuple(self.tiled[..., :size].reshape(self.bpm.shape[:2] + shape))
+        self.layouts[shape] = views
+        return views
 
     def index(self, xe, strict=True):
         """Table rows bus*(d+1) + c on each side: c = #(x' > b_plus) and
         #(x' < b_minus), or #(x' >= b_plus) and #(x' <= b_minus) when not
         strict."""
-        bp, bm = self._breakpoints(xe)
-        if strict:
-            cp, cm = self._count(xe > bp), self._count(xe < bm)
-        else:
-            cp, cm = self._count(xe >= bp), self._count(xe <= bm)
-        return self.off + cp, self.off + cm
+        above, below = (np.greater, np.less) if strict else (np.greater_equal,
+                                                              np.less_equal)
+        return (self.off + self._count(xe, 0, above),
+                self.off + self._count(xe, 1, below))
 
     def value(self, xe, ip, im):
         """The unclamped g = f_plus + f_minus at x' from its table rows."""
@@ -235,7 +262,7 @@ class _Tables:
         """Right-limit slope of g at x (im: the strict minus rows): k_plus
         counts where x' >= b_plus, -k_minus where x' < b_minus.  Zero
         inside the deadband."""
-        ip = self.off + self._count(xe >= self._breakpoints(xe)[0])
+        ip = self.off + self._count(xe, 0, np.greater_equal)
         slope = self.K_p.take(ip) - self.K_m.take(im)
         if self.shifted:
             slope = slope * ((x >= self.dz) | (x < -self.dz))
@@ -350,10 +377,6 @@ def select_bus(params: NetParams, i) -> NetParams:
 
 
 # --- checkpoint serialization -------------------------------------------------
-
-def _enc(a):
-    return np.where(np.isfinite(a), a, np.nan).tolist()
-
 
 def save_checkpoint(path, raw: RawParams, u_lo=None, u_hi=None, dz=None,
                     seed=None, meta=None):

@@ -74,15 +74,6 @@ class PowerNetwork:
         except ValueError:
             raise NetworkError(f"unknown bus id {bus_id!r}") from None
 
-    def dense_susceptance(self):
-        """Dense symmetric B matrix (small networks / oracle checks only)."""
-        if self.n > 200:
-            raise NetworkError("dense susceptance assembly limited to n <= 200")
-        B = np.zeros((self.n, self.n))
-        B[self.line_i, self.line_j] = self.line_b
-        B[self.line_j, self.line_i] = self.line_b
-        return B
-
     def dense_comm_laplacian(self):
         """Dense communication Laplacian L_Q (small networks only)."""
         if self.n > 200:
@@ -94,10 +85,9 @@ class PowerNetwork:
         return L
 
 
-def _connected(n, ei, ej):
-    """Breadth-first connectivity over an undirected edge list."""
-    if n == 1:
-        return True
+def _unreachable(n, ei, ej):
+    """Lowest-index bus that an undirected edge list does not connect to bus
+    0 (breadth-first search), or None when the graph is connected."""
     adj = [[] for _ in range(n)]
     for a, b in zip(ei, ej):
         adj[a].append(b)
@@ -111,7 +101,7 @@ def _connected(n, ei, ej):
             if not seen[nb]:
                 seen[nb] = True
                 stack.append(nb)
-    return bool(seen.all())
+    return None if seen.all() else int(np.argmin(seen))
 
 
 def _collect_edges(records, index, what, weight_key, allow_zero=False):
@@ -202,16 +192,20 @@ def network_from_dict(doc) -> PowerNetwork:
         raise NetworkError("network needs at least one generator bus")
 
     li, lj, lb = _collect_edges(lines, index, "line", "B")
-    if not _connected(len(ids), li, lj):
-        raise NetworkError("physical graph is disconnected")
+    lost = _unreachable(len(ids), li, lj)
+    if lost is not None:
+        raise NetworkError(f"physical graph is disconnected: bus {ids[lost]} "
+                           f"cannot be reached from bus {ids[0]}")
 
     if doc.get("comm"):
         ci, cj, cq = _collect_edges(doc["comm"], index, "comm", "Q", allow_zero=True)
     else:
         # default communication graph: the physical graph with unit weights
         ci, cj, cq = li.copy(), lj.copy(), np.ones_like(lb)
-    if not _connected(len(ids), ci[cq > 0], cj[cq > 0]):
-        raise NetworkError("communication graph is disconnected")
+    lost = _unreachable(len(ids), ci[cq > 0], cj[cq > 0])
+    if lost is not None:
+        raise NetworkError(f"communication graph is disconnected: bus "
+                           f"{ids[lost]} cannot be reached from bus {ids[0]}")
 
     v = np.array([v_by_id[b] for b in ids])
     net = PowerNetwork(
@@ -294,6 +288,12 @@ def potential_energy(net: PowerNetwork, delta):
     return -np.sum(net.line_w * np.cos(d), axis=-1)
 
 
+def line_weights(net: PowerNetwork, delta):
+    """Per-line weights v_i v_j B_ij cos(delta_i - delta_j) of the flow
+    Jacobian (batch dims allowed)."""
+    return net.line_w * np.cos(angle_differences(net, delta))
+
+
 def flow_jacobian(net: PowerNetwork, delta):
     """Dense Jacobian of power_flows: a weighted Laplacian.
 
@@ -301,8 +301,7 @@ def flow_jacobian(net: PowerNetwork, delta):
     minus the row sum of the off-diagonals.  Supports batch dims: returns
     (..., n, n).
     """
-    d = angle_differences(net, delta)
-    w = net.line_w * np.cos(d)
+    w = line_weights(net, delta)
     shape = np.shape(delta)[:-1] + (net.n, net.n)
     H = np.zeros(shape)
     H[..., net.line_i, net.line_j] = -w
@@ -311,10 +310,13 @@ def flow_jacobian(net: PowerNetwork, delta):
     return H
 
 
-def flow_jacobian_apply(net: PowerNetwork, delta, x):
-    """Matrix-free product flow_jacobian(delta) @ x (used by the adjoint pass)."""
-    d = angle_differences(net, delta)
-    w = net.line_w * np.cos(d)
+def flow_jacobian_apply(net: PowerNetwork, delta, x, weights=None):
+    """Matrix-free product flow_jacobian(delta) @ x (used by the adjoint pass).
+
+    `weights` may carry line_weights(net, delta) when the caller has already
+    computed them (the adjoint computes them for a block of steps at once).
+    """
+    w = line_weights(net, delta) if weights is None else weights
     return (w * (x[..., net.line_i] - x[..., net.line_j])) @ net._line_inc
 
 

@@ -15,6 +15,15 @@ algebraic load-bus frequencies, and finally through the square/telescoping
 reparameterization onto the raw parameters.  The frequency-nadir term routes
 its entire gradient to the first step attaining each bus's maximum.
 
+The backward sweep walks the tape in blocks of consecutive steps, last block
+first.  Every term that depends on the stored states alone (the controller
+table rows, values, saturation masks and slopes, the cost derivatives, and
+the cosine line weights of the flow Jacobian) is computed once per block in
+whole-block array operations; only the adjoint recursion runs step by step.
+Elementwise operations give the same bits on a block as on one step, and the
+per-step products and histogram sums keep their shapes and order, so the
+gradient does not depend on the block length.
+
 No autodiff framework is involved; a central-finite-difference checker is
 provided and wired into the test suite and the CLI.
 """
@@ -31,7 +40,13 @@ from .controller import (NetParams, RawParams, eval_u, init_raw_params,
                          transform_params, validate_params)
 from .costs import CostModel
 from .dynamics import derivatives
-from .network import PowerNetwork, comm_laplacian_apply, flow_jacobian_apply
+from .network import (PowerNetwork, comm_laplacian_apply, flow_jacobian_apply,
+                      line_weights)
+
+
+# steps per block of the backward sweep: BLOCK_ELEMENTS // (B * n), at least
+# one; a block's state-only terms are about a dozen (steps, B, n) arrays
+BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -74,9 +89,11 @@ class TrainConfig:
 class Tape:
     """Forward-pass record needed by the exact backward pass.
 
-    Controller outputs, slopes, and marginal costs are recomputed during the
-    backward sweep from the stored (theta, omega_G, s) tracks; storing the
-    three state tracks is enough to reproduce every intermediate exactly.
+    Controller outputs, slopes, marginal costs and line weights are
+    recomputed during the backward sweep, one block of steps at a time, from
+    the stored (theta, omega_G, s) tracks; storing the three state tracks is
+    enough to reproduce every intermediate exactly.  train drops each
+    epoch's tape before the next rollout, so one tape is alive at a time.
     """
 
     raw: RawParams
@@ -151,12 +168,11 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
     raw = tape.raw
     p = tape.p
     B, n = p.shape
-    g, ll = net.gens, net.loads
+    g = net.gens
     L = cfg.steps
     h = cfg.h
     two_pi_f0 = 2.0 * np.pi * net.f0
     zeta = costs.zeta
-    inv_alpha_l = 1.0 / net.alpha[ll]
     inv_m = 1.0 / net.m
 
     t = params._tables
@@ -166,56 +182,62 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
     g_s = np.zeros((B, n))
     # per table row (bus, count c): sums of a and a * x' on each side
     hist = np.zeros((4, rows))
+    inv_alpha = 1.0 / net.alpha
+    gain_g = h * inv_m
+    decay_g = 1.0 - h * net.alpha[g] * inv_m
+    run_w = cfg.rho / L
 
-    for l in range(L - 1, -1, -1):
-        # nadir injection: omega_g[l+1] enters the loss max for buses whose
-        # argmax is exactly this step
-        g_w = g_w + np.where(tape.nadir_step == l, tape.nadir_sign, 0.0)
-
-        sl = tape.s[l]
-        xe = t.shift(sl)
+    block = max(1, BLOCK_ELEMENTS // (B * n))
+    for hi in range(L, 0, -block):
+        lo = max(hi - block, 0)
+        # everything that depends on the stored states alone, for the block
+        s_blk = tape.s[lo:hi]
+        xe = t.shift(s_blk)
         ip, im = t.index(xe)
         g_unc = t.value(xe, ip, im)
         u = t.clamp(g_unc)
         unsat = t.unsaturated(g_unc)
-        mc = costs.grad(u)
+        run = run_w * costs.grad(u)
+        curv = costs.curvature(u)
+        slope = np.where(unsat, t.slope(s_blk, xe, im), 0.0)
+        weights = line_weights(net, tape.theta[lo:hi])
 
-        # adjoint of the full omega vector used by the theta and s updates
-        pg = g_theta - g_theta.mean(axis=-1, keepdims=True)
-        a_omega = two_pi_f0 * h * pg - two_pi_f0 * h * g_s
+        for l in range(hi - 1, lo - 1, -1):
+            j = l - lo
+            # nadir injection: omega_g[l+1] enters the loss max for buses
+            # whose argmax is exactly this step
+            g_w = g_w + np.where(tape.nadir_step == l, tape.nadir_sign, 0.0)
 
-        a_u = np.zeros((B, n))
-        a_flows = np.zeros((B, n))
+            # adjoint of the full omega vector used by the theta and s updates
+            pg = g_theta - g_theta.mean(axis=-1, keepdims=True)
+            a_omega = two_pi_f0 * h * pg - two_pi_f0 * h * g_s
 
-        # swing update: omega_g[l+1] depends on u_G, flows_G, omega_g[l]
-        a_u[:, g] += h * inv_m * g_w
-        a_flows[:, g] -= h * inv_m * g_w
+            # u and the flows enter the swing update of omega_g[l+1] (gens)
+            # and the algebraic load frequencies (loads) with opposite signs
+            a_base = a_omega * inv_alpha
+            a_base[:, g] = gain_g * g_w
 
-        # algebraic load frequencies fan out into u_L, flows_L
-        a_wl = a_omega[:, ll] * inv_alpha_l
-        a_u[:, ll] += a_wl
-        a_flows[:, ll] -= a_wl
+            # consensus term s[l+1] -= h * zeta (.) L_Q grad_C(u), then the
+            # running cost term (every step l = 0..L-1)
+            a_mc = -h * comm_laplacian_apply(net, zeta * g_s)
+            a_u = a_base + curv[j] * a_mc
+            a_u += run[j]
 
-        # consensus term: s[l+1] -= h * zeta (.) L_Q grad_C(u)
-        a_mc = -h * comm_laplacian_apply(net, zeta * g_s)
-        a_u += costs.curvature(u) * a_mc
+            # controller parameter gradients at input s[l], binned by table
+            # row; a breakpoint moves the output only where its ReLU is
+            # strictly active, which is where the row's count exceeds its
+            # sorted position
+            a_eff = a_u * unsat[j]
+            a_x = a_eff * xe[j]
+            for k, (row, w) in enumerate(((ip[j], a_eff), (ip[j], a_x),
+                                          (im[j], a_eff), (im[j], a_x))):
+                hist[k] += np.bincount(row.ravel(), w.ravel(), rows)
 
-        # running cost term (every step l = 0..L-1)
-        a_u += (cfg.rho / L) * mc
-
-        # controller parameter gradients at input s[l], binned by table row;
-        # a breakpoint moves the output only where its ReLU is strictly
-        # active, which is where the row's count exceeds its sorted position
-        a_eff = a_u * unsat
-        a_x = a_eff * xe
-        for k, (row, w) in enumerate(((ip, a_eff), (ip, a_x), (im, a_eff), (im, a_x))):
-            hist[k] += np.bincount(row.ravel(), w.ravel(), rows)
-
-        # state adjoints for the previous step
-        slope = np.where(unsat, t.slope(sl, xe, im), 0.0)
-        g_s = g_s + slope * a_u
-        g_w = (1.0 - h * net.alpha[g] * inv_m) * g_w + a_omega[:, g]
-        g_theta = g_theta + flow_jacobian_apply(net, tape.theta[l], a_flows)
+            # state adjoints for the previous step
+            g_s = g_s + slope[j] * a_u
+            g_w = decay_g * g_w + a_omega[:, g]
+            g_theta = g_theta + flow_jacobian_apply(net, tape.theta[l], -a_base,
+                                                    weights=weights[j])
 
     # sorted breakpoint j is active for every count above j: tail sums of
     # the histograms, then back to the caller's breakpoint order; batch mean
@@ -343,6 +365,7 @@ def train(net: PowerNetwork, costs: CostModel, cfg: TrainConfig) -> TrainResult:
             raise FloatingPointError(
                 f"{exc} (epoch {e}, seed {cfg.seed})") from None
         grads = backprop(tape, net, costs)
+        del tape                # so the next rollout's tape replaces it
         lr = cfg.lr * cfg.lr_decay ** e
         raw = RawParams(
             mu_plus=raw.mu_plus - lr * grads.mu_plus,

@@ -245,6 +245,20 @@ def test_simulate_rejects_a_step_beyond_the_stability_limit(tmp_path, capsys):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+def test_certify_rejects_a_step_beyond_the_stability_limit(tmp_path, capsys):
+    # without the guard this run reports a failed energy-decrease check at
+    # step 0 instead of naming the step size
+    net = str(resources.files("gridfreq") / "data" / "case39.json")
+    code = main(["certify", "--net", net, "--p", '{"13":-3,"21":-3,"27":-3}',
+                 "--T", "0.01", "--h", "2e-3", "--outdir", str(tmp_path),
+                 "--out", "certify.txt"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "--h 0.002 exceeds the rk4 stability limit h <= 0.000859 s" in err
+    assert "certification" not in out
+    assert not (tmp_path / "certify.txt").exists()
+
+
 def test_simulate_rk4_integrator_flag(tmp_path, net2_file, quad2_costs_file,
                                       capsys):
     code = main(["simulate", "--net", net2_file, "--costs", quad2_costs_file,

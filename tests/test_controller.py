@@ -314,6 +314,37 @@ def test_tables_count_past_255_breakpoints():
     assert np.allclose(ctl.eval_slope(params, x), slope, rtol=1e-13, atol=0.0)
 
 
+def test_counts_in_chunks_past_the_tile_budget(monkeypatch):
+    # with room for 7 rows of tiled breakpoints, 1000 rows are counted in
+    # chunks (the last one short) and give the counts of each row alone;
+    # inputs broadcast against the bus axis count as their broadcast
+    rng = np.random.default_rng(8)
+    params = ctl.transform_params(ctl.init_raw_params(4, 5, rng), dz=0.05)
+    monkeypatch.setattr(ctl, "TILE_ELEMENTS", 7 * 5 * 4)
+    t = params._tables
+    x = rng.uniform(-1.0, 1.0, (1000, 4))
+    x[::3, 1] = params.b_plus[1, 2]
+    for strict in (True, False):
+        rows = [t.index(row, strict) for row in x]
+        ip, im = t.index(x, strict)
+        assert np.array_equal(ip, [r[0] for r in rows])
+        assert np.array_equal(im, [r[1] for r in rows])
+    assert t.tiled.shape == (2, 5, 7 * 4)
+    col = x[:, :1]
+    assert np.array_equal(t.index(col)[0], t.index(np.repeat(col, 4, axis=1))[0])
+
+
+def test_tiled_breakpoints_stay_within_the_budget():
+    # a long trajectory (lyap_W evaluates every row at once) must not tile
+    # the breakpoints along all of its rows
+    rng = np.random.default_rng(9)
+    params = ctl.transform_params(ctl.init_raw_params(39, 20, rng))
+    x = rng.uniform(-1.0, 1.0, (5000, 39))
+    assert np.array_equal(ctl.eval_u(params, x),
+                          np.array([ctl.eval_u(params, row) for row in x]))
+    assert params._tables.tiled[0].size <= ctl.TILE_ELEMENTS
+
+
 def oracle_backprop(tape, net, costs):
     """training.backprop with per-step stacked-ReLU products for the
     parameter adjoints, as before the histogram form."""

@@ -84,7 +84,31 @@ def test_disconnected_graph_rejected():
         ],
         "lines": [{"i": 1, "j": 2, "B": 2.0}, {"i": 3, "j": 4, "B": 1.0}],
     }
-    with pytest.raises(NetworkError, match="disconnected"):
+    with pytest.raises(NetworkError, match="physical graph is disconnected: "
+                       "bus 3 cannot be reached from bus 1"):
+        network.network_from_dict(doc)
+
+
+def test_disconnected_graphs_name_the_lowest_unreachable_bus():
+    # buses listed out of id order; 5 and 7 form an island, and so does 9
+    # on the communication graph (its only comm edge has weight zero)
+    doc = {
+        "buses": [
+            {"id": 9, "kind": "load", "alpha": 1.5},
+            {"id": 7, "kind": "load", "alpha": 1.5},
+            {"id": 5, "kind": "gen", "m": 3.0, "alpha": 0.8},
+            {"id": 2, "kind": "gen", "m": 4.0, "alpha": 1.2},
+        ],
+        "lines": [{"i": 7, "j": 5, "B": 1.0}, {"i": 9, "j": 2, "B": 2.0}],
+    }
+    with pytest.raises(NetworkError, match="physical graph is disconnected: "
+                       "bus 5 cannot be reached from bus 2"):
+        network.network_from_dict(doc)
+    doc["lines"].append({"i": 5, "j": 9, "B": 1.0})
+    doc["comm"] = [{"i": 2, "j": 5, "Q": 1.0}, {"i": 5, "j": 7, "Q": 1.0},
+                   {"i": 9, "j": 2, "Q": 0.0}]
+    with pytest.raises(NetworkError, match="communication graph is disconnected: "
+                       "bus 9 cannot be reached from bus 2"):
         network.network_from_dict(doc)
 
 
@@ -110,7 +134,8 @@ def test_comm_graph_must_connect_on_positive_weights():
         "lines": [{"i": 1, "j": 2, "B": 2.0}, {"i": 2, "j": 3, "B": 1.5}],
         "comm": [{"i": 1, "j": 2, "Q": 1.0}, {"i": 2, "j": 3, "Q": 0.0}],
     }
-    with pytest.raises(NetworkError, match="communication graph is disconnected"):
+    with pytest.raises(NetworkError, match="communication graph is disconnected: "
+                       "bus 3 cannot be reached from bus 1"):
         network.network_from_dict(doc)
 
 

@@ -1,16 +1,21 @@
+import tracemalloc
 from dataclasses import replace
+from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridfreq import controller as ctl
 from gridfreq import costs as cm
 from gridfreq import dynamics as dyn
+from gridfreq import network
 from gridfreq import training as trn
 from gridfreq.controller import RawParams
 from gridfreq.training import TrainConfig
 
-from conftest import three_bus, two_bus
+from conftest import nine_bus, random_connected_net, three_bus, two_bus
 
 
 @pytest.mark.parametrize("masks", [{}, dict(u_lo=-0.02, u_hi=0.03, dz=2e-3)],
@@ -220,3 +225,141 @@ def test_train_respects_saturation_bounds():
     u = ctl.eval_u(out.params, np.broadcast_to(grid, (401, 2)))
     assert np.all(u <= 0.4 + 1e-12)
     assert np.all(u >= -0.4 - 1e-12)
+
+
+def test_train_frees_the_previous_tape_before_the_next_rollout():
+    # a 42 MB tape against a block of the backward sweep of about 4 MB and
+    # the rollout's nadir search over the omega_g track (0.3 tapes); with
+    # two tapes alive at once the peak would pass two tapes
+    net = nine_bus()
+    costs = cm.power_costs(4, np.linspace(0.7, 1.5, net.n))
+    cfg = TrainConfig(d=3, h=1e-3, T=1.0, batch_size=250, epochs=2, lr=0.05,
+                      p_lo=-0.5, p_hi=0.5, seed=0)
+    tape_bytes = (cfg.steps + 1) * cfg.batch_size * (2 * net.n + net.n_gen) * 8
+    tracemalloc.start()
+    try:
+        trn.train(net, costs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * tape_bytes, (peak, tape_bytes)
+
+
+def per_step_backprop(tape, net, costs):
+    """training.backprop as a plain per-step sweep, every state-only term
+    recomputed at its step (the sweep before it was blocked)."""
+    cfg, params, raw = tape.cfg, tape.params, tape.raw
+    B, n = tape.p.shape
+    g, ll = net.gens, net.loads
+    L, h = cfg.steps, cfg.h
+    two_pi_f0 = 2.0 * np.pi * net.f0
+    inv_alpha_l, inv_m = 1.0 / net.alpha[ll], 1.0 / net.m
+    t = params._tables
+    rows = n * (params.d + 1)
+    g_theta, g_w, g_s = np.zeros((B, n)), np.zeros((B, len(g))), np.zeros((B, n))
+    hist = np.zeros((4, rows))
+    for l in range(L - 1, -1, -1):
+        g_w = g_w + np.where(tape.nadir_step == l, tape.nadir_sign, 0.0)
+        sl = tape.s[l]
+        xe = t.shift(sl)
+        ip, im = t.index(xe)
+        g_unc = t.value(xe, ip, im)
+        u = t.clamp(g_unc)
+        unsat = t.unsaturated(g_unc)
+        mc = costs.grad(u)
+        pg = g_theta - g_theta.mean(axis=-1, keepdims=True)
+        a_omega = two_pi_f0 * h * pg - two_pi_f0 * h * g_s
+        a_u, a_flows = np.zeros((B, n)), np.zeros((B, n))
+        a_u[:, g] += h * inv_m * g_w
+        a_flows[:, g] -= h * inv_m * g_w
+        a_wl = a_omega[:, ll] * inv_alpha_l
+        a_u[:, ll] += a_wl
+        a_flows[:, ll] -= a_wl
+        a_u += costs.curvature(u) * (-h * network.comm_laplacian_apply(
+            net, costs.zeta * g_s))
+        a_u += (cfg.rho / L) * mc
+        a_eff = a_u * unsat
+        a_x = a_eff * xe
+        for k, (row, w) in enumerate(((ip, a_eff), (ip, a_x), (im, a_eff), (im, a_x))):
+            hist[k] += np.bincount(row.ravel(), w.ravel(), rows)
+        slope = np.where(unsat, t.slope(sl, xe, im), 0.0)
+        g_s = g_s + slope * a_u
+        g_w = (1.0 - h * net.alpha[g] * inv_m) * g_w + a_omega[:, g]
+        g_theta = g_theta + network.flow_jacobian_apply(net, tape.theta[l], a_flows)
+    s0p, s1p, s0m, s1m = np.cumsum(
+        hist.reshape(4, n, -1)[..., :0:-1], axis=-1)[..., ::-1] / B
+
+    def unsort(a, order):
+        out = np.empty_like(a)
+        np.put_along_axis(out, order, a, axis=-1)
+        return out
+
+    gk_p = unsort(s1p - t.sorted_p * s0p, t.order_p)
+    gb_p = unsort(-t.k_p * s0p, t.order_p)
+    gk_m = unsort(t.sorted_m * s0m - s1m, t.order_m)
+    gb_m = unsort(t.k_m * s0m, t.order_m)
+    pad = np.zeros((n, 1))
+    tail_p = np.cumsum(gb_p[:, ::-1], axis=1)[:, ::-1]
+    tail_m = np.cumsum(gb_m[:, ::-1], axis=1)[:, ::-1]
+    return RawParams(
+        mu_plus=2.0 * raw.mu_plus * (gk_p - np.concatenate([gk_p[:, 1:], pad], axis=1)),
+        mu_minus=-2.0 * raw.mu_minus * (gk_m - np.concatenate([gk_m[:, 1:], pad], axis=1)),
+        chi_plus=2.0 * raw.chi_plus * tail_p[:, 1:],
+        chi_minus=-2.0 * raw.chi_minus * tail_m[:, 1:])
+
+
+def assert_blocks_bit_identical(tape, net, costs):
+    """backprop in blocks of 1 step, of a size that does not divide L, and
+    of at least L steps gives the per-step sweep's gradient bit for bit."""
+    B, n = tape.p.shape
+    L = tape.cfg.steps
+    ref = per_step_backprop(tape, net, costs)
+    sizes = (1, next(k for k in range(3, L) if L % k), L + 5)
+    for steps in sizes:
+        with mock.patch.object(trn, "BLOCK_ELEMENTS", steps * B * n):
+            got = trn.backprop(tape, net, costs)
+        for f in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
+            a, b = getattr(got, f), getattr(ref, f)
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (steps, f)
+
+
+def test_backprop_blocks_bit_identical_at_the_benchmark_shape():
+    # the packaged 39-bus case at B = 64 and d = 20, over 100 steps
+    net = network.load_network(str(resources.files("gridfreq") / "data" / "case39.json"))
+    rng = np.random.default_rng(4)
+    costs = cm.random_power_costs(net.n, rng, r=4)
+    cfg = TrainConfig(d=20, h=5e-4, T=0.05, batch_size=64, seed=4)
+    raw = ctl.init_raw_params(net.n, cfg.d, rng)
+    p = rng.uniform(cfg.p_lo, cfg.p_hi, (cfg.batch_size, net.n))
+    _, tape = trn.rollout_loss(net, costs, raw, p, cfg)
+    assert cfg.steps == 100
+    assert_blocks_bit_identical(tape, net, costs)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 2 ** 16), masked=st.booleans(), permuted=st.booleans())
+def test_backprop_blocks_bit_identical(seed, masked, permuted):
+    """Small random rollouts from a random integral state (some chi zero,
+    so breakpoints repeat), optionally with saturation and a deadband, and
+    optionally with each bus's (k, b) pairs shuffled on the tape."""
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(seed, buses=4)
+    costs = cm.random_power_costs(net.n, rng)
+    raw = ctl.init_raw_params(net.n, 4, rng)
+    raw.chi_plus[:, 1] = 0.0
+    cfg = TrainConfig(d=4, h=1e-3, T=0.02, batch_size=3, seed=seed,
+                      **(dict(u_lo=-0.3, u_hi=0.25, dz=0.05) if masked else {}))
+    p = rng.uniform(-2.0, 2.0, (3, net.n))
+    initial = (np.zeros((3, net.n)), np.zeros((3, len(net.gens))),
+               rng.uniform(-1.0, 1.0, (3, net.n)))
+    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
+    if permuted:
+        prm = tape.params
+        perm = np.argsort(rng.random(prm.k_plus.shape), axis=-1)
+        perm_m = np.argsort(rng.random(prm.k_plus.shape), axis=-1)
+        tape = replace(tape, params=replace(
+            prm, k_plus=np.take_along_axis(prm.k_plus, perm, -1),
+            b_plus=np.take_along_axis(prm.b_plus, perm, -1),
+            k_minus=np.take_along_axis(prm.k_minus, perm_m, -1),
+            b_minus=np.take_along_axis(prm.b_minus, perm_m, -1)))
+    assert_blocks_bit_identical(tape, net, costs)
