@@ -280,8 +280,8 @@ def _cmd_simulate(args):
     params = _load_controllers(net, args)
     scenario = _scenario_from_args(net, args)
     _check_step(net, costs, params, scenario, args)
-    stepper = dynamics.rk4_step if args.integrator == "rk4" else dynamics.euler_step
-    traj = dynamics.simulate(scenario, net, costs, params, stepper=stepper)
+    traj = dynamics.simulate(scenario, net, costs, params,
+                             stepper=dynamics.STEPPERS[args.integrator])
 
     if args.lyapunov:
         if args.mode == "primary":
@@ -315,8 +315,8 @@ def _cmd_certify(args):
     params = _load_controllers(net, args)
     scenario = _scenario_from_args(net, args)
     _check_step(net, costs, params, scenario, args)
-    stepper = dynamics.euler_step if args.integrator == "euler" else dynamics.rk4_step
-    traj = dynamics.simulate(scenario, net, costs, params, stepper=stepper)
+    traj = dynamics.simulate(scenario, net, costs, params,
+                             stepper=dynamics.STEPPERS[args.integrator])
     eq = eq_mod.solve_equilibrium(net, costs, params, scenario.p, mode=args.mode)
     tol = lyapunov.CertifyTolerances(tol_abs=args.tol_abs, tol_rel=args.tol_rel,
                                      fd_rtol=args.fd_rtol)
@@ -545,7 +545,7 @@ def build_parser():
     sim.add_argument("--checkpoint", default=None)
     sim.add_argument("--T", type=float, default=40.0)
     sim.add_argument("--h", type=float, default=5e-4)
-    sim.add_argument("--integrator", default="euler", choices=("euler", "rk4"))
+    sim.add_argument("--integrator", default="euler", choices=dynamics.STEPPERS)
     sim.add_argument("--lyapunov", action="store_true",
                      help="fill the W column (needs a solvable equilibrium)")
     sim.add_argument("--out", default="trajectory.csv")
@@ -558,7 +558,7 @@ def build_parser():
     cert.add_argument("--checkpoint", default=None)
     cert.add_argument("--T", type=float, default=40.0)
     cert.add_argument("--h", type=float, default=5e-4)
-    cert.add_argument("--integrator", default="rk4", choices=("euler", "rk4"),
+    cert.add_argument("--integrator", default="rk4", choices=dynamics.STEPPERS,
                       help="rk4 keeps discretization error inside the slack")
     cert.add_argument("--tol-abs", type=float, default=1e-9)
     cert.add_argument("--tol-rel", type=float, default=0.05)

@@ -28,6 +28,8 @@ prefix of them, so with c = #(x' > b_plus)
 
     f_plus(x') = K_plus[c] x' - C_plus[c],
     K_plus = [0, cumsum(k_plus)],  C_plus = [0, cumsum(k_plus * b_plus)],
+    antiderivative K_plus[c] x'^2 / 2 - C_plus[c] x' + E_plus[c] with
+    E_plus = [0, cumsum(k_plus * b_plus^2)] / 2,
 
 and the minus side mirrors this with the breakpoints sorted descending and
 c = #(x' < b_minus).  The right-limit slope gathers K the same way (with
@@ -168,8 +170,9 @@ class _Tables:
 
     Row bus*(d+1) + c of `plus` holds (K, -C) of the plus side and of
     `minus` (-K, C) of the minus side, so g is the sum of the two rows'
-    first entries times x' plus their second entries.  Counts are summed
-    as uint8 while d < 256.
+    first entries times x' plus their second entries.  E_p and E_m (minus
+    side negated) hold E of the antiderivative in their own arrays, so
+    `value` gathers two columns.  Counts are summed as uint8 while d < 256.
     """
 
     def __init__(self, params: NetParams):
@@ -196,6 +199,8 @@ class _Tables:
         C_p, C_m = prefix(self.k_p * self.sorted_p), prefix(self.k_m * self.sorted_m)
         self.plus = np.stack([self.K_p, -C_p], -1).reshape(-1, 2)
         self.minus = np.stack([-self.K_m, C_m], -1).reshape(-1, 2)
+        self.E_p = 0.5 * prefix(self.k_p * self.sorted_p ** 2).ravel()
+        self.E_m = -0.5 * prefix(self.k_m * self.sorted_m ** 2).ravel()
         self.off = np.arange(n) * (d + 1)
         self.count_dtype = np.uint8 if d < 256 else np.intp
         self.dz, self.u_lo, self.u_hi = params.dz, params.u_lo, params.u_hi
@@ -252,6 +257,14 @@ class _Tables:
         pair = self.plus.take(ip, axis=0)
         pair += self.minus.take(im, axis=0)
         return pair[..., 0] * xe + pair[..., 1]
+
+    def antiderivative(self, xe, ip, im):
+        """G(x') = K x'^2 / 2 - C x' + E from the rows of `value`, so that
+        G' = g: k max(0, x' - b) integrates to k (x' - b)^2 / 2."""
+        pair = self.plus.take(ip, axis=0)
+        pair += self.minus.take(im, axis=0)
+        return ((0.5 * pair[..., 0] * xe + pair[..., 1]) * xe
+                + self.E_p.take(ip) + self.E_m.take(im))
 
     def unclamped(self, x):
         """g = f_plus + f_minus at x (float array, last axis against n)."""

@@ -214,6 +214,8 @@ def rk4_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     return _advance(step_index, x, omega, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
+STEPPERS = {"euler": euler_step, "rk4": rk4_step}
+
 # stability functions R(z) of the steppers: a step multiplies a mode of
 # the linearized loop with eigenvalue lam by R(h * lam)
 _STABILITY = {"euler": lambda z: 1 + z,

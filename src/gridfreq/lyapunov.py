@@ -6,7 +6,9 @@ Two closed loops, two energy functions:
   + Bregman divergence of the controller integral L(s).  Its derivative
   along trajectories splits into three nonpositive pieces: generator
   damping, a marginal-cost consensus term (a scaled Laplacian bilinear
-  form), and a load-bus bracket.
+  form), and a load-bus bracket.  L(s) is in closed form from the
+  controller tables' antiderivative of the unclamped policy, held between
+  its saturation crossings and linear beyond them.
 - primary mode: V = kinetic + potential Bregman + a small cross term
   epsilon * (flow mismatch) . M . (frequency mismatch), whose derivative is
   a quadratic form in (flow mismatch, frequency mismatch) defined by a
@@ -23,13 +25,14 @@ smallest eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import NetParams, eval_u
+from .controller import NetParams, eval_u, validate_params
 from .costs import CostModel
-from .dynamics import SystemState, Trajectory, full_inertia
+from .dynamics import (DEFAULT_LOAD_INERTIA, SystemState, Trajectory,
+                       full_inertia)
 from .equilibrium import Equilibrium
 from .network import (PowerNetwork, angle_differences, edge_angle_spread,
                       flow_jacobian, flow_jacobian_apply, potential_energy,
@@ -50,80 +53,60 @@ class LyapunovError(ValueError):
 # controller integral L(s) = sum_i int_0^{s_i} u_i
 # --------------------------------------------------------------------------
 
-def build_integral_table(params: NetParams):
-    """Per-bus exact antiderivative tables for the piecewise-linear policies.
+def _crossings(params: NetParams):
+    """(x_lo, x_hi): where each bus's unclamped policy g meets u_lo and u_hi.
 
-    For each bus: sorted node list containing every kink of u (breakpoints
-    shifted by the deadband, the deadband edges, the origin, and the points
-    where the unclamped policy crosses a finite saturation bound), the
-    clipped policy values there, and the exact integral from 0 to each node
-    (trapezoids between nodes are exact because u is linear between them).
-    The unclamped values at every candidate kink come from one evaluation
-    of the controller tables; the slopes beyond the outermost nodes are the
-    tables' full sums.
+    g is linear between its breakpoints, sorted and padded by one point
+    beyond each end, and along the end segments extended; on a flat segment
+    the crossing is its first node, and an infinite bound is its own.  A
+    clamped bus whose g falls raises, unless validate_params accepts the
+    policy within its roundoff allowance.
     """
     t = params._tables
-    dz = params.dz[:, None]
-    cand = np.concatenate([np.zeros_like(dz), dz, -dz, params.b_plus + dz,
-                           params.b_plus - dz, params.b_minus + dz,
-                           params.b_minus - dz], axis=1)
-    cand.sort(axis=1)
-    g_cand = t.unclamped(cand.T).T
-    m_right, m_left = t.K_p[:, -1], -t.K_m[:, -1]
-    tables = []
-    for i in range(params.n):
-        keep = np.concatenate([[True], np.diff(cand[i]) != 0])
-        nodes, g = cand[i][keep], g_cand[i][keep]
-        crossings = []
-        for bound in (params.u_hi[i], params.u_lo[i]):
-            if not np.isfinite(bound):
-                continue
-            gl, gr = g[:-1] - bound, g[1:] - bound
-            hit = np.nonzero(gl * gr < 0)[0]
-            for k in hit:
-                tk = gl[k] / (gl[k] - gr[k])
-                crossings.append(nodes[k] + tk * (nodes[k + 1] - nodes[k]))
-            if m_right[i] != 0.0:
-                tk = (bound - g[-1]) / m_right[i]
-                if tk > 0:
-                    crossings.append(nodes[-1] + tk)
-            if m_left[i] != 0.0:
-                tk = (bound - g[0]) / m_left[i]
-                if tk < 0:
-                    crossings.append(nodes[0] + tk)
-        if crossings:
-            nodes = np.unique(np.concatenate([nodes, crossings]))
-            x = np.zeros((len(nodes), params.n))
-            x[:, i] = nodes
-            g = t.unclamped(x)[:, i]
-        u_nodes = np.clip(g, params.u_lo[i], params.u_hi[i])
-        seg = np.diff(nodes) * 0.5 * (u_nodes[:-1] + u_nodes[1:])
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        j0 = int(np.searchsorted(nodes, 0.0))
-        cum -= cum[j0]
-        tables.append((nodes, u_nodes, cum))
-    return tables
+    x = np.sort(np.concatenate([t.sorted_p, t.sorted_m], axis=1), axis=1)
+    x = np.concatenate([x[:, :1] - 1.0, x, x[:, -1:] + 1.0], axis=1).T
+    g = t.value(x, *t.index(x))                              # (2d + 2, n)
+    bounds = np.stack([params.u_lo, params.u_hi])
+    bad = np.isfinite(bounds).any(axis=0) & (np.diff(g, axis=0).min(axis=0) < 0.0)
+    if bad.any() and not validate_params(params, warn=False):
+        raise LyapunovError(f"bus {int(np.argmax(bad))}: clamped policy is not "
+                            f"monotone, so L(s) has no closed form")
+    j = np.clip(np.sum(g[:, None] < bounds, axis=0), 1, len(x) - 1)
+    bus = np.arange(params.n)
+    x0, g0 = x[j - 1, bus], g[j - 1, bus]
+    dg = g[j, bus] - g0
+    frac = np.divide(bounds - g0, dg, out=np.zeros_like(dg), where=dg > 0)
+    return np.where(np.isfinite(bounds), x0 + frac * (x[j, bus] - x0), bounds)
 
 
-def integral_per_bus(params: NetParams, s, table=None):
-    """Exact per-bus integral of u_i from 0 to s_i; s may carry batch dims."""
+def integral_per_bus(params: NetParams, s):
+    """Exact per-bus integral of u_i from 0 to s_i; s may carry batch dims.
+
+    With x_c = x' clipped between the crossings, u = g up to x_c and a bound
+    beyond it, so int_0^x' clip(g) = H(x') - H(0) with H(x') = G(x_c) +
+    u(x_c) (x' - x_c), G being the tables' antiderivative of g; the deadband
+    adds u(0) (s - shift(s)).  H is summed as (G - u x_c) + u x', which
+    cancels exactly when both ends lie beyond one crossing.
+    """
     s = np.asarray(s, dtype=float)
-    if table is None:
-        table = build_integral_table(params)
-    u_all = eval_u(params, s)
-    out = np.empty(s.shape)
-    for i in range(params.n):
-        nodes, u_nodes, cum = table[i]
-        x = s[..., i]
-        idx = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                      0, len(nodes) - 1)
-        out[..., i] = cum[idx] + (x - nodes[idx]) * 0.5 * (u_nodes[idx] + u_all[..., i])
-    return out
+    t = params._tables
+    x_lo, x_hi = _crossings(params)
+
+    def tangent(xe):
+        xc = np.clip(xe, x_lo, x_hi)
+        ip, im = t.index(xc)
+        u = t.clamp(t.value(xc, ip, im))
+        return t.antiderivative(xc, ip, im) - u * xc, u
+
+    xe = t.shift(s)
+    a_s, u_s = tangent(xe)
+    a_0, u_0 = tangent(np.zeros(params.n))
+    return a_s - a_0 + u_s * xe + u_0 * (s - xe)
 
 
-def integral_L(controllers: NetParams, s, table=None):
+def integral_L(controllers: NetParams, s):
     """L(s) = sum_i int_0^{s_i} u_i(xi) d xi (convex; gradient is u(s))."""
-    return np.sum(integral_per_bus(controllers, s, table), axis=-1)
+    return np.sum(integral_per_bus(controllers, s), axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -131,13 +114,22 @@ def integral_L(controllers: NetParams, s, table=None):
 # --------------------------------------------------------------------------
 
 def _unpack(state):
+    """(delta, omega, s) of a SystemState or a triple, as float arrays; s
+    may be None."""
     if isinstance(state, SystemState):
-        return state.delta, state.omega, state.s
-    return state
+        state = state.delta, state.omega, state.s
+    return tuple(None if a is None else np.asarray(a, dtype=float) for a in state)
 
 
-def lyap_W(net: PowerNetwork, controllers: NetParams, state,
-           eq: Equilibrium, table=None):
+def _potential_bregman(net, delta, eq):
+    """Bregman divergence of the network potential at delta against delta*,
+    and the equilibrium flows (the potential's gradient at delta*)."""
+    flows_star = power_flows(net, eq.delta_star)
+    return (potential_energy(net, delta) - potential_energy(net, eq.delta_star)
+            - np.sum(flows_star * (delta - eq.delta_star), axis=-1)), flows_star
+
+
+def lyap_W(net: PowerNetwork, controllers: NetParams, state, eq: Equilibrium):
     """Energy of a DAI-mode state relative to the closed-loop equilibrium.
 
     pi*f0 * omega_G' M omega_G, plus the Bregman divergence of the network
@@ -146,17 +138,10 @@ def lyap_W(net: PowerNetwork, controllers: NetParams, state,
     positive on the security region around it.  Batch dims allowed.
     """
     delta, omega, s = _unpack(state)
-    delta = np.asarray(delta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    s = np.asarray(s, dtype=float)
     kinetic = np.pi * net.f0 * np.sum(net.m * omega[..., net.gens] ** 2, axis=-1)
-    flows_star = power_flows(net, eq.delta_star)
-    breg_u = (potential_energy(net, delta) - potential_energy(net, eq.delta_star)
-              - np.sum(flows_star * (delta - eq.delta_star), axis=-1))
-    if table is None:
-        table = build_integral_table(controllers)
-    l_star = integral_L(controllers, eq.s_star, table)
-    breg_l = (integral_L(controllers, s, table) - l_star
+    breg_u = _potential_bregman(net, delta, eq)[0]
+    l_star = integral_L(controllers, eq.s_star)
+    breg_l = (integral_L(controllers, s) - l_star
               - np.sum(eq.u_star * (s - eq.s_star), axis=-1))
     return kinetic + breg_u + breg_l
 
@@ -171,9 +156,6 @@ def lyap_W_dot(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     injection mismatches against equilibrium.  Batch dims allowed.
     """
     delta, omega, s = _unpack(state)
-    delta = np.asarray(delta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    s = np.asarray(s, dtype=float)
     two_pi_f0 = 2.0 * np.pi * net.f0
     u = eval_u(controllers, s)
     mc = costs.grad(u)
@@ -218,24 +200,19 @@ def _primary_mismatch(net, delta, omega, eq):
 
 
 def lyap_V(net: PowerNetwork, state, eq: Equilibrium, epsilon,
-           load_inertia=None):
+           load_inertia=DEFAULT_LOAD_INERTIA):
     """Primary-mode energy: kinetic + potential Bregman + epsilon cross term."""
     delta, omega, _ = _unpack(state)
-    delta = np.asarray(delta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    m = full_inertia(net) if load_inertia is None else full_inertia(net, load_inertia)
+    m = full_inertia(net, load_inertia)
     y = omega - eq.omega_star
     kinetic = 0.5 * np.sum(m * y ** 2, axis=-1)
-    flows_star = power_flows(net, eq.delta_star)
-    w_p = (potential_energy(net, delta) - potential_energy(net, eq.delta_star)
-           - np.sum(flows_star * (delta - eq.delta_star), axis=-1))
-    x, y = _primary_mismatch(net, delta, omega, eq)
-    w_c = np.sum(x * m * y, axis=-1)
-    return kinetic + w_p + epsilon * w_c
+    w_p, flows_star = _potential_bregman(net, delta, eq)
+    x = power_flows(net, delta) - flows_star          # flow mismatch
+    return kinetic + w_p + epsilon * np.sum(x * m * y, axis=-1)
 
 
 def lyap_V_dot(net: PowerNetwork, controllers: NetParams, state,
-               eq: Equilibrium, epsilon, load_inertia=None):
+               eq: Equilibrium, epsilon, load_inertia=DEFAULT_LOAD_INERTIA):
     """Analytic derivative of lyap_V along the primary-mode flow.
 
     Equals -[x; y]' Q(delta) [x; y] - (y + eps x)'(u(omega) - u(omega* 1))
@@ -244,9 +221,7 @@ def lyap_V_dot(net: PowerNetwork, controllers: NetParams, state,
     Batch dims allowed.
     """
     delta, omega, _ = _unpack(state)
-    delta = np.asarray(delta, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    m = full_inertia(net) if load_inertia is None else full_inertia(net, load_inertia)
+    m = full_inertia(net, load_inertia)
     d = net.alpha
     x, y = _primary_mismatch(net, delta, omega, eq)
     # quadratic form: eps|x|^2 + eps x'D y + y'D y - eps y'H(delta) M y
@@ -264,13 +239,13 @@ def lyap_V_dot(net: PowerNetwork, controllers: NetParams, state,
     return -quad - control
 
 
-def assemble_Q(net: PowerNetwork, delta, epsilon, load_inertia=None):
+def assemble_Q(net: PowerNetwork, delta, epsilon, load_inertia=DEFAULT_LOAD_INERTIA):
     """Dense 2n x 2n matrix of the quadratic form in lyap_V_dot.
 
     Batch dims allowed: delta of shape (..., n) gives (..., 2n, 2n).
     """
     n = net.n
-    m = full_inertia(net) if load_inertia is None else full_inertia(net, load_inertia)
+    m = full_inertia(net, load_inertia)
     d = np.diag(net.alpha)
     hm = flow_jacobian(net, delta) * m          # H @ diag(m)
     q = np.zeros(np.shape(delta)[:-1] + (2 * n, 2 * n))
@@ -281,12 +256,12 @@ def assemble_Q(net: PowerNetwork, delta, epsilon, load_inertia=None):
     return q
 
 
-def schur_block(net: PowerNetwork, delta, epsilon, load_inertia=None):
+def schur_block(net: PowerNetwork, delta, epsilon, load_inertia=DEFAULT_LOAD_INERTIA):
     """Schur complement of the epsilon*I block of Q: the PD test matrix.
 
     Batch dims allowed: delta of shape (..., n) gives (..., n, n).
     """
-    m = full_inertia(net) if load_inertia is None else full_inertia(net, load_inertia)
+    m = full_inertia(net, load_inertia)
     hm = flow_jacobian(net, delta) * m
     d = net.alpha
     return (np.diag(d) - 0.5 * epsilon * (hm + np.swapaxes(hm, -1, -2))
@@ -365,7 +340,8 @@ class EpsilonSearchResult:
 
 
 def epsilon_and_c_search(net: PowerNetwork, eq: Equilibrium, grid=None,
-                         samples=200, seed=0, load_inertia=None) -> EpsilonSearchResult:
+                         samples=200, seed=0,
+                         load_inertia=DEFAULT_LOAD_INERTIA) -> EpsilonSearchResult:
     """Largest epsilon from a geometric grid certifying Q(delta) > 0.
 
     For each epsilon (largest first) the Schur-complement block is tested
@@ -466,7 +442,8 @@ class CertificationReport:
 def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
                        controllers: NetParams, eq: Equilibrium,
                        tolerances: CertifyTolerances = None,
-                       epsilon=None, load_inertia=None) -> CertificationReport:
+                       epsilon=None,
+                       load_inertia=DEFAULT_LOAD_INERTIA) -> CertificationReport:
     """Check positivity and per-step decrease of the energy along a trajectory.
 
     DAI trajectories are scored with W and its analytic derivative; primary
@@ -486,8 +463,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         cross_min = None
         min_pivot = None
     elif traj.mode in ("dai_general", "unknown"):
-        table = build_integral_table(controllers)
-        w = lyap_W(net, controllers, (traj.delta, traj.omega, traj.s), eq, table)
+        w = lyap_W(net, controllers, (traj.delta, traj.omega, traj.s), eq)
         wdot = lyap_W_dot(net, costs, controllers,
                           (traj.delta, traj.omega, traj.s), eq)
         cross = scaled_laplacian_bilinear(net, costs.zeta,

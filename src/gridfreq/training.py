@@ -134,6 +134,9 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     x = np.zeros((B, 3, n))               # load omega entries stay zero
     x[:, 0], x[:, 1, g], x[:, 2] = theta[0], omega_g[0], s[0]
     cost_acc = np.zeros(B)
+    # running per-bus max |omega_g| and its first step (strict >, as argmax)
+    peak_abs = np.full((B, len(g)), -1.0)
+    nadir_step = np.zeros((B, len(g)), dtype=np.intp)
     for l in range(L):
         k, _, u, _ = derivatives(net, costs, params, x, p)
         k *= h
@@ -142,9 +145,10 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
         cost_acc += costs.values(u).sum(axis=-1)
         if not np.isfinite(x).all():
             raise FloatingPointError(f"integration blow-up at rollout step {l}")
+        abs_om = np.abs(omega_g[l + 1])
+        np.copyto(nadir_step, l, where=abs_om > peak_abs)
+        np.maximum(peak_abs, abs_om, out=peak_abs)
 
-    abs_om = np.abs(omega_g[1:])                      # (L, B, n_gen)
-    nadir_step = np.argmax(abs_om, axis=0)            # first max on ties
     peak = np.take_along_axis(omega_g[1:], nadir_step[None], axis=0)[0]
     nadir_sign = np.sign(peak)
     nadir_val = np.abs(peak).sum(axis=-1)             # (B,)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
 from gridfreq import costs as cm
@@ -12,6 +14,7 @@ from gridfreq.lyapunov import LyapunovError
 from gridfreq.network import edge_angle_spread, to_center_of_inertia
 
 from conftest import random_connected_net, three_bus, three_bus_gens, two_bus
+from test_controller import relu_oracle
 
 
 def quad3():
@@ -19,7 +22,7 @@ def quad3():
 
 
 def _trapezoid_integral(params, i, s, steps=40001):
-    """Dense-grid trapezoid oracle for the exact antiderivative table."""
+    """Dense-grid trapezoid oracle for the closed-form integral."""
     xs = np.linspace(0.0, s, steps)
     n = params.n
     grid = np.zeros((steps, n))
@@ -63,6 +66,77 @@ def test_integral_matches_trapezoid_oracle():
             for i in range(2):
                 oracle = _trapezoid_integral(params, i, s0)
                 assert got[i] == pytest.approx(oracle, abs=5e-7)
+    # bounds that exclude 0 (both above it, or both below): u is a bound on
+    # the deadband and around the origin, not 0, so the integral is linear
+    # there; buses 1 and 2 have a deadband, bus 0 none
+    for seed in range(8):
+        rng = np.random.default_rng(seed + 100)
+        raw = ctl.init_raw_params(3, 3, rng)
+        params = ctl.transform_params(
+            raw, u_lo=[0.1, 0.1, -0.9], u_hi=[0.9, np.inf, -0.1],
+            dz=[0.0, float(rng.uniform(0.05, 0.3)), float(rng.uniform(0.05, 0.3))])
+        for s0 in rng.uniform(-3.0, 3.0, 3):
+            got = lyap.integral_per_bus(params, np.full(3, s0))
+            for i in range(3):
+                oracle = _trapezoid_integral(params, i, s0)
+                assert got[i] == pytest.approx(oracle, abs=5e-7)
+
+
+def test_integral_rejects_a_saturated_nonmonotone_bus():
+    # buses 1 and 2 fold down past 0.3; the closed form needs a monotone
+    # policy only where a bound clips it, so bus 1 (clamped) is refused by
+    # number and bus 2 (unclamped) stays exact
+    fold = dict(k_plus=np.array([[1.0, 0.0], [3.0, -5.0], [3.0, -5.0]]),
+                b_plus=np.tile([0.0, 0.3], (3, 1)),
+                k_minus=np.array([[-1.0, 0.0], [-3.0, 5.0], [-3.0, 5.0]]),
+                b_minus=np.tile([0.0, -0.3], (3, 1)))
+    clamped = ctl.NetParams(**fold, u_lo=np.array([-0.5, -0.5, -np.inf]),
+                            u_hi=np.array([0.5, 0.5, np.inf]))
+    with pytest.raises(LyapunovError, match="bus 1"):
+        lyap.integral_per_bus(clamped, np.zeros(3))
+    free = ctl.NetParams(**fold, u_lo=np.array([-0.5, -np.inf, -np.inf]),
+                         u_hi=np.array([0.5, np.inf, np.inf]))
+    for s0 in (-1.0, 0.2, 1.0):
+        got = lyap.integral_per_bus(free, np.full(3, s0))
+        for i in range(3):
+            assert got[i] == pytest.approx(_trapezoid_integral(free, i, s0),
+                                           abs=5e-7)
+
+
+@st.composite
+def monotone_policies(draw):
+    """Policies from transform_params (slopes down to zero, so flat end
+    segments too) with random finite or infinite bounds and deadbands, and
+    one input per bus."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
+
+    def grid(shape, elements):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                        dtype=float).reshape(shape)
+
+    raw = ctl.RawParams(grid((n, d), st.floats(0.0, 1.5)),
+                        grid((n, d), st.floats(0.0, 1.5)),
+                        grid((n, d - 1), st.floats(0.0, 1.0)),
+                        grid((n, d - 1), st.floats(0.0, 1.0)))
+    lo = grid((n,), st.one_of(st.just(-np.inf), st.floats(-2.0, 2.0)))
+    hi = grid((n,), st.one_of(st.just(np.inf), st.floats(-2.0, 2.0)))
+    dz = grid((n,), st.one_of(st.just(0.0), st.floats(0.0, 0.5)))
+    params = ctl.transform_params(raw, u_lo=np.minimum(lo, hi),
+                                  u_hi=np.maximum(lo, hi), dz=dz)
+    return params, grid((n,), st.floats(-3.0, 3.0))
+
+
+@given(monotone_policies())
+def test_integral_matches_trapezoid_of_relu_oracle(case):
+    params, s = case
+    steps = 40001
+    xs = np.linspace(0.0, s, steps)                      # (steps, n)
+    u = relu_oracle(params, xs)[0]
+    oracle = np.sum((u[1:] + u[:-1]) * 0.5, axis=0) * (s / (steps - 1))
+    got = lyap.integral_per_bus(params, s)
+    assert np.all(np.abs(got - oracle) <= 5e-7 * np.maximum(1.0, np.abs(oracle)))
 
 
 def test_integral_gradient_is_u():
@@ -70,14 +144,13 @@ def test_integral_gradient_is_u():
     for seed in range(6):
         rng = np.random.default_rng(seed + 13)
         params = ctl.transform_params(ctl.init_raw_params(3, 3, rng))
-        table = lyap.build_integral_table(params)
         s = rng.uniform(-2.0, 2.0, 3)
         u = ctl.eval_u(params, s)
         for i in range(3):
             bump = np.zeros(3)
             bump[i] = eps
-            fd = (lyap.integral_L(params, s + bump, table)
-                  - lyap.integral_L(params, s - bump, table)) / (2 * eps)
+            fd = (lyap.integral_L(params, s + bump)
+                  - lyap.integral_L(params, s - bump)) / (2 * eps)
             assert fd == pytest.approx(u[i], abs=1e-6)
 
 
@@ -85,12 +158,11 @@ def test_integral_midpoint_convexity():
     for seed in range(10):
         rng = np.random.default_rng(seed + 29)
         params = ctl.transform_params(ctl.init_raw_params(2, 4, rng))
-        table = lyap.build_integral_table(params)
         a = rng.uniform(-3.0, 3.0, 2)
         b = rng.uniform(-3.0, 3.0, 2)
-        mid = lyap.integral_L(params, 0.5 * (a + b), table)
-        assert mid <= 0.5 * lyap.integral_L(params, a, table) \
-            + 0.5 * lyap.integral_L(params, b, table) + 1e-12
+        mid = lyap.integral_L(params, 0.5 * (a + b))
+        assert mid <= 0.5 * lyap.integral_L(params, a) \
+            + 0.5 * lyap.integral_L(params, b) + 1e-12
 
 
 def test_integral_batched():
@@ -131,7 +203,6 @@ def test_W_positive_near_equilibrium():
 
 def test_W_dot_matches_directional_derivative():
     net, costs, params, p, eq = dai_setup()
-    table = lyap.build_integral_table(params)
     deltas, omegas, ss = lyap.sample_region_states(net, eq, 12, seed=5)
     eps = 1e-6
     for k in range(12):
@@ -143,10 +214,10 @@ def test_W_dot_matches_directional_derivative():
         f = dyn.derivatives(net, costs, params, state.stack(), p)[0]
         wp = lyap.lyap_W(net, params,
                          (delta + eps * f[0], omega + eps * f[1], s + eps * f[2]),
-                         eq, table)
+                         eq)
         wm = lyap.lyap_W(net, params,
                          (delta - eps * f[0], omega - eps * f[1], s - eps * f[2]),
-                         eq, table)
+                         eq)
         directional = (wp - wm) / (2 * eps)
         analytic = lyap.lyap_W_dot(net, costs, params, state, eq)
         assert abs(directional - analytic) < 1e-5 * max(1.0, abs(analytic))

@@ -86,6 +86,24 @@ def test_nadir_term_is_peak_frequency_magnitude():
     assert loss == pytest.approx(float(peak.sum()), abs=1e-14)
 
 
+def test_rollout_peak_memory_is_about_one_tape():
+    # the nadir search keeps a running per-bus maximum in the step loop, so
+    # nothing the size of the omega_g track is made beside the tape
+    net = nine_bus()
+    costs = cm.power_costs(4, np.linspace(0.7, 1.5, net.n))
+    raw = ctl.init_raw_params(net.n, 3, np.random.default_rng(2))
+    cfg = TrainConfig(d=3, h=1e-3, T=0.5, batch_size=50, seed=0)
+    p = np.random.default_rng(3).uniform(-0.5, 0.5, (cfg.batch_size, net.n))
+    tracemalloc.start()
+    try:
+        _, tape = trn.rollout_loss(net, costs, raw, p, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tape_bytes = tape.theta.nbytes + tape.omega_g.nbytes + tape.s.nbytes
+    assert peak < 1.1 * tape_bytes, (peak, tape_bytes)
+
+
 def test_backprop_matches_finite_differences():
     # unbounded policies over 4 ms, then saturation bounds and a deadband
     # over 16 ms: the integral states reach about 1e-3 by then, so bounds of
@@ -228,9 +246,8 @@ def test_train_respects_saturation_bounds():
 
 
 def test_train_frees_the_previous_tape_before_the_next_rollout():
-    # a 42 MB tape against a block of the backward sweep of about 4 MB and
-    # the rollout's nadir search over the omega_g track (0.3 tapes); with
-    # two tapes alive at once the peak would pass two tapes
+    # a 42 MB tape against a block of the backward sweep of about 4 MB;
+    # with two tapes alive at once the peak would pass two tapes
     net = nine_bus()
     costs = cm.power_costs(4, np.linspace(0.7, 1.5, net.n))
     cfg = TrainConfig(d=3, h=1e-3, T=1.0, batch_size=250, epochs=2, lr=0.05,
