@@ -252,19 +252,23 @@ class _Tables:
         return (self.off + self._count(xe, 0, above),
                 self.off + self._count(xe, 1, below))
 
+    def rows(self, ip, im):
+        """(K, -C) of g = K x' - C, summed over both sides' table rows."""
+        pair = self.plus.take(ip, axis=0)
+        pair += self.minus.take(im, axis=0)
+        return pair[..., 0], pair[..., 1]
+
     def value(self, xe, ip, im):
         """The unclamped g = f_plus + f_minus at x' from its table rows."""
-        pair = self.plus.take(ip, axis=0)
-        pair += self.minus.take(im, axis=0)
-        return pair[..., 0] * xe + pair[..., 1]
+        k, c = self.rows(ip, im)
+        return k * xe + c
 
     def antiderivative(self, xe, ip, im):
-        """G(x') = K x'^2 / 2 - C x' + E from the rows of `value`, so that
-        G' = g: k max(0, x' - b) integrates to k (x' - b)^2 / 2."""
-        pair = self.plus.take(ip, axis=0)
-        pair += self.minus.take(im, axis=0)
-        return ((0.5 * pair[..., 0] * xe + pair[..., 1]) * xe
-                + self.E_p.take(ip) + self.E_m.take(im))
+        """(g, G) at x' from one gather of `value`'s rows; G = K x'^2 / 2 - C x'
+        + E, so G' = g (k max(0, x' - b) integrates to k (x' - b)^2 / 2)."""
+        k, c = self.rows(ip, im)
+        kx = k * xe
+        return kx + c, (0.5 * kx + c) * xe + self.E_p.take(ip) + self.E_m.take(im)
 
     def unclamped(self, x):
         """g = f_plus + f_minus at x (float array, last axis against n)."""

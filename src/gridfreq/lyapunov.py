@@ -57,9 +57,12 @@ def _crossings(params: NetParams):
     """(x_lo, x_hi): where each bus's unclamped policy g meets u_lo and u_hi.
 
     g is linear between its breakpoints, sorted and padded by one point
-    beyond each end, and along the end segments extended; on a flat segment
-    the crossing is its first node, and an infinite bound is its own.  A
-    clamped bus whose g falls raises, unless validate_params accepts the
+    beyond each end; each bound meets the segment's line k x' + c from the
+    tables, which stays exact on the near-flat end segments where node
+    differences of g are all roundoff.  On a segment whose slope is below
+    1e-300 the crossing is its first node; an infinite bound met on a rising
+    end segment is its own crossing, and so are both on unclamped buses.
+    A clamped bus whose g falls raises, unless validate_params accepts the
     policy within its roundoff allowance.
     """
     t = params._tables
@@ -67,16 +70,17 @@ def _crossings(params: NetParams):
     x = np.concatenate([x[:, :1] - 1.0, x, x[:, -1:] + 1.0], axis=1).T
     g = t.value(x, *t.index(x))                              # (2d + 2, n)
     bounds = np.stack([params.u_lo, params.u_hi])
-    bad = np.isfinite(bounds).any(axis=0) & (np.diff(g, axis=0).min(axis=0) < 0.0)
+    clamped = np.isfinite(bounds).any(axis=0)
+    bad = clamped & (np.diff(g, axis=0).min(axis=0) < 0.0)
     if bad.any() and not validate_params(params, warn=False):
         raise LyapunovError(f"bus {int(np.argmax(bad))}: clamped policy is not "
                             f"monotone, so L(s) has no closed form")
     j = np.clip(np.sum(g[:, None] < bounds, axis=0), 1, len(x) - 1)
     bus = np.arange(params.n)
-    x0, g0 = x[j - 1, bus], g[j - 1, bus]
-    dg = g[j, bus] - g0
-    frac = np.divide(bounds - g0, dg, out=np.zeros_like(dg), where=dg > 0)
-    return np.where(np.isfinite(bounds), x0 + frac * (x[j, bus] - x0), bounds)
+    x0 = x[j - 1, bus]
+    k, c = t.rows(*t.index(0.5 * (x0 + x[j, bus])))    # g = k x' + c there
+    rises = k >= 1e-300         # flatter: the crossing may lie past the floats
+    return np.where(clamped, np.divide(bounds - c, k, out=x0, where=rises), bounds)
 
 
 def integral_per_bus(params: NetParams, s):
@@ -94,9 +98,9 @@ def integral_per_bus(params: NetParams, s):
 
     def tangent(xe):
         xc = np.clip(xe, x_lo, x_hi)
-        ip, im = t.index(xc)
-        u = t.clamp(t.value(xc, ip, im))
-        return t.antiderivative(xc, ip, im) - u * xc, u
+        g, big_g = t.antiderivative(xc, *t.index(xc))
+        u = t.clamp(g)
+        return big_g - u * xc, u
 
     xe = t.shift(s)
     a_s, u_s = tangent(xe)
@@ -114,19 +118,17 @@ def integral_L(controllers: NetParams, s):
 # --------------------------------------------------------------------------
 
 def _unpack(state):
-    """(delta, omega, s) of a SystemState or a triple, as float arrays; s
-    may be None."""
+    """(delta, omega, s) of a SystemState or a triple as float arrays (s may be None)."""
     if isinstance(state, SystemState):
         state = state.delta, state.omega, state.s
     return tuple(None if a is None else np.asarray(a, dtype=float) for a in state)
 
 
-def _potential_bregman(net, delta, eq):
-    """Bregman divergence of the network potential at delta against delta*,
-    and the equilibrium flows (the potential's gradient at delta*)."""
-    flows_star = power_flows(net, eq.delta_star)
+def _potential_bregman(net, delta, eq, flows_star):
+    """Bregman divergence of the network potential at delta against delta*;
+    flows_star, the equilibrium flows, is the potential's gradient there."""
     return (potential_energy(net, delta) - potential_energy(net, eq.delta_star)
-            - np.sum(flows_star * (delta - eq.delta_star), axis=-1)), flows_star
+            - np.sum(flows_star * (delta - eq.delta_star), axis=-1))
 
 
 def lyap_W(net: PowerNetwork, controllers: NetParams, state, eq: Equilibrium):
@@ -139,9 +141,8 @@ def lyap_W(net: PowerNetwork, controllers: NetParams, state, eq: Equilibrium):
     """
     delta, omega, s = _unpack(state)
     kinetic = np.pi * net.f0 * np.sum(net.m * omega[..., net.gens] ** 2, axis=-1)
-    breg_u = _potential_bregman(net, delta, eq)[0]
-    l_star = integral_L(controllers, eq.s_star)
-    breg_l = (integral_L(controllers, s) - l_star
+    breg_u = _potential_bregman(net, delta, eq, power_flows(net, eq.delta_star))
+    breg_l = (integral_L(controllers, s) - integral_L(controllers, eq.s_star)
               - np.sum(eq.u_star * (s - eq.s_star), axis=-1))
     return kinetic + breg_u + breg_l
 
@@ -162,10 +163,9 @@ def lyap_W_dot(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     damping = two_pi_f0 * np.sum(net.alpha[net.gens] * omega[..., net.gens] ** 2,
                                  axis=-1)
     cross = scaled_laplacian_bilinear(net, costs.zeta, u, mc)
-    flows = power_flows(net, delta)
-    flows_star = power_flows(net, eq.delta_star)
+    x, _ = _primary_mismatch(net, delta, omega, eq)
     ll = net.loads
-    w = (flows[..., ll] - flows_star[..., ll]) - (u[..., ll] - eq.u_star[ll])
+    w = x[..., ll] - (u[..., ll] - eq.u_star[ll])
     bracket = two_pi_f0 * np.sum(w ** 2 / net.alpha[ll], axis=-1)
     return -damping - cross - bracket
 
@@ -192,11 +192,12 @@ def cross_term(net: PowerNetwork, costs: CostModel, controllers: NetParams, s):
 # primary-mode energy function
 # --------------------------------------------------------------------------
 
-def _primary_mismatch(net, delta, omega, eq):
-    """x = flow mismatch, y = frequency mismatch, both batched."""
-    x = power_flows(net, delta) - power_flows(net, eq.delta_star)
-    y = omega - eq.omega_star
-    return x, y
+def _primary_mismatch(net, delta, omega, eq, flows_star=None):
+    """x = flow mismatch, y = frequency mismatch, both batched; flows_star,
+    the equilibrium flows, is computed unless given."""
+    if flows_star is None:
+        flows_star = power_flows(net, eq.delta_star)
+    return power_flows(net, delta) - flows_star, omega - eq.omega_star
 
 
 def lyap_V(net: PowerNetwork, state, eq: Equilibrium, epsilon,
@@ -204,11 +205,11 @@ def lyap_V(net: PowerNetwork, state, eq: Equilibrium, epsilon,
     """Primary-mode energy: kinetic + potential Bregman + epsilon cross term."""
     delta, omega, _ = _unpack(state)
     m = full_inertia(net, load_inertia)
-    y = omega - eq.omega_star
+    flows_star = power_flows(net, eq.delta_star)
+    x, y = _primary_mismatch(net, delta, omega, eq, flows_star)
     kinetic = 0.5 * np.sum(m * y ** 2, axis=-1)
-    w_p, flows_star = _potential_bregman(net, delta, eq)
-    x = power_flows(net, delta) - flows_star          # flow mismatch
-    return kinetic + w_p + epsilon * np.sum(x * m * y, axis=-1)
+    return (kinetic + _potential_bregman(net, delta, eq, flows_star)
+            + epsilon * np.sum(x * m * y, axis=-1))
 
 
 def lyap_V_dot(net: PowerNetwork, controllers: NetParams, state,
@@ -376,7 +377,7 @@ def epsilon_and_c_search(net: PowerNetwork, eq: Equilibrium, grid=None,
     # singular values of the factor keep the small eigenvalue to ~1e-15
     lam_min = float(np.min(np.linalg.svd(low, compute_uv=False)[..., -1]) ** 2)
 
-    x = power_flows(net, deltas) - power_flows(net, eq.delta_star)
+    x, _ = _primary_mismatch(net, deltas, omegas, eq)
     dd = deltas - eq.delta_star
     dd_norm2 = np.sum(dd ** 2, axis=-1)
     keep = dd_norm2 > 1e-16
@@ -461,7 +462,6 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         wdot = lyap_V_dot(net, controllers, (traj.delta, traj.omega, None),
                           eq, epsilon, load_inertia)
         cross_min = None
-        min_pivot = None
     elif traj.mode in ("dai_general", "unknown"):
         w = lyap_W(net, controllers, (traj.delta, traj.omega, traj.s), eq)
         wdot = lyap_W_dot(net, costs, controllers,
@@ -469,7 +469,6 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         cross = scaled_laplacian_bilinear(net, costs.zeta,
                                           traj.u, costs.grad(traj.u))
         cross_min = float(np.min(cross))
-        min_pivot = None
         epsilon = None
     else:
         raise LyapunovError(f"cannot certify mode {traj.mode!r}")
@@ -518,7 +517,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         cross_min=cross_min,
         positivity_min=float(np.min(w)),
         fd_rel_err_max=fd_rel_err_max,
-        epsilon=epsilon, min_pivot=min_pivot,
+        epsilon=epsilon, min_pivot=None,
         passed=passed,
         first_violation=(None if passed else int(first)),
         failures=tuple(failures),

@@ -80,6 +80,22 @@ def test_integral_matches_trapezoid_oracle():
             for i in range(3):
                 oracle = _trapezoid_integral(params, i, s0)
                 assert got[i] == pytest.approx(oracle, abs=5e-7)
+    # one bound infinite and the other never reached, past a flat end
+    # segment: bus 0 is min(x, 0) under u_lo = 0.5, bus 1 max(x, 0) under
+    # u_hi = -0.5, so u is the finite bound everywhere; bus 2 is bus 0 with
+    # a subnormal slope under u_hi = -1, whose crossing overflows a float
+    flat = ctl.NetParams(k_plus=np.array([[0.0], [1.0], [0.0]]),
+                         b_plus=np.zeros((3, 1)),
+                         k_minus=np.array([[-1.0], [0.0], [-4e-318]]),
+                         b_minus=np.zeros((3, 1)),
+                         u_lo=np.array([0.5, -np.inf, -np.inf]),
+                         u_hi=np.array([np.inf, -0.5, -1.0]))
+    for s0 in (-2.0, -0.5, 0.7, 3.0):
+        got = lyap.integral_per_bus(flat, np.full(3, s0))
+        assert np.allclose(got, [0.5 * s0, -0.5 * s0, -s0], rtol=0.0, atol=1e-14)
+        for i in range(3):
+            oracle = _trapezoid_integral(flat, i, s0)
+            assert got[i] == pytest.approx(oracle, abs=5e-7)
 
 
 def test_integral_rejects_a_saturated_nonmonotone_bus():
