@@ -136,6 +136,18 @@ def _add_common(sub, with_costs=True):
         sub.add_argument("--cost-r", type=int, default=4)
 
 
+def _add_scenario(sub, integrator_default, help=None):
+    """The flags that _simulate_from_args reads."""
+    _add_common(sub)
+    sub.add_argument("--p", required=True)
+    sub.add_argument("--mode", default="dai_general", choices=dynamics.MODES)
+    sub.add_argument("--checkpoint", default=None)
+    sub.add_argument("--T", type=float, default=40.0)
+    sub.add_argument("--h", type=float, default=5e-4)
+    sub.add_argument("--integrator", default=integrator_default,
+                     choices=dynamics.STEPPERS, help=help)
+
+
 # --------------------------------------------------------------------------
 # SVG emission
 # --------------------------------------------------------------------------
@@ -257,32 +269,30 @@ def _cmd_equilibrium(args):
     return 0
 
 
-def _scenario_from_args(net, args):
-    p = _load_disturbance(net, args.p)
-    return dynamics.Scenario(p=p, T=args.T, h=args.h, mode=args.mode)
-
-
-def _check_step(net, costs, params, scenario, args):
-    """Refuse a step size beyond the integrator's stability limit before
-    integrating: an unstable step would read as a blow-up or, in certify,
-    as a failed energy-decrease check."""
+def _simulate_from_args(args):
+    """(net, costs, params, scenario, trajectory) of the scenario the flags
+    name; costs are None in primary mode.  A step size beyond the
+    integrator's stability limit is refused before integrating: an unstable
+    step would read as a blow-up or, in certify, as a failed energy-decrease
+    check."""
+    net = network.load_network(args.net)
+    costs = _load_costs(net, args) if args.mode != "primary" else None
+    params = _load_controllers(net, args)
+    scenario = dynamics.Scenario(p=_load_disturbance(net, args.p), T=args.T,
+                                 h=args.h, mode=args.mode)
     limit = dynamics.max_stable_step(net, costs, params, scenario, args.integrator)
     if args.h > limit:
         raise dynamics.DynamicsError(
             f"--h {args.h:g} exceeds the {args.integrator} stability limit "
             f"h <= {limit:.3g} s of the closed loop linearized at the initial "
             f"state")
+    traj = dynamics.simulate(scenario, net, costs, params,
+                             stepper=dynamics.STEPPERS[args.integrator])
+    return net, costs, params, scenario, traj
 
 
 def _cmd_simulate(args):
-    net = network.load_network(args.net)
-    costs = _load_costs(net, args) if args.mode != "primary" else None
-    params = _load_controllers(net, args)
-    scenario = _scenario_from_args(net, args)
-    _check_step(net, costs, params, scenario, args)
-    traj = dynamics.simulate(scenario, net, costs, params,
-                             stepper=dynamics.STEPPERS[args.integrator])
-
+    net, costs, params, scenario, traj = _simulate_from_args(args)
     if args.lyapunov:
         if args.mode == "primary":
             eq = eq_mod.solve_equilibrium(net, None, params, scenario.p,
@@ -310,13 +320,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_certify(args):
-    net = network.load_network(args.net)
-    costs = _load_costs(net, args) if args.mode != "primary" else None
-    params = _load_controllers(net, args)
-    scenario = _scenario_from_args(net, args)
-    _check_step(net, costs, params, scenario, args)
-    traj = dynamics.simulate(scenario, net, costs, params,
-                             stepper=dynamics.STEPPERS[args.integrator])
+    net, costs, params, scenario, traj = _simulate_from_args(args)
     eq = eq_mod.solve_equilibrium(net, costs, params, scenario.p, mode=args.mode)
     tol = lyapunov.CertifyTolerances(tol_abs=args.tol_abs, tol_rel=args.tol_rel,
                                      fd_rtol=args.fd_rtol)
@@ -539,27 +543,15 @@ def build_parser():
     eq.set_defaults(func=_cmd_equilibrium)
 
     sim = sub.add_parser("simulate", help="integrate a disturbance scenario")
-    _add_common(sim)
-    sim.add_argument("--p", required=True)
-    sim.add_argument("--mode", default="dai_general", choices=dynamics.MODES)
-    sim.add_argument("--checkpoint", default=None)
-    sim.add_argument("--T", type=float, default=40.0)
-    sim.add_argument("--h", type=float, default=5e-4)
-    sim.add_argument("--integrator", default="euler", choices=dynamics.STEPPERS)
+    _add_scenario(sim, "euler")
     sim.add_argument("--lyapunov", action="store_true",
                      help="fill the W column (needs a solvable equilibrium)")
     sim.add_argument("--out", default="trajectory.csv")
     sim.set_defaults(func=_cmd_simulate)
 
     cert = sub.add_parser("certify", help="energy-decrease certification")
-    _add_common(cert)
-    cert.add_argument("--p", required=True)
-    cert.add_argument("--mode", default="dai_general", choices=dynamics.MODES)
-    cert.add_argument("--checkpoint", default=None)
-    cert.add_argument("--T", type=float, default=40.0)
-    cert.add_argument("--h", type=float, default=5e-4)
-    cert.add_argument("--integrator", default="rk4", choices=dynamics.STEPPERS,
-                      help="rk4 keeps discretization error inside the slack")
+    _add_scenario(cert, "rk4",
+                  help="rk4 keeps discretization error inside the slack")
     cert.add_argument("--tol-abs", type=float, default=1e-9)
     cert.add_argument("--tol-rel", type=float, default=0.05)
     cert.add_argument("--fd-rtol", type=float, default=None)

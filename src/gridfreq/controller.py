@@ -115,7 +115,8 @@ class NetParams:
     @cached_property
     def _tables(self):
         """Evaluation tables, built on first use; the table arrays are
-        read-only from then on (only the tiled breakpoint copy grows)."""
+        read-only from then on (only the tiled breakpoint copy grows, and
+        `nodes` is built on first use)."""
         return _Tables(self)
 
 
@@ -173,6 +174,7 @@ class _Tables:
     first entries times x' plus their second entries.  E_p and E_m (minus
     side negated) hold E of the antiderivative in their own arrays, so
     `value` gathers two columns.  Counts are summed as uint8 while d < 256.
+    `inverse` solves g(x') = y on these rows between the `nodes`.
     """
 
     def __init__(self, params: NetParams):
@@ -284,6 +286,26 @@ class _Tables:
         if self.shifted:
             slope = slope * ((x >= self.dz) | (x < -self.dz))
         return slope
+
+    @cached_property
+    def nodes(self):
+        """(x, g): both sides' breakpoints sorted and padded by one point
+        beyond each end, shape (2d + 2, n), and the unclamped g there."""
+        x = np.sort(np.concatenate([self.sorted_p, self.sorted_m], axis=1), axis=1)
+        x = np.concatenate([x[:, :1] - 1.0, x, x[:, -1:] + 1.0], axis=1).T
+        return x, self.value(x, *self.index(x))
+
+    def inverse(self, y):
+        """x' where a nondecreasing g meets y (k, n): on the line k x' + c of
+        the segment ending at the first node where g >= y (the end segments
+        extend to infinity), or its first node if its slope is below 1e-300."""
+        x, g = self.nodes
+        j = np.clip(np.sum(g[:, None] < y, axis=0), 1, len(x) - 1)
+        bus = np.arange(len(self.off))
+        x0 = x[j - 1, bus]
+        k, c = self.rows(*self.index(0.5 * (x0 + x[j, bus])))
+        # flatter: the crossing may lie past the floats
+        return np.divide(y - c, k, out=x0, where=k >= 1e-300)
 
     def clamp(self, g):
         return np.clip(g, self.u_lo, self.u_hi) if self.clamped else g

@@ -47,6 +47,8 @@ class CostModel:
         if np.any(np.asarray(self.c) <= 0):
             raise CostError("cost coefficients must be strictly positive "
                             "(strict convexity)")
+        if self.family == "shifted_common" and np.any(np.asarray(self.c) != 1.0):
+            raise CostError("shifted_common family requires c = 1 on every bus")
 
     @property
     def n(self):
@@ -54,9 +56,8 @@ class CostModel:
 
     @cached_property
     def zeta(self):
-        """Per-bus scaling in C_i'(u) = C_o'(zeta_i u)."""
-        if self.family == "shifted_common":
-            return np.ones(self.n)
+        """Per-bus scaling in C_i'(u) = C_o'(zeta_i u) (ones for
+        shifted_common, whose c is all ones)."""
         return self.c ** (1.0 / (self.r - 1))
 
     def values(self, u):
@@ -114,13 +115,11 @@ def _bisect_increasing(f, target, tol=BISECT_TOL, limit=BRACKET_LIMIT,
 
     Stops on |f(x) - target| < tol, falling back to float-resolution stall
     (the midpoint stops moving) when the local slope makes that unreachable.
-    An array of targets is solved elementwise in one pass (_bisect_each).
+    An array of targets is solved one element at a time.
     """
     if np.ndim(target) > 0:
-        root, exhausted = _bisect_each(f, target, tol, limit)
-        if exhausted.any():
-            raise CostError(exhausted_msg)
-        return root
+        return np.array([_bisect_increasing(f, t, tol, limit, exhausted_msg)
+                         for t in np.ravel(target).tolist()]).reshape(np.shape(target))
     lo, hi = -1.0, 1.0
     while f(hi) < target:
         hi *= 2.0
@@ -144,39 +143,6 @@ def _bisect_increasing(f, target, tol=BISECT_TOL, limit=BRACKET_LIMIT,
             return nxt
         mid = nxt
     return mid
-
-
-def _bisect_each(f, target, tol=BISECT_TOL, limit=BRACKET_LIMIT):
-    """_bisect_increasing on every element of an array of targets at once.
-
-    f maps an array of points to the values there, elementwise.  Each
-    element takes the scalar path's bracket doublings, midpoints and stops,
-    and is frozen once it is done.  Returns the roots and the mask of the
-    targets whose bracket ran past the limit (their roots mean nothing).
-    """
-    target = np.asarray(target, dtype=float)
-    lo, hi = np.full(target.shape, -1.0), np.full(target.shape, 1.0)
-    exhausted = np.zeros(target.shape, dtype=bool)
-    for end, sign in ((hi, 1.0), (lo, -1.0)):
-        grow = ~exhausted & (sign * f(end) < sign * target)
-        while grow.any():
-            end[grow] *= 2.0
-            exhausted |= grow & (sign * end > limit)
-            grow &= ~exhausted & (sign * f(end) < sign * target)
-    mid = 0.5 * (lo + hi)
-    live = np.ones(target.shape, dtype=bool)
-    for _ in range(400):
-        res = f(mid) - target
-        live &= ~(np.abs(res) < tol)
-        below = res < 0
-        lo = np.where(live & below, mid, lo)
-        hi = np.where(live & ~below, mid, hi)
-        nxt = 0.5 * (lo + hi)
-        mid = np.where(live, nxt, mid)
-        live &= (nxt != lo) & (nxt != hi)
-        if not live.any():
-            break
-    return mid, exhausted
 
 
 def power_costs(r, c, b=None) -> CostModel:

@@ -5,8 +5,9 @@ equilibrium is fully determined by the aggregate disturbance: a common
 marginal-cost level gamma splits the burden -sum(p) across buses in inverse
 proportion to their cost scalings, the network angles then solve a lossless
 power flow for those injections, and each integral state is read off the
-controller's inverse.  The open-loop (or droop-controlled) counterpart is a
-single scalar balance giving the synchronous frequency deviation.
+controller's inverse, in closed form from its tables.  The open-loop (or
+droop-controlled) counterpart is a single scalar balance, solved by
+bisection, giving the synchronous frequency deviation.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import NetParams, eval_u
-from .costs import CostModel, _bisect_each, _bisect_increasing
+from .controller import NetParams, eval_u, lipschitz_constant
+from .costs import CostModel, _bisect_increasing
 from .network import (PowerNetwork, edge_angle_spread, flow_jacobian,
                       power_flows, to_center_of_inertia)
 
@@ -114,28 +115,27 @@ def newton_power_flow(net: PowerNetwork, injections, guess=None) -> np.ndarray:
 def solve_s_star(params: NetParams, u_star, bus_ids=None) -> np.ndarray:
     """Integral states mapping through the controllers to the target u*.
 
-    Each bus is a scalar monotone inversion of eval_u (piecewise linear,
-    nondecreasing) to hit u*_i; the policies are separable, so one bisection
-    over the vector of buses with u*_i != 0 serves them all.  A target beyond
-    the saturation bounds, or beyond the policy's actual range, cannot be
-    realized by any s; the lowest-index such bus is reported.
+    Each policy is monotone and piecewise linear, so s*_i is one linear
+    solve on the segment where bus i's unclamped policy meets u*_i (the
+    tables' inverse), moved out of the deadband; s*_i = 0 wherever u_i(0)
+    is u*_i already (u*_i = 0, or a saturation bound that u_i(0) sits at).
+    A target beyond the saturation bounds cannot be realized by any s, nor
+    can one the policy does not reach: |s*_i| > 1e9, or u(s*) off u* by
+    more than 1e-14 (max(1, |u*|) + L |s*|), L the steepest slope (a flat
+    tail short of u*, or a policy that is not monotone).  The lowest-index
+    failing bus is reported.
     """
     u_star = np.asarray(u_star, dtype=float)
-    n = params.n
-    ids = bus_ids if bus_ids is not None else list(range(n))
-    live = u_star != 0.0
-    outside = live & ((u_star > params.u_hi) | (u_star < params.u_lo))
-    solve = np.flatnonzero(live & ~outside)
-
-    def u_of_s(s):
-        x = np.zeros(n)
-        x[solve] = s
-        return eval_u(params, x)[solve]
-
-    s_star = np.zeros(n)
-    s_star[solve], unreachable = _bisect_each(u_of_s, u_star[solve], limit=1e9)
-    failed = outside.copy()
-    failed[solve[unreachable]] = True
+    ids = bus_ids if bus_ids is not None else list(range(params.n))
+    xe = np.where(eval_u(params, np.zeros(params.n)) == u_star, 0.0,
+                  params._tables.inverse(u_star[None])[0])
+    s_star = xe + np.sign(xe) * params.dz
+    outside = (u_star > params.u_hi) | (u_star < params.u_lo)
+    # u(s*) carries the rounding of s*, times the slope
+    tol = 1e-14 * (np.maximum(1.0, np.abs(u_star))
+                   + lipschitz_constant(params) * np.abs(s_star))
+    failed = outside | ~(np.abs(s_star) <= 1e9) \
+        | ~(np.abs(eval_u(params, s_star) - u_star) <= tol)
     if failed.any():
         i = np.flatnonzero(failed)[0]
         why = (f"not within [{params.u_lo[i]:.6g}, {params.u_hi[i]:.6g}]"

@@ -56,31 +56,21 @@ class LyapunovError(ValueError):
 def _crossings(params: NetParams):
     """(x_lo, x_hi): where each bus's unclamped policy g meets u_lo and u_hi.
 
-    g is linear between its breakpoints, sorted and padded by one point
-    beyond each end; each bound meets the segment's line k x' + c from the
-    tables, which stays exact on the near-flat end segments where node
-    differences of g are all roundoff.  On a segment whose slope is below
-    1e-300 the crossing is its first node; an infinite bound met on a rising
-    end segment is its own crossing, and so are both on unclamped buses.
-    A clamped bus whose g falls raises, unless validate_params accepts the
-    policy within its roundoff allowance.
+    The tables' inverse solves each bound on the line k x' + c of the
+    segment of g that meets it, which stays exact on the near-flat end
+    segments where node differences of g are all roundoff; an infinite bound
+    met on a rising end segment is its own crossing, and so are both on
+    unclamped buses.  A clamped bus whose g falls raises, unless
+    validate_params accepts the policy within its roundoff allowance.
     """
     t = params._tables
-    x = np.sort(np.concatenate([t.sorted_p, t.sorted_m], axis=1), axis=1)
-    x = np.concatenate([x[:, :1] - 1.0, x, x[:, -1:] + 1.0], axis=1).T
-    g = t.value(x, *t.index(x))                              # (2d + 2, n)
     bounds = np.stack([params.u_lo, params.u_hi])
     clamped = np.isfinite(bounds).any(axis=0)
-    bad = clamped & (np.diff(g, axis=0).min(axis=0) < 0.0)
+    bad = clamped & (np.diff(t.nodes[1], axis=0).min(axis=0) < 0.0)
     if bad.any() and not validate_params(params, warn=False):
         raise LyapunovError(f"bus {int(np.argmax(bad))}: clamped policy is not "
                             f"monotone, so L(s) has no closed form")
-    j = np.clip(np.sum(g[:, None] < bounds, axis=0), 1, len(x) - 1)
-    bus = np.arange(params.n)
-    x0 = x[j - 1, bus]
-    k, c = t.rows(*t.index(0.5 * (x0 + x[j, bus])))    # g = k x' + c there
-    rises = k >= 1e-300         # flatter: the crossing may lie past the floats
-    return np.where(clamped, np.divide(bounds - c, k, out=x0, where=rises), bounds)
+    return np.where(clamped, t.inverse(bounds), bounds)
 
 
 def integral_per_bus(params: NetParams, s):
@@ -418,7 +408,6 @@ class CertificationReport:
     positivity_min: float
     fd_rel_err_max: float
     epsilon: float
-    min_pivot: float
     passed: bool
     first_violation: int
     failures: tuple
@@ -517,7 +506,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         cross_min=cross_min,
         positivity_min=float(np.min(w)),
         fd_rel_err_max=fd_rel_err_max,
-        epsilon=epsilon, min_pivot=None,
+        epsilon=epsilon,
         passed=passed,
         first_violation=(None if passed else int(first)),
         failures=tuple(failures),

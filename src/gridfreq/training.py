@@ -30,7 +30,7 @@ provided and wired into the test suite and the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

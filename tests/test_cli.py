@@ -112,6 +112,17 @@ def test_domain_error_returns_one(tmp_path, net2_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_shifted_common_costs_with_unequal_c_return_one(tmp_path, net2_file,
+                                                       capsys):
+    # the family's zeta is all ones, so c != 1 would spread the marginals
+    costs = write_json(tmp_path / "costs.json",
+                       {"family": "shifted_common", "r": 4, "c": [1.0, 1.1]})
+    code = main(["equilibrium", "--net", net2_file, "--costs", costs,
+                 "--p", "[0.2, -0.4]", "--outdir", str(tmp_path)])
+    assert code == 1
+    assert "requires c = 1" in capsys.readouterr().err
+
+
 def test_missing_network_file_returns_one(tmp_path, capsys):
     code = main(["equilibrium", "--net", str(tmp_path / "nope.json"),
                  "--p", "[0.0]", "--outdir", str(tmp_path)])

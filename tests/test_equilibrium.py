@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
 from gridfreq import costs as cm
@@ -8,6 +12,7 @@ from gridfreq.equilibrium import EquilibriumError
 from gridfreq.network import power_flows
 
 from conftest import three_bus, two_bus, random_connected_net
+from test_lyapunov import monotone_policies
 
 
 def test_gamma_closed_form_quartic():
@@ -126,6 +131,25 @@ def test_solve_s_star_saturation_unreachable():
         eqm.solve_s_star(params, np.array([0.8, 0.0]), bus_ids=[10, 11])
 
 
+def test_solve_s_star_is_zero_where_u_of_zero_is_u_star():
+    # u* = 0 beyond the bounds is refused, not read off s = 0
+    with pytest.raises(EquilibriumError,
+                       match=r"at bus 0: u\* = 0 not within \[0.1, inf\]"):
+        eqm.solve_s_star(ctl.identity_params(1, u_lo=0.1), [0.0])
+    # u(0) = u* at 0 inside the bounds, and at the bound u_lo = 1 that
+    # u(0) sits at, though g (slope 1e-12) reaches it only at s = 1e12
+    params = ctl.scaled_identity_params([1.0, 1e-12], u_lo=[-0.1, 1.0])
+    assert np.array_equal(eqm.solve_s_star(params, [0.0, 1.0]), [0.0, 0.0])
+
+
+def test_solve_s_star_reaches_a_steep_segment_far_from_zero():
+    # on slope 50 past a deadband of 5, u at the float nearest s* = 5.02
+    # misses u* = 1 by 2e-14, as close as any float s comes: not unreachable
+    params = ctl.scaled_identity_params([50.0, 3.0], dz=[5.0, 1000.0])
+    s = eqm.solve_s_star(params, np.array([1.0, 0.37]))
+    assert np.allclose(s, [5.02, 1000.0 + 0.37 / 3.0], rtol=1e-15, atol=0)
+
+
 def test_synchronous_frequency_open_loop():
     net = three_bus()
     p = np.array([-0.6, -0.3, 0.15])
@@ -186,10 +210,14 @@ def _oracle_s_star(params, u_star):
     return s_star
 
 
+def _residual(params, s, u_star):
+    return np.abs(ctl.eval_u(params, s) - u_star)
+
+
 @pytest.mark.parametrize("masks", [{}, {"u_lo": -0.6, "u_hi": 0.6},
                                    {"dz": 0.05},
                                    {"u_lo": -0.6, "u_hi": 0.6, "dz": 0.05}])
-def test_solve_s_star_equals_per_bus_bisection_bit_for_bit(masks):
+def test_solve_s_star_matches_per_bus_bisection(masks):
     for seed in range(12):
         rng = np.random.default_rng(seed + 40)
         n = int(rng.integers(2, 9))
@@ -198,12 +226,45 @@ def test_solve_s_star_equals_per_bus_bisection_bit_for_bit(masks):
         u_star[rng.uniform(size=n) < 0.2] = 0.0
         s = eqm.solve_s_star(params, u_star)
         ref = _oracle_s_star(params, u_star)
-        assert np.array_equal(s.view(np.uint64), ref.view(np.uint64)), seed
+        residual = _residual(params, s, u_star)
+        assert np.all(residual <= 1e-14 * np.maximum(1.0, np.abs(u_star))), seed
+        assert np.all(residual <= _residual(params, ref, u_star)), seed
+        # a saturated target is met by every s beyond the crossing
+        free = (u_star > params.u_lo) & (u_star < params.u_hi)
+        assert np.all(np.abs(s - ref)[free] <= 1e-9 * np.abs(ref[free])), seed
+        assert np.all(s[u_star == 0.0] == 0.0), seed
+
+
+@given(monotone_policies(), st.data())
+def test_solve_s_star_meets_u_star_or_names_a_bus_it_cannot_reach(case, data):
+    # targets are u(s) at the drawn s, except on the `free` buses, which
+    # draw any target (beyond the bounds, or past a flat tail, or not)
+    params, s = case
+    n = params.n
+    u_star = ctl.eval_u(params, s)
+    free = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    drawn = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    u_star[free] = np.array(drawn)[free]
+    ids = list(range(10, 10 + n))
+    try:
+        s_star = eqm.solve_s_star(params, u_star, bus_ids=ids)
+    except EquilibriumError as exc:
+        i = ids.index(int(re.search(r"at bus (\d+):", str(exc)).group(1)))
+        assert free[i], str(exc)
+        if "not within" in str(exc):
+            assert not params.u_lo[i] <= u_star[i] <= params.u_hi[i]
+        else:
+            # u is monotone, so u* inside u's range over |s| <= 1e9 is reachable
+            lo, hi = ctl.eval_u(params, np.full((2, n), [[-1e9], [1e9]]))[:, i]
+            assert not lo + 1e-6 < u_star[i] < hi - 1e-6, str(exc)
+    else:
+        residual = _residual(params, s_star, u_star)
+        assert np.all(residual <= 1e-14 * np.maximum(1.0, np.abs(u_star)))
 
 
 def _flat_policies(n, flat):
     """Identity policies except on the `flat` buses, whose slope 1e-12 cannot
-    reach |u| = 0.5 within the bisection's bracket limit of 1e9."""
+    reach |u| = 0.5 within |s| <= 1e9."""
     gains = np.ones(n)
     gains[flat] = 1e-12
     return ctl.scaled_identity_params(gains, u_lo=-1.0, u_hi=1.0)
