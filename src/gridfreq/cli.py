@@ -336,6 +336,15 @@ def _cmd_certify(args):
         with open(path, "w") as fh:
             fh.write(text + "\n")
         outputs.append(path)
+    # the same verdict as JSON, named after the text report
+    stem = os.path.splitext(args.out or "certify.txt")[0]
+    path = os.path.join(outdir, stem + ".json")
+    with open(path, "w") as fh:
+        json.dump({k: getattr(report, k) for k in (
+            "passed", "decrease_margin_min", "cross_min", "positivity_min",
+            "fd_rel_err_max", "epsilon", "first_violation", "failures")},
+            fh, indent=1)
+    outputs.append(path)
     config = {"net": args.net, "p": args.p, "mode": args.mode, "T": args.T,
               "h": args.h, "integrator": args.integrator,
               "tol_abs": args.tol_abs, "tol_rel": args.tol_rel,

@@ -272,6 +272,74 @@ def cholesky_factor(a):
 # region sampling
 # --------------------------------------------------------------------------
 
+# numpy's SeedSequence (O'Neill's seed_seq hash on 32-bit words, pool of 4)
+# and PCG64 seeding (O'Neill, HMC-CS-2014-0905), replayed for many streams
+_MASK32 = np.uint64(0xFFFFFFFF)
+_HASH_A = (0x43B0D7E5, 0x931E8875)      # (initial constant, multiplier)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hasher(init, mult):
+    """seed_seq's hashmix on uint64 arrays of 32-bit words: its constant
+    advances by `mult` on every call, whatever the data."""
+    const = init
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint64(const)
+        const = const * mult & 0xFFFFFFFF
+        v = v * np.uint64(const) & _MASK32
+        return v ^ v >> np.uint64(16)
+    return hashmix
+
+
+def _seed_states(seed, index):
+    """SeedSequence([seed, k]).generate_state(4, np.uint64) for every k of
+    index (each below 2**32), as a (len(index), 4) uint64 array."""
+    words = [seed >> b & 0xFFFFFFFF for b in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, 4), len(index)), dtype=np.uint64)
+    entropy[:len(words)] = np.array(words, dtype=np.uint64)[:, None]
+    entropy[len(words)] = index
+
+    def mix(x, y):
+        r = _MIX_L * x - _MIX_R * y & _MASK32
+        return r ^ r >> np.uint64(16)
+
+    hashmix = _hasher(*_HASH_A)
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:               # seeds of more than three words
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hashmix = _hasher(*_HASH_B)
+    out = [hashmix(pool[i % 4]) for i in range(8)]
+    return np.stack([out[j] | out[j + 1] << np.uint64(32)
+                     for j in range(0, 8, 2)], axis=-1)
+
+
+def _stream_draws(seed, index, m):
+    """np.random.default_rng([seed, k]).random(m) for every k of index,
+    stacked as (len(index), m): each stream's PCG64 state is seeded from its
+    SeedSequence words as PCG64 does, and one reused generator draws it."""
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    out = np.empty((len(index), m))
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, _seed_states(seed, index).tolist()):
+        # srandom: state 0, step, add the seed state, step
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                        "state": {"state": state, "inc": inc}}
+        gen.random(out=row)
+    return out
+
+
 def _box(r, half):
     """Generator.uniform(-half, half) from its raw doubles r, bit for bit:
     numpy computes low + (high - low) * r."""
@@ -283,20 +351,32 @@ def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
                          margin=REGION_MARGIN, base_spread=0.4):
     """Random states around the equilibrium, inside the security region.
 
-    Per-sample RNG is seeded by (seed, index), so any subset of samples is
-    reproducible independently of evaluation order.  Angle perturbations are
-    halved until every edge difference stays in (-pi/2 + margin, pi/2 -
-    margin), falling back to delta* after 64 halvings; frequency and
-    integral offsets are box-uniform.
+    Sample k draws its 3n doubles from np.random.default_rng([seed, k]), so
+    any subset of samples is reproducible independently of evaluation order
+    and a shorter run is a prefix of a longer one.  The streams are not built
+    one generator at a time: the SeedSequence hash of every (seed, k) runs
+    at once on uint32 words, each stream's PCG64 state follows from its hash
+    words as PCG64 seeds itself, and one reused PCG64 draws the doubles.
+    These are the same fixed algorithms numpy runs, so every draw is bit for
+    bit the per-sample generator's.  count and seed must be non-negative
+    integers, count at most 2**32 (one entropy word for k).
+
+    Angle perturbations are halved until every edge difference stays in
+    (-pi/2 + margin, pi/2 - margin), falling back to delta* after 64
+    halvings; frequency and integral offsets are box-uniform.
     Returns (delta, omega, s) stacked as (count, n) arrays.
     """
+    for name, value in (("count", count), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)) or value < 0:
+            raise LyapunovError(f"{name} must be a non-negative integer, "
+                                f"got {value!r}")
+    if count > 2 ** 32:
+        raise LyapunovError(f"count must be at most 2**32, got {count}")
     n = net.n
     limit = np.pi / 2 - margin
     if edge_angle_spread(net, eq.delta_star) >= limit:
         raise LyapunovError("equilibrium itself violates the sampling margin")
-    r = np.empty((count, 3 * n))          # one draw of 3n doubles per sample
-    for k in range(count):
-        r[k] = np.random.default_rng([seed, k]).random(3 * n)
+    r = _stream_draws(int(seed), np.arange(count), 3 * n)   # 3n doubles per sample
     step = to_center_of_inertia(_box(r[:, :n], base_spread))
     # filled in place so it stays C-ordered: its row means then round exactly
     # as those of a single row do

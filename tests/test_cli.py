@@ -383,6 +383,39 @@ def test_certify_failure_returns_one(tmp_path, net3_file, quad3_costs_file,
     assert "certification FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("over, passed", [({}, True),
+                                          ({"--fd-rtol": "1e-15", "--T": "1.0"}, False)])
+def test_certify_writes_json_report_outside_the_hashed_config(
+        tmp_path, net3_file, quad3_costs_file, capsys, over, passed):
+    code = main(certify_args(net3_file, quad3_costs_file, tmp_path, **over))
+    assert code == (0 if passed else 1)
+    text = (tmp_path / "certify.txt").read_text()
+    report = json.loads((tmp_path / "certify.json").read_text())
+    assert set(report) == {"passed", "decrease_margin_min", "cross_min",
+                           "positivity_min", "fd_rel_err_max", "epsilon",
+                           "first_violation", "failures"}
+    assert report["passed"] is passed and report["epsilon"] is None
+    # the text report prints the same numbers to four digits
+    for key, label in (("positivity_min", "min W along trajectory"),
+                       ("decrease_margin_min", "min decrease margin"),
+                       ("cross_min", "min cross term"),
+                       ("fd_rel_err_max", "max |Wdot - FD| rel error")):
+        assert f"{label:<28}: {report[key]:.3e}" in text
+    if passed:
+        assert report["failures"] == [] and report["first_violation"] is None
+    else:
+        assert report["failures"] == ["fd-mismatch"]
+        assert "failed checks               : fd-mismatch" in text
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    assert doc["outputs"] == sorted([str(tmp_path / "certify.txt"),
+                                     str(tmp_path / "certify.json")])
+    # the JSON report adds no config field, so it leaves config_hash alone
+    assert set(doc["config"]) == {"net", "p", "mode", "T", "h", "integrator",
+                                  "tol_abs", "tol_rel", "fd_rtol", "epsilon",
+                                  "checkpoint", "costs"}
+    assert doc["config_hash"] == cli._config_hash(doc["config"])
+
+
 # --------------------------------------------------------------------------
 # train subcommand
 # --------------------------------------------------------------------------

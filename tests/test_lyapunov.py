@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
@@ -11,7 +13,8 @@ from gridfreq import lyapunov as lyap
 from gridfreq.dynamics import Scenario, SystemState
 from gridfreq.equilibrium import Equilibrium
 from gridfreq.lyapunov import LyapunovError
-from gridfreq.network import edge_angle_spread, to_center_of_inertia
+from gridfreq.network import (angle_differences, edge_angle_spread,
+                              to_center_of_inertia)
 
 from conftest import random_connected_net, three_bus, three_bus_gens, two_bus
 from test_controller import relu_oracle
@@ -501,6 +504,74 @@ def test_sample_region_states_rejects_marginal_equilibrium():
                          s_star=None, omega_star=0.0)
     with pytest.raises(LyapunovError, match="violates the sampling margin"):
         lyap.sample_region_states(net, bad_eq, 1, seed=0)
+
+
+@pytest.mark.parametrize("count, seed, match", [
+    (-1, 0, "count must be a non-negative integer"),
+    (2.0, 0, "count must be a non-negative integer"),
+    (np.float64(3), 0, "count must be a non-negative integer"),
+    (2 ** 32 + 1, 0, "count must be at most 2\\*\\*32"),
+    (1, -1, "seed must be a non-negative integer"),
+    (1, 1.0, "seed must be a non-negative integer"),
+    (1, "7", "seed must be a non-negative integer"),
+])
+def test_sample_region_states_rejects_bad_count_or_seed(count, seed, match):
+    net, params, p, eq = primary_setup()
+    with pytest.raises(LyapunovError, match=match):
+        lyap.sample_region_states(net, eq, count, seed=seed)
+
+
+# stream seeds of one to five 32-bit words (four or more take the hash's extra
+# mixing loop) and stream indices at both ends of their one word
+_stream_seeds = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 130]),
+                          st.integers(0, 2 ** 130))
+_stream_indices = st.lists(st.one_of(st.sampled_from([0, 2 ** 32 - 1]),
+                                     st.integers(0, 2 ** 32 - 1)),
+                           min_size=1, max_size=6)
+
+
+@given(_stream_seeds, _stream_indices, st.integers(1, 200))
+@example(0, [0], 1)
+@example(2 ** 32 - 1, [0, 2 ** 32 - 1], 200)
+@example(2 ** 32, [2 ** 32 - 1, 1], 117)
+@example(2 ** 130, [0, 2 ** 32 - 1], 3)
+def test_stream_draws_equal_per_sample_generators(seed, index, m):
+    index = np.array(index, dtype=np.uint64)
+    words = lyap._seed_states(seed, index)
+    draws = lyap._stream_draws(seed, index, m)
+    assert words.dtype == np.uint64 and draws.shape == (len(index), m)
+    for k, w, r in zip(index.tolist(), words, draws):
+        seq = np.random.SeedSequence([seed, k])
+        assert np.array_equal(w, seq.generate_state(4, np.uint64))
+        ref = np.random.default_rng([seed, k]).random(m)
+        assert np.array_equal(r.view(np.uint64), ref.view(np.uint64))
+
+
+@given(st.integers(0, 10 ** 6), st.integers(3, 12), st.integers(0, 2 ** 40),
+       st.integers(1, 40), st.sampled_from([0.4, 3.0, 20.0]),
+       st.floats(1e-3, 1.0), st.floats(1e-3, 5.0), st.booleans())
+def test_sample_region_states_properties_on_random_networks(
+        net_seed, buses, seed, count, spread, omega_range, s_range, with_s):
+    net = random_connected_net(net_seed, buses=buses)
+    rng = np.random.default_rng(net_seed)
+    p = rng.uniform(-0.3, 0.3, net.n)
+    eq = eqm.solve_equilibrium(net, None, ctl.identity_params(n=net.n), p,
+                               mode="primary")
+    if with_s:
+        eq = replace(eq, s_star=rng.uniform(-1.0, 1.0, net.n))
+    limit = np.pi / 2 - lyap.REGION_MARGIN
+    assume(edge_angle_spread(net, eq.delta_star) < limit)
+    kw = dict(base_spread=spread, omega_range=omega_range, s_range=s_range)
+    deltas, omegas, ss = _assert_sampler_matches_loop(net, eq, count, seed, **kw)
+    assert np.all(np.max(np.abs(angle_differences(net, deltas)), axis=-1) < limit)
+    # a box offset and its centre are summed in floats: allow their rounding
+    tol = 4 * np.finfo(float).eps
+    assert np.all(np.abs(omegas - eq.omega_star)
+                  <= omega_range * (1 + tol) + tol * abs(eq.omega_star))
+    s_star = eq.s_star if with_s else 0.0
+    assert np.all(np.abs(ss - s_star) <= s_range * (1 + tol) + tol * np.abs(s_star))
+    scale = np.max(np.abs(deltas), axis=-1)
+    assert np.all(np.abs(deltas.mean(axis=-1)) <= 4 * np.finfo(float).eps * scale)
 
 
 def test_epsilon_search_returns_certifying_point():
