@@ -342,7 +342,8 @@ def _cmd_certify(args):
     with open(path, "w") as fh:
         json.dump({k: getattr(report, k) for k in (
             "passed", "decrease_margin_min", "cross_min", "positivity_min",
-            "fd_rel_err_max", "epsilon", "first_violation", "failures")},
+            "fd_rel_err_max", "epsilon", "first_violation", "failures",
+            "decay_c")},
             fh, indent=1)
     outputs.append(path)
     config = {"net": args.net, "p": args.p, "mode": args.mode, "T": args.T,

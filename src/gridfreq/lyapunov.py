@@ -223,7 +223,7 @@ def lyap_V_dot(net: PowerNetwork, controllers: NetParams, state,
             - epsilon * np.sum(y * hmy, axis=-1))
     if controllers is not None:
         du = eval_u(controllers, omega) - eval_u(
-            controllers, np.broadcast_to(float(eq.omega_star), omega.shape))
+            controllers, np.full(net.n, float(eq.omega_star)))
     else:
         du = np.zeros_like(omega)
     control = np.sum((y + epsilon * x) * du, axis=-1)
@@ -272,74 +272,6 @@ def cholesky_factor(a):
 # region sampling
 # --------------------------------------------------------------------------
 
-# numpy's SeedSequence (O'Neill's seed_seq hash on 32-bit words, pool of 4)
-# and PCG64 seeding (O'Neill, HMC-CS-2014-0905), replayed for many streams
-_MASK32 = np.uint64(0xFFFFFFFF)
-_HASH_A = (0x43B0D7E5, 0x931E8875)      # (initial constant, multiplier)
-_HASH_B = (0x8B51F9DD, 0x58F38DED)
-_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hasher(init, mult):
-    """seed_seq's hashmix on uint64 arrays of 32-bit words: its constant
-    advances by `mult` on every call, whatever the data."""
-    const = init
-
-    def hashmix(v):
-        nonlocal const
-        v = v ^ np.uint64(const)
-        const = const * mult & 0xFFFFFFFF
-        v = v * np.uint64(const) & _MASK32
-        return v ^ v >> np.uint64(16)
-    return hashmix
-
-
-def _seed_states(seed, index):
-    """SeedSequence([seed, k]).generate_state(4, np.uint64) for every k of
-    index (each below 2**32), as a (len(index), 4) uint64 array."""
-    words = [seed >> b & 0xFFFFFFFF for b in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((max(len(words) + 1, 4), len(index)), dtype=np.uint64)
-    entropy[:len(words)] = np.array(words, dtype=np.uint64)[:, None]
-    entropy[len(words)] = index
-
-    def mix(x, y):
-        r = _MIX_L * x - _MIX_R * y & _MASK32
-        return r ^ r >> np.uint64(16)
-
-    hashmix = _hasher(*_HASH_A)
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[4:]:               # seeds of more than three words
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(w))
-    hashmix = _hasher(*_HASH_B)
-    out = [hashmix(pool[i % 4]) for i in range(8)]
-    return np.stack([out[j] | out[j + 1] << np.uint64(32)
-                     for j in range(0, 8, 2)], axis=-1)
-
-
-def _stream_draws(seed, index, m):
-    """np.random.default_rng([seed, k]).random(m) for every k of index,
-    stacked as (len(index), m): each stream's PCG64 state is seeded from its
-    SeedSequence words as PCG64 does, and one reused generator draws it."""
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    out = np.empty((len(index), m))
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, _seed_states(seed, index).tolist()):
-        # srandom: state 0, step, add the seed state, step
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                        "state": {"state": state, "inc": inc}}
-        gen.random(out=row)
-    return out
-
-
 def _box(r, half):
     """Generator.uniform(-half, half) from its raw doubles r, bit for bit:
     numpy computes low + (high - low) * r."""
@@ -351,15 +283,13 @@ def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
                          margin=REGION_MARGIN, base_spread=0.4):
     """Random states around the equilibrium, inside the security region.
 
-    Sample k draws its 3n doubles from np.random.default_rng([seed, k]), so
-    any subset of samples is reproducible independently of evaluation order
-    and a shorter run is a prefix of a longer one.  The streams are not built
-    one generator at a time: the SeedSequence hash of every (seed, k) runs
-    at once on uint32 words, each stream's PCG64 state follows from its hash
-    words as PCG64 seeds itself, and one reused PCG64 draws the doubles.
-    These are the same fixed algorithms numpy runs, so every draw is bit for
-    bit the per-sample generator's.  count and seed must be non-negative
-    integers, count at most 2**32 (one entropy word for k).
+    Sample k maps row k of np.random.default_rng(seed).random((count, 3n)):
+    its angle, frequency and integral offsets, n doubles each.  A shorter run
+    is therefore a prefix of a longer one, and any sample can be reproduced
+    alone: Generator.random takes one 64-bit PCG64 output per double, so
+    np.random.PCG64(seed).advance(3n k) draws sample k bit for bit (PCG's
+    jump-ahead takes O(log k) steps; O'Neill, HMC-CS-2014-0905).  count and
+    seed must be non-negative integers, count at most 2**32.
 
     Angle perturbations are halved until every edge difference stays in
     (-pi/2 + margin, pi/2 - margin), falling back to delta* after 64
@@ -376,7 +306,7 @@ def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
     limit = np.pi / 2 - margin
     if edge_angle_spread(net, eq.delta_star) >= limit:
         raise LyapunovError("equilibrium itself violates the sampling margin")
-    r = _stream_draws(int(seed), np.arange(count), 3 * n)   # 3n doubles per sample
+    r = np.random.default_rng(int(seed)).random((count, 3 * n))
     step = to_center_of_inertia(_box(r[:, :n], base_spread))
     # filled in place so it stays C-ordered: its row means then round exactly
     # as those of a single row do
@@ -491,6 +421,7 @@ class CertificationReport:
     passed: bool
     first_violation: int
     failures: tuple
+    decay_c: float = None       # primary mode, from the epsilon search it ran
 
     def summary(self):
         verdict = "PASS" if self.passed else "FAIL"
@@ -503,6 +434,8 @@ class CertificationReport:
             lines.append(f"  max |Wdot - FD| rel error   : {self.fd_rel_err_max:.3e}")
         if self.epsilon is not None:
             lines.append(f"  epsilon                     : {self.epsilon:.3e}")
+        if self.decay_c is not None:
+            lines.append(f"  decay constant c            : {self.decay_c:.3e}")
         if not self.passed:
             lines.append(f"  first violation at step     : {self.first_violation}")
             lines.append(f"  failed checks               : {', '.join(self.failures)}")
@@ -518,15 +451,18 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
 
     DAI trajectories are scored with W and its analytic derivative; primary
     trajectories with V at the given epsilon (searched automatically when
-    omitted).  The per-step decrease allowance is tol_abs + tol_rel*h*|Wdot|
-    (forward Euler overshoots the continuous decrease by O(h)).  A finite
+    omitted, and the search's decay constant c reported with it).  The
+    per-step decrease allowance is tol_abs + tol_rel*h*|Wdot| (forward
+    Euler overshoots the continuous decrease by O(h)).  A finite
     difference of the recorded energy is compared against the analytic
     derivative and gates the verdict only when fd_rtol is set.
     """
     tol = tolerances or CertifyTolerances()
+    decay_c = None
     if traj.mode == "primary":
         if epsilon is None:
-            epsilon = epsilon_and_c_search(net, eq, load_inertia=load_inertia).epsilon
+            found = epsilon_and_c_search(net, eq, load_inertia=load_inertia)
+            epsilon, decay_c = found.epsilon, found.c
         w = lyap_V(net, (traj.delta, traj.omega, None), eq, epsilon, load_inertia)
         wdot = lyap_V_dot(net, controllers, (traj.delta, traj.omega, None),
                           eq, epsilon, load_inertia)
@@ -590,4 +526,5 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         passed=passed,
         first_violation=(None if passed else int(first)),
         failures=tuple(failures),
+        decay_c=decay_c,
     )

@@ -16,7 +16,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridfreq import cli, controller, dynamics, training
+from gridfreq import (cli, controller, dynamics, equilibrium, lyapunov,
+                      network, training)
 from gridfreq.cli import main
 
 from conftest import three_bus, two_bus
@@ -393,8 +394,9 @@ def test_certify_writes_json_report_outside_the_hashed_config(
     report = json.loads((tmp_path / "certify.json").read_text())
     assert set(report) == {"passed", "decrease_margin_min", "cross_min",
                            "positivity_min", "fd_rel_err_max", "epsilon",
-                           "first_violation", "failures"}
+                           "first_violation", "failures", "decay_c"}
     assert report["passed"] is passed and report["epsilon"] is None
+    assert report["decay_c"] is None
     # the text report prints the same numbers to four digits
     for key, label in (("positivity_min", "min W along trajectory"),
                        ("decrease_margin_min", "min decrease margin"),
@@ -414,6 +416,23 @@ def test_certify_writes_json_report_outside_the_hashed_config(
                                   "tol_abs", "tol_rel", "fd_rtol", "epsilon",
                                   "checkpoint", "costs"}
     assert doc["config_hash"] == cli._config_hash(doc["config"])
+
+
+def test_certify_primary_json_reports_the_searched_decay_constant(
+        tmp_path, net3_file, quad3_costs_file, capsys):
+    code = main(certify_args(net3_file, quad3_costs_file, tmp_path,
+                             **{"--mode": "primary", "--T": "1.0"}))
+    assert code == 0
+    report = json.loads((tmp_path / "certify.json").read_text())
+    net = network.load_network(net3_file)
+    eq = equilibrium.solve_equilibrium(
+        net, None, controller.identity_params(net.n),
+        np.array([-0.3, -0.15, 0.0]), mode="primary")
+    search = lyapunov.epsilon_and_c_search(net, eq)
+    assert report["epsilon"] == search.epsilon
+    assert report["decay_c"] == search.c > 0.0
+    assert (f"decay constant c            : {search.c:.3e}"
+            in (tmp_path / "certify.txt").read_text())
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
@@ -18,6 +18,7 @@ from gridfreq.network import (angle_differences, edge_angle_spread,
 
 from conftest import random_connected_net, three_bus, three_bus_gens, two_bus
 from test_controller import relu_oracle
+from test_dynamics import case39
 
 
 def quad3():
@@ -252,6 +253,33 @@ def test_W_dot_nonpositive_on_region():
     assert np.all(wdot <= 1e-12)
 
 
+@given(st.integers(0, 10 ** 6), st.integers(3, 12), st.integers(0, 2 ** 40),
+       st.integers(1, 40), st.sampled_from([0.4, 3.0, 20.0]), st.booleans(),
+       st.booleans())
+def test_W_nonnegative_and_W_dot_nonpositive_on_random_networks(
+        net_seed, buses, seed, count, spread, clamped, deadband):
+    net = random_connected_net(net_seed, buses=buses)
+    rng = np.random.default_rng(net_seed)
+    costs = cm.random_power_costs(net.n, rng, r=4)
+    bound = 2.0 if clamped else None
+    params = ctl.transform_params(ctl.init_raw_params(net.n, 3, rng),
+                                  u_lo=None if bound is None else -bound,
+                                  u_hi=bound, dz=0.01 if deadband else None)
+    p = rng.uniform(-0.3, 0.3, net.n)
+    eq = eqm.solve_equilibrium(net, costs, params, p)
+    assume(edge_angle_spread(net, eq.delta_star) < np.pi / 2 - lyap.REGION_MARGIN)
+    delta, omega, s = lyap.sample_region_states(net, eq, count, seed=seed,
+                                                base_spread=spread)
+    omega[:, net.loads] = dyn.load_bus_frequencies(net, delta,
+                                                   ctl.eval_u(params, s), p)
+    state = (delta, omega, s)
+    # W and W_dot sum differences of O(1) terms, so rounding may cross zero
+    # by a few ulps: the floor is the certifier's positivity floor, both ways
+    floor = -lyap.CertifyTolerances().positivity_floor
+    assert np.all(lyap.lyap_W(net, params, state, eq) >= -floor)
+    assert np.all(lyap.lyap_W_dot(net, costs, params, state, eq) <= floor)
+
+
 def test_cross_term_edge_sum_matches_dense_quadratic_form():
     net = three_bus()
     costs = cm.power_costs(4, np.array([0.7, 1.4, 1.0]))
@@ -429,31 +457,37 @@ def test_sample_region_states_reproducible_and_prefix_stable():
     assert not np.array_equal(d4, d1)
 
 
-def _sample_region_states_loop(net, eq, count, seed=0,
-                               omega_range=lyap.OMEGA_RANGE, s_range=lyap.S_RANGE,
-                               margin=lyap.REGION_MARGIN, base_spread=0.4):
-    """Per-sample reference for the vectorized sampler."""
+def _advanced_generator(seed, n, k):
+    """The generator of sample k alone: PCG64(seed) advanced past the 3n
+    doubles of each earlier sample."""
+    return np.random.Generator(np.random.PCG64(seed).advance(3 * n * k))
+
+
+def _reference_sample(net, eq, rng, omega_range=lyap.OMEGA_RANGE,
+                      s_range=lyap.S_RANGE, margin=lyap.REGION_MARGIN,
+                      base_spread=0.4):
+    """One sample's (delta, omega, s) drawn from rng, one state at a time."""
     n = net.n
     limit = np.pi / 2 - margin
-    deltas = np.empty((count, n))
-    omegas = np.empty((count, n))
-    ss = np.empty((count, n))
-    omega_star = eq.omega_star or 0.0
-    for k in range(count):
-        rng = np.random.default_rng([seed, k])
-        step = to_center_of_inertia(rng.uniform(-base_spread, base_spread, n))
-        for _ in range(64):
-            cand = eq.delta_star + step
-            if edge_angle_spread(net, cand) < limit:
-                break
-            step *= 0.5
-        else:
-            cand = eq.delta_star
-        deltas[k] = to_center_of_inertia(cand)
-        omegas[k] = omega_star + rng.uniform(-omega_range, omega_range, n)
-        ss[k] = (eq.s_star if eq.s_star is not None else 0.0) \
-            + rng.uniform(-s_range, s_range, n)
-    return deltas, omegas, ss
+    step = to_center_of_inertia(rng.uniform(-base_spread, base_spread, n))
+    for _ in range(64):
+        cand = eq.delta_star + step
+        if edge_angle_spread(net, cand) < limit:
+            break
+        step *= 0.5
+    else:
+        cand = eq.delta_star
+    omega = (eq.omega_star or 0.0) + rng.uniform(-omega_range, omega_range, n)
+    s = (eq.s_star if eq.s_star is not None else 0.0) \
+        + rng.uniform(-s_range, s_range, n)
+    return to_center_of_inertia(cand), omega, s
+
+
+def _sample_region_states_loop(net, eq, count, seed=0, **kw):
+    """Per-sample reference for the vectorized sampler."""
+    samples = [_reference_sample(net, eq, _advanced_generator(seed, net.n, k), **kw)
+               for k in range(count)]
+    return tuple(np.array(part) for part in zip(*samples))
 
 
 def _assert_sampler_matches_loop(net, eq, count, seed, **kw):
@@ -521,30 +555,24 @@ def test_sample_region_states_rejects_bad_count_or_seed(count, seed, match):
         lyap.sample_region_states(net, eq, count, seed=seed)
 
 
-# stream seeds of one to five 32-bit words (four or more take the hash's extra
-# mixing loop) and stream indices at both ends of their one word
-_stream_seeds = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 130]),
-                          st.integers(0, 2 ** 130))
-_stream_indices = st.lists(st.one_of(st.sampled_from([0, 2 ** 32 - 1]),
-                                     st.integers(0, 2 ** 32 - 1)),
-                           min_size=1, max_size=6)
-
-
-@given(_stream_seeds, _stream_indices, st.integers(1, 200))
-@example(0, [0], 1)
-@example(2 ** 32 - 1, [0, 2 ** 32 - 1], 200)
-@example(2 ** 32, [2 ** 32 - 1, 1], 117)
-@example(2 ** 130, [0, 2 ** 32 - 1], 3)
-def test_stream_draws_equal_per_sample_generators(seed, index, m):
-    index = np.array(index, dtype=np.uint64)
-    words = lyap._seed_states(seed, index)
-    draws = lyap._stream_draws(seed, index, m)
-    assert words.dtype == np.uint64 and draws.shape == (len(index), m)
-    for k, w, r in zip(index.tolist(), words, draws):
-        seq = np.random.SeedSequence([seed, k])
-        assert np.array_equal(w, seq.generate_state(4, np.uint64))
-        ref = np.random.default_rng([seed, k]).random(m)
-        assert np.array_equal(r.view(np.uint64), ref.view(np.uint64))
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 130])
+@pytest.mark.parametrize("n", [3, 39])
+def test_sample_k_reproduces_alone_from_the_advanced_generator(seed, n):
+    if n == 3:
+        net, _, _, eq = primary_setup()
+    else:
+        net = case39()
+        eq = Equilibrium(gamma=None, u_star=np.zeros(n), delta_star=np.zeros(n),
+                         s_star=np.linspace(-1.0, 1.0, n), omega_star=0.01)
+    count = 1500
+    raw = np.random.default_rng(seed).random((count, 3 * n))
+    got = lyap.sample_region_states(net, eq, count, seed=seed)
+    for k in (0, count // 2, count - 1):
+        alone = _advanced_generator(seed, n, k).random(3 * n)
+        assert np.array_equal(raw[k].view(np.uint64), alone.view(np.uint64))
+        ref = _reference_sample(net, eq, _advanced_generator(seed, n, k))
+        for g, r in zip(got, ref):
+            assert np.array_equal(g[k].view(np.uint64), r.view(np.uint64))
 
 
 @given(st.integers(0, 10 ** 6), st.integers(3, 12), st.integers(0, 2 ** 40),
