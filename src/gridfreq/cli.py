@@ -373,6 +373,19 @@ def _cmd_train(args):
     net = network.load_network(args.net)
     costs = _load_costs(net, args)
     cfg = _train_config_from_args(args)
+
+    # the rollouts take forward-Euler steps from the origin; a step beyond
+    # Euler's limit there, with the first epoch's policies, is refused
+    # before any rollout
+    params = controller.transform_params(
+        controller.init_raw_params(net.n, cfg.d, np.random.default_rng(cfg.seed)),
+        cfg.u_lo, cfg.u_hi, cfg.dz)
+    scenario = dynamics.Scenario(p=np.zeros(net.n), T=cfg.T, h=cfg.h)
+    limit = dynamics.max_stable_step(net, costs, params, scenario, "euler")
+    if cfg.h > limit:
+        raise dynamics.DynamicsError(
+            f"--h {cfg.h:g} exceeds the euler stability limit h <= {limit:.3g} s "
+            f"at the origin with the first epoch's policies")
     outdir = _outdir(args)
 
     if args.grad_check:

@@ -32,15 +32,20 @@ prefix of them, so with c = #(x' > b_plus)
     E_plus = [0, cumsum(k_plus * b_plus^2)] / 2,
 
 and the minus side mirrors this with the breakpoints sorted descending and
-c = #(x' < b_minus).  The right-limit slope gathers K the same way (with
-x' >= b_plus on the plus side).  Sorting inside the tables keeps directly
-built parameters with unsorted or repeated breakpoints exact.  The counts
-come from bool masks with the d axis leading, so no (..., n, d) float
-stack is formed; training's adjoint bins its parameter terms by the same
-counts.  The masks compare the inputs against the breakpoints tiled
-along them, so each comparison runs over all rows of n buses at once, not
-over n entries at a time; the tiled copy holds at most TILE_ELEMENTS
-breakpoints per side, and longer inputs are counted in chunks of rows.
+c = #(x' < b_minus).  Sorting inside the tables keeps directly built
+parameters with unsorted or repeated breakpoints exact.  The counts come
+from bool masks with the d axis leading, so no (..., n, d) float stack is
+formed; training's adjoint bins its parameter terms by the same counts.
+The masks compare the inputs against the breakpoints tiled along them, so
+each comparison runs over all rows of n buses at once, not over n entries
+at a time; the tiled copy holds at most TILE_ELEMENTS breakpoints per
+side, and longer inputs are counted in chunks of rows.
+
+An input is counted against the breakpoints once, strictly.  The
+right-limit slope gathers K at the weak count #(x' >= b_plus), which tie
+tables give from the strict count c: where x' equals the next sorted
+breakpoint b[c], the weak count also passes the run of breakpoints equal
+to it.  Two gathers and a compare, with no second pass over the breakpoints.
 """
 
 from __future__ import annotations
@@ -166,6 +171,21 @@ def validate_params(params: NetParams, warn=True):
     return bool(ok)
 
 
+def _ties(srt, end, off):
+    """One side's tie tables from its sorted breakpoints srt (n, d), flat
+    over the rows off + c for c = 0..d: the breakpoint srt[:, c] (`end` at
+    c = d), and the row off + c' where c' ends the run of breakpoints equal
+    to srt[:, c] that starts at c (c' = d at c = d)."""
+    n, d = srt.shape
+    # c' = the first run end at or after c; a non-end position reads d
+    ends = np.broadcast_to(np.arange(1, d + 1), (n, d)).copy()
+    ends[:, :-1][srt[:, :-1] == srt[:, 1:]] = d
+    past = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+    nxt = np.concatenate([srt, np.full((n, 1), end)], axis=1)
+    rows = off[:, None] + np.concatenate([past, np.full((n, 1), d)], axis=1)
+    return nxt.ravel(), rows.ravel()
+
+
 class _Tables:
     """Cumulative slope/intercept tables of one NetParams (module docstring).
 
@@ -174,7 +194,10 @@ class _Tables:
     first entries times x' plus their second entries.  E_p and E_m (minus
     side negated) hold E of the antiderivative in their own arrays, so
     `value` gathers two columns.  Counts are summed as uint8 while d < 256.
-    `inverse` solves g(x') = y on these rows between the `nodes`.
+    `inverse` solves g(x') = y on these rows between the `nodes`.  The tie
+    tables `next` and `ties` (side, n * (d+1)) hold, at each strict row, the
+    sorted breakpoint there (+-inf past the last) and the row past the run
+    of breakpoints equal to it, for `weak`.
     """
 
     def __init__(self, params: NetParams):
@@ -204,6 +227,8 @@ class _Tables:
         self.E_p = 0.5 * prefix(self.k_p * self.sorted_p ** 2).ravel()
         self.E_m = -0.5 * prefix(self.k_m * self.sorted_m ** 2).ravel()
         self.off = np.arange(n) * (d + 1)
+        self.next, self.ties = map(np.stack, zip(_ties(self.sorted_p, np.inf, self.off),
+                                                 _ties(self.sorted_m, -np.inf, self.off)))
         self.count_dtype = np.uint8 if d < 256 else np.intp
         self.dz, self.u_lo, self.u_hi = params.dz, params.u_lo, params.u_hi
         self.shifted = bool(np.any(params.dz > 0))
@@ -216,21 +241,23 @@ class _Tables:
             return x
         return np.sign(x) * np.maximum(np.abs(x) - self.dz, 0.0)
 
-    def _count(self, xe, side, op):
-        """#(op(x', b)) over the d sorted breakpoints b of one side (0 plus,
-        1 minus), for every entry of xe (last axis against n).  Inputs
-        longer than the tiled copy are counted in chunks of its rows."""
+    def _count(self, xe, side):
+        """#(x' > b) over the d sorted breakpoints b of the plus side (side
+        0), or #(x' < b) over the minus side's (side 1), for every entry of
+        xe (last axis against n).  Inputs longer than the tiled copy are
+        counted in chunks of its rows."""
         b = self.layouts.get(xe.shape)
         if b is None:
             n = self.off.size
             if xe.shape[-1:] != (n,):
-                return self._count(np.broadcast_to(xe, xe.shape[:-1] + (n,)), side, op)
+                return self._count(np.broadcast_to(xe, xe.shape[:-1] + (n,)), side)
             if xe.size > self.tile_size:
                 rows, step = xe.reshape(-1, n), self.tile_size // n
-                return np.concatenate([self._count(rows[lo:lo + step], side, op)
+                return np.concatenate([self._count(rows[lo:lo + step], side)
                                        for lo in range(0, len(rows), step)]
                                       ).reshape(xe.shape)
             b = self._layout(xe.shape)
+        op = np.less if side else np.greater
         return np.add.reduce(op(xe, b[side]).view(np.uint8), axis=0,
                              dtype=self.count_dtype)
 
@@ -245,14 +272,17 @@ class _Tables:
         self.layouts[shape] = views
         return views
 
-    def index(self, xe, strict=True):
+    def index(self, xe):
         """Table rows bus*(d+1) + c on each side: c = #(x' > b_plus) and
-        #(x' < b_minus), or #(x' >= b_plus) and #(x' <= b_minus) when not
-        strict."""
-        above, below = (np.greater, np.less) if strict else (np.greater_equal,
-                                                              np.less_equal)
-        return (self.off + self._count(xe, 0, above),
-                self.off + self._count(xe, 1, below))
+        #(x' < b_minus)."""
+        return self.off + self._count(xe, 0), self.off + self._count(xe, 1)
+
+    def weak(self, xe, rows, side):
+        """The rows of #(x' >= b_plus) (side 0) or #(x' <= b_minus) (side 1)
+        from that side's strict rows: they differ where x' equals the next
+        breakpoint, by the run of breakpoints equal to it."""
+        return np.where(xe == self.next[side].take(rows),
+                        self.ties[side].take(rows), rows)
 
     def rows(self, ip, im):
         """(K, -C) of g = K x' - C, summed over both sides' table rows."""
@@ -277,12 +307,11 @@ class _Tables:
         xe = self.shift(x)
         return self.value(xe, *self.index(xe))
 
-    def slope(self, x, xe, im):
-        """Right-limit slope of g at x (im: the strict minus rows): k_plus
+    def slope(self, x, xe, ip, im):
+        """Right-limit slope of g at x from the strict rows of x': k_plus
         counts where x' >= b_plus, -k_minus where x' < b_minus.  Zero
         inside the deadband."""
-        ip = self.off + self._count(xe, 0, np.greater_equal)
-        slope = self.K_p.take(ip) - self.K_m.take(im)
+        slope = self.K_p.take(self.weak(xe, ip, 0)) - self.K_m.take(im)
         if self.shifted:
             slope = slope * ((x >= self.dz) | (x < -self.dz))
         return slope
@@ -331,7 +360,7 @@ def eval_slope(params: NetParams, x):
     x = np.asarray(x, dtype=float)
     xe = t.shift(x)
     ip, im = t.index(xe)
-    return np.where(t.unsaturated(t.value(xe, ip, im)), t.slope(x, xe, im), 0.0)
+    return np.where(t.unsaturated(t.value(xe, ip, im)), t.slope(x, xe, ip, im), 0.0)
 
 
 def lipschitz_constant(params: NetParams):
@@ -405,14 +434,6 @@ def construct_from_samples(target, d, domain) -> NetParams:
 
     return NetParams(k_plus=k_plus[None, :], b_plus=b_plus[None, :],
                      k_minus=k_minus[None, :], b_minus=b_minus[None, :])
-
-
-def select_bus(params: NetParams, i) -> NetParams:
-    """Single-bus view of a multi-bus parameter set."""
-    sl = slice(i, i + 1)
-    return NetParams(params.k_plus[sl], params.b_plus[sl],
-                     params.k_minus[sl], params.b_minus[sl],
-                     params.u_lo[sl], params.u_hi[sl], params.dz[sl])
 
 
 # --- checkpoint serialization -------------------------------------------------

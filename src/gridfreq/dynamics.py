@@ -137,7 +137,8 @@ def load_bus_frequencies(net: PowerNetwork, delta, u, p):
 
 
 def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
-                x, p, mode="dai_general", load_inertia=DEFAULT_LOAD_INERTIA):
+                x, p, mode="dai_general", load_inertia=DEFAULT_LOAD_INERTIA,
+                u=None):
     """The closed-loop right-hand side on stacked (..., 3, n) states.
 
     x holds (delta, omega, s) along axis -2.  Returns (k, omega, u, mc): k is
@@ -145,15 +146,17 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     algebraic quantities at the state.  In DAI mode the load-bus entries of
     x's omega are ignored; omega carries their power-balance values and k's
     omega row is zero there.  In primary mode k's s row is zero.  mc is zero
-    without a cost model.
+    without a cost model.  `u` is the policies' output at x's controller
+    input (the integral row in DAI mode) when the caller already has it.
     """
     omega = x[..., 1, :]
     flows = power_flows(net, x[..., 0, :])
     k = np.zeros(x.shape)
 
     if mode == "primary":
-        u = eval_u(controllers, omega) if controllers is not None \
-            else np.zeros(omega.shape)
+        if u is None:
+            u = eval_u(controllers, omega) if controllers is not None \
+                else np.zeros(omega.shape)
         mc = costs.grad(u) if costs is not None else np.zeros_like(u)
         k[..., 0, :] = omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n
         k[..., 1, :] = (p - net.alpha * omega - u - flows) \
@@ -161,7 +164,8 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
         return k, omega, u, mc
 
     two_pi_f0 = 2.0 * np.pi * net.f0
-    u = eval_u(controllers, x[..., 2, :])
+    if u is None:
+        u = eval_u(controllers, x[..., 2, :])
     omega = np.where(net._is_gen, omega, _balance_omega(net, flows, u, p))
     mc = costs.grad(u)
     k[..., 0, :] = two_pi_f0 * (

@@ -74,16 +74,6 @@ class PowerNetwork:
         except ValueError:
             raise NetworkError(f"unknown bus id {bus_id!r}") from None
 
-    def dense_comm_laplacian(self):
-        """Dense communication Laplacian L_Q (small networks only)."""
-        if self.n > 200:
-            raise NetworkError("dense Laplacian assembly limited to n <= 200")
-        L = np.zeros((self.n, self.n))
-        L[self.comm_i, self.comm_j] = -self.comm_q
-        L[self.comm_j, self.comm_i] = -self.comm_q
-        np.fill_diagonal(L, -L.sum(axis=1))
-        return L
-
 
 def _unreachable(n, ei, ej):
     """Lowest-index bus that an undirected edge list does not connect to bus

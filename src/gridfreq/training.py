@@ -17,9 +17,12 @@ its entire gradient to the first step attaining each bus's maximum.
 
 The backward sweep walks the tape in blocks of consecutive steps, last block
 first.  Every term that depends on the stored states alone (the controller
-table rows, values, saturation masks and slopes, the cost derivatives, and
-the cosine line weights of the flow Jacobian) is computed once per block in
-whole-block array operations; only the adjoint recursion runs step by step.
+values, saturation masks and slopes, the cost derivatives, and the cosine
+line weights of the flow Jacobian) is computed once per block in whole-block
+array operations; only the adjoint recursion runs step by step.  The
+controller table rows are not recounted: the rollout counts each input
+against the breakpoints once and stores the count on the tape, and the
+sweep reads it back.
 Elementwise operations give the same bits on a block as on one step, and the
 per-step products and histogram sums keep their shapes and order, so the
 gradient does not depend on the block length.
@@ -91,9 +94,13 @@ class Tape:
 
     Controller outputs, slopes, marginal costs and line weights are
     recomputed during the backward sweep, one block of steps at a time, from
-    the stored (theta, omega_G, s) tracks; storing the three state tracks is
-    enough to reproduce every intermediate exactly.  train drops each
-    epoch's tape before the next rollout, so one tape is alive at a time.
+    the stored (theta, omega_G, s) tracks and the controller table counts
+    the forward took; these reproduce every intermediate exactly.  `count`
+    holds, per input s[l], #(x' > b_plus) - #(x' < b_minus): transform_params
+    puts b_plus >= 0 >= b_minus and the deadband shift keeps the sign of x,
+    so at most one of the two is nonzero and the sign tells which (`_rows`
+    decodes it).  train drops each epoch's tape before the next rollout, so
+    one tape is alive at a time.
     """
 
     raw: RawParams
@@ -106,6 +113,12 @@ class Tape:
     nadir_step: np.ndarray      # (B, n_gen) argmax step index (first on ties)
     nadir_sign: np.ndarray      # (B, n_gen) sign of omega at that step
     cfg: TrainConfig
+    count: np.ndarray           # (L, B, n) signed table counts of s[:-1]
+
+
+def _rows(t, count):
+    """The strict plus and minus table rows of t from Tape.count."""
+    return t.off + np.maximum(count, 0), t.off - np.minimum(count, 0)
 
 
 def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
@@ -115,7 +128,9 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
 
     p has shape (B, n).  Returns the scalar loss (batch mean) and the tape
     for backprop.  Each step is dynamics.euler_step's update over
-    dynamics.derivatives, without the gauge re-projection.
+    dynamics.derivatives, without the gauge re-projection; the policies are
+    evaluated here from their tables, so that the step's table counts go on
+    the tape.
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
@@ -128,6 +143,9 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     theta = np.zeros((L + 1, B, n))
     omega_g = np.zeros((L + 1, B, len(g)))
     s = np.zeros((L + 1, B, n))
+    # counts run from -d to d
+    count = np.empty((L, B, n), np.min_scalar_type(-params.d - 1))
+    t = params._tables
     if initial is not None:
         theta[0], omega_g[0], s[0] = initial
 
@@ -138,7 +156,11 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     peak_abs = np.full((B, len(g)), -1.0)
     nadir_step = np.zeros((B, len(g)), dtype=np.intp)
     for l in range(L):
-        k, _, u, _ = derivatives(net, costs, params, x, p)
+        xe = t.shift(x[:, 2])
+        ip, im = t.index(xe)
+        count[l] = ip - im
+        u = t.clamp(t.value(xe, ip, im))
+        k = derivatives(net, costs, params, x, p, u=u)[0]
         k *= h
         x += k
         theta[l + 1], omega_g[l + 1], s[l + 1] = x[:, 0], x[:, 1, g], x[:, 2]
@@ -155,7 +177,8 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     loss = float(np.mean(nadir_val + cfg.rho * cost_acc / L))
     return loss, Tape(raw=raw, params=params, p=p, theta=theta,
                       omega_g=omega_g, s=s, loss=loss,
-                      nadir_step=nadir_step, nadir_sign=nadir_sign, cfg=cfg)
+                      nadir_step=nadir_step, nadir_sign=nadir_sign, cfg=cfg,
+                      count=count)
 
 
 def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
@@ -197,13 +220,13 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
         # everything that depends on the stored states alone, for the block
         s_blk = tape.s[lo:hi]
         xe = t.shift(s_blk)
-        ip, im = t.index(xe)
+        ip, im = _rows(t, tape.count[lo:hi])
         g_unc = t.value(xe, ip, im)
         u = t.clamp(g_unc)
         unsat = t.unsaturated(g_unc)
         run = run_w * costs.grad(u)
         curv = costs.curvature(u)
-        slope = np.where(unsat, t.slope(s_blk, xe, im), 0.0)
+        slope = np.where(unsat, t.slope(s_blk, xe, ip, im), 0.0)
         weights = line_weights(net, tape.theta[lo:hi])
 
         for l in range(hi - 1, lo - 1, -1):
@@ -311,7 +334,7 @@ def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
     t = params._tables
     s = tape.s[:-1]                                  # inputs used in the loss
     xe = t.shift(s)
-    ip, im = t.index(xe)
+    ip, im = _rows(t, tape.count)
     g_unc = t.value(xe, ip, im)
     moving = xe != 0.0
     if np.any(moving & (np.abs(xe) < tol)):          # near the origin breakpoint
@@ -319,10 +342,10 @@ def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
     # the nearest breakpoints strictly below and above x' sit just outside
     # the run the strict and weak counts bracket (inf pads where none);
     # equal ones are exact hits
-    jp, jm = t.index(xe, strict=False)
     bus = np.arange(params.n)
-    for srt, end, strict, weak in ((t.sorted_p, np.inf, ip, jp),
-                                   (t.sorted_m, -np.inf, im, jm)):
+    for side, (srt, end, strict) in enumerate(((t.sorted_p, np.inf, ip),
+                                               (t.sorted_m, -np.inf, im))):
+        weak = t.weak(xe, strict, side)
         pad = np.pad(srt, ((0, 0), (1, 1)), constant_values=(-end, end)).ravel()
         near = np.minimum(np.abs(xe - pad.take(strict + bus)),
                           np.abs(xe - pad.take(weak + bus + 1)))

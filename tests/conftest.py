@@ -80,6 +80,16 @@ def nine_bus():
     })
 
 
+def dense_comm_laplacian(net):
+    """Dense communication Laplacian L_Q, the oracle for the matrix-free
+    Laplacian products."""
+    L = np.zeros((net.n, net.n))
+    L[net.comm_i, net.comm_j] = -net.comm_q
+    L[net.comm_j, net.comm_i] = -net.comm_q
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return L
+
+
 def random_connected_net(seed, buses=4, all_gens=False):
     """Random small network: a spanning path plus a few chords."""
     rng = np.random.default_rng(seed)

@@ -483,6 +483,19 @@ def test_train_rejects_nonpositive_sizes_before_training(tmp_path, net2_file,
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_train_rejects_a_step_beyond_the_stability_limit(tmp_path, capsys):
+    # Euler at h = 1 ms leaves its stability region on the 39-bus case; the
+    # limit is taken at the origin with the first epoch's policies
+    net = str(resources.files("gridfreq") / "data" / "case39.json")
+    code = main(["train", "--net", net, "--h", "1e-3", "--T", "1",
+                 "--epochs", "2", "--batch-size", "8",
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--h 0.001 exceeds the euler stability limit h <= 0.000617 s" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_trained_checkpoint_drives_simulation(tmp_path, net2_file,
                                               quad2_costs_file, capsys):
     main(["train", "--net", net2_file, "--costs", quad2_costs_file,

@@ -167,16 +167,6 @@ def test_construct_from_samples_rejects(target, domain, message):
         ctl.construct_from_samples(target, 5, domain)
 
 
-def test_select_bus_views_single_policy():
-    rng = np.random.default_rng(9)
-    params = ctl.transform_params(ctl.init_raw_params(4, 3, rng))
-    x = rng.uniform(-1, 1, 4)
-    full = ctl.eval_u(params, x)
-    for i in range(4):
-        one = ctl.select_bus(params, i)
-        assert ctl.eval_u(one, np.array([x[i]]))[0] == pytest.approx(full[i])
-
-
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     raw = ctl.init_raw_params(3, 4, rng)
@@ -316,19 +306,21 @@ def test_tables_count_past_255_breakpoints():
 
 def test_counts_in_chunks_past_the_tile_budget(monkeypatch):
     # with room for 7 rows of tiled breakpoints, 1000 rows are counted in
-    # chunks (the last one short) and give the counts of each row alone;
-    # inputs broadcast against the bus axis count as their broadcast
+    # chunks (the last one short) and give the counts of each row alone, and
+    # so do the weak counts taken from them; inputs broadcast against the
+    # bus axis count as their broadcast
     rng = np.random.default_rng(8)
     params = ctl.transform_params(ctl.init_raw_params(4, 5, rng), dz=0.05)
     monkeypatch.setattr(ctl, "TILE_ELEMENTS", 7 * 5 * 4)
     t = params._tables
     x = rng.uniform(-1.0, 1.0, (1000, 4))
     x[::3, 1] = params.b_plus[1, 2]
-    for strict in (True, False):
-        rows = [t.index(row, strict) for row in x]
-        ip, im = t.index(x, strict)
-        assert np.array_equal(ip, [r[0] for r in rows])
-        assert np.array_equal(im, [r[1] for r in rows])
+    rows = [t.index(row) for row in x]
+    ip, im = t.index(x)
+    assert np.array_equal(ip, [r[0] for r in rows])
+    assert np.array_equal(im, [r[1] for r in rows])
+    assert np.array_equal(t.weak(x, ip, 0), [t.weak(r, ri[0], 0) for r, ri in zip(x, rows)])
+    assert np.array_equal(t.weak(x, im, 1), [t.weak(r, ri[1], 1) for r, ri in zip(x, rows)])
     assert t.tiled.shape == (2, 5, 7 * 4)
     col = x[:, :1]
     assert np.array_equal(t.index(col)[0], t.index(np.repeat(col, 4, axis=1))[0])
@@ -343,6 +335,37 @@ def test_tiled_breakpoints_stay_within_the_budget():
     assert np.array_equal(ctl.eval_u(params, x),
                           np.array([ctl.eval_u(params, row) for row in x]))
     assert params._tables.tiled[0].size <= ctl.TILE_ELEMENTS
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 3, 5, 8, 130]),
+       repeat=st.floats(0.0, 1.0), permuted=st.booleans())
+def test_tie_tables_give_the_weak_counts(seed, d, repeat, permuted):
+    """The weak counts #(x' >= b_plus) and #(x' <= b_minus) read from the
+    strict counts through the tie tables equal direct counts: with runs of
+    repeated breakpoints (chi = 0 on a random share of them), inputs on
+    the breakpoints of both sides, at zero and in between, breakpoints in
+    the caller's order or shuffled, and d = 130 (counts summed past int8)."""
+    rng = np.random.default_rng(seed)
+    n = 3
+    raw = ctl.init_raw_params(n, d, rng)
+    for chi in (raw.chi_plus, raw.chi_minus):
+        chi[rng.random(chi.shape) < repeat] = 0.0
+    params = ctl.transform_params(raw)
+    if permuted:
+        perm = np.argsort(rng.random((n, d)), axis=-1)
+        params = replace(params, b_plus=np.take_along_axis(params.b_plus, perm, -1),
+                         b_minus=np.take_along_axis(params.b_minus, perm, -1))
+    bps = np.concatenate([params.b_plus, params.b_minus, np.zeros((n, 1))], axis=1)
+    pick = bps[np.arange(n), rng.integers(0, 2 * d + 1, (40, n))]
+    x = np.where(rng.random((40, n)) < 0.6, pick, rng.uniform(-4.0, 4.0, (40, n)))
+    t = params._tables
+    ip, im = t.index(x)
+    xcol = x[..., None]
+    assert np.array_equal(ip - t.off, np.sum(xcol > params.b_plus, axis=-1))
+    assert np.array_equal(im - t.off, np.sum(xcol < params.b_minus, axis=-1))
+    assert np.array_equal(t.weak(x, ip, 0) - t.off, np.sum(xcol >= params.b_plus, axis=-1))
+    assert np.array_equal(t.weak(x, im, 1) - t.off, np.sum(xcol <= params.b_minus, axis=-1))
 
 
 def oracle_backprop(tape, net, costs):
@@ -424,7 +447,28 @@ def test_histogram_adjoint_matches_per_step_products(seed, masked, permuted):
             b_plus=np.take_along_axis(prm.b_plus, perm, -1),
             k_minus=np.take_along_axis(prm.k_minus, perm_m, -1),
             b_minus=np.take_along_axis(prm.b_minus, perm_m, -1)))
+    assert_matches_oracle_backprop(tape, net, costs)
+
+
+def assert_matches_oracle_backprop(tape, net, costs):
     new, old = trn.backprop(tape, net, costs), oracle_backprop(tape, net, costs)
     for f in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
         a, b = getattr(new, f), getattr(old, f)
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * max(np.max(np.abs(b), initial=0.0), 1e-300), f
+
+
+def test_histogram_adjoint_matches_per_step_products_past_127_breakpoints():
+    # at d = 130 the tape stores its counts as int16; integral states spread
+    # over the breakpoints reach counts above 127 on both sides
+    rng = np.random.default_rng(130)
+    net = random_connected_net(130, buses=3)
+    costs = cm.random_power_costs(net.n, rng)
+    raw = ctl.init_raw_params(net.n, 130, rng)
+    cfg = TrainConfig(d=130, h=1e-3, T=0.01, batch_size=6, seed=0)
+    p = rng.uniform(-2.0, 2.0, (6, net.n))
+    initial = (np.zeros((6, net.n)), np.zeros((6, len(net.gens))),
+               rng.uniform(-8.0, 8.0, (6, net.n)))
+    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
+    assert tape.count.dtype == np.int16
+    assert tape.count.max() > 127 and tape.count.min() < -127
+    assert_matches_oracle_backprop(tape, net, costs)

@@ -16,7 +16,8 @@ from gridfreq.lyapunov import LyapunovError
 from gridfreq.network import (angle_differences, edge_angle_spread,
                               to_center_of_inertia)
 
-from conftest import random_connected_net, three_bus, three_bus_gens, two_bus
+from conftest import (dense_comm_laplacian, random_connected_net, three_bus,
+                      three_bus_gens, two_bus)
 from test_controller import relu_oracle
 from test_dynamics import case39
 
@@ -290,7 +291,7 @@ def test_cross_term_edge_sum_matches_dense_quadratic_form():
         value, _ = lyap.cross_term(net, costs, params, s)
         u = ctl.eval_u(params, s)
         mc = costs.grad(u)
-        dense = (costs.zeta * u) @ net.dense_comm_laplacian() @ mc
+        dense = (costs.zeta * u) @ dense_comm_laplacian(net) @ mc
         assert value == pytest.approx(dense, abs=1e-12)
         assert value >= -1e-12
 

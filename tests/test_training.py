@@ -219,6 +219,53 @@ def test_train_deterministic():
     assert a.seed == 2
 
 
+@pytest.mark.parametrize("masks", [{}, dict(u_lo=-0.3, u_hi=0.25, dz=0.05)],
+                         ids=["unbounded", "saturation-deadband"])
+def test_tape_counts_are_the_signed_strict_counts(masks):
+    # at every step, #(x' > b_plus) - #(x' < b_minus) of the input s[l],
+    # counted here directly; at most one of the two is nonzero
+    rng = np.random.default_rng(21)
+    net = random_connected_net(21, buses=5)
+    costs = cm.random_power_costs(net.n, rng)
+    raw = ctl.init_raw_params(net.n, 6, rng)
+    raw.chi_plus[:, 2] = 0.0
+    cfg = TrainConfig(d=6, h=1e-3, T=0.05, batch_size=4, seed=0, **masks)
+    p = rng.uniform(-2.0, 2.0, (4, net.n))
+    initial = (np.zeros((4, net.n)), np.zeros((4, len(net.gens))),
+               rng.uniform(-1.5, 1.5, (4, net.n)))
+    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
+    params = tape.params
+    s = tape.s[:-1]
+    xe = (np.sign(s) * np.maximum(np.abs(s) - params.dz, 0.0))[..., None]
+    above = np.sum(xe > params.b_plus, axis=-1)
+    below = np.sum(xe < params.b_minus, axis=-1)
+    assert not np.any((above > 0) & (below > 0))
+    assert above.any() and below.any()
+    assert tape.count.dtype == np.int8
+    assert tape.count.shape == (cfg.steps, 4, net.n)
+    assert np.array_equal(tape.count, above - below)
+
+
+def test_reruns_are_bit_identical_on_random_networks():
+    # loss, gradient and table counts of two runs on the same inputs
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        net = random_connected_net(seed, buses=6)
+        costs = cm.random_power_costs(net.n, rng)
+        raw = ctl.init_raw_params(net.n, 5, rng)
+        cfg = TrainConfig(d=5, h=1e-3, T=0.05, batch_size=5, seed=seed,
+                          u_lo=-0.5, u_hi=0.5, dz=0.01)
+        p = rng.uniform(-2.0, 2.0, (5, net.n))
+        runs = []
+        for _ in range(2):
+            loss, tape = trn.rollout_loss(net, costs, raw, p, cfg)
+            runs.append((np.array([loss]), tape.count,
+                         *vars(trn.backprop(tape, net, costs)).values()))
+        for a, b in zip(*runs):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 def test_train_result_params_are_valid_and_consistent():
     net = two_bus()
     costs = cm.power_costs(4, np.array([0.9, 1.2]))
@@ -264,7 +311,10 @@ def test_train_frees_the_previous_tape_before_the_next_rollout():
 
 def per_step_backprop(tape, net, costs):
     """training.backprop as a plain per-step sweep, every state-only term
-    recomputed at its step (the sweep before it was blocked)."""
+    recomputed at its step (the sweep before it was blocked).  The table
+    rows are counted again from the states, and the slope's weak count
+    x' >= b_plus directly, so the tape's counts and the tie tables are
+    checked, not reused."""
     cfg, params, raw = tape.cfg, tape.params, tape.raw
     B, n = tape.p.shape
     g, ll = net.gens, net.loads
@@ -299,7 +349,11 @@ def per_step_backprop(tape, net, costs):
         a_x = a_eff * xe
         for k, (row, w) in enumerate(((ip, a_eff), (ip, a_x), (im, a_eff), (im, a_x))):
             hist[k] += np.bincount(row.ravel(), w.ravel(), rows)
-        slope = np.where(unsat, t.slope(sl, xe, im), 0.0)
+        jp = t.off + np.sum(xe[..., None] >= t.sorted_p, axis=-1)
+        slope = t.K_p.take(jp) - t.K_m.take(im)
+        if t.shifted:
+            slope = slope * ((sl >= t.dz) | (sl < -t.dz))
+        slope = np.where(unsat, slope, 0.0)
         g_s = g_s + slope * a_u
         g_w = (1.0 - h * net.alpha[g] * inv_m) * g_w + a_omega[:, g]
         g_theta = g_theta + network.flow_jacobian_apply(net, tape.theta[l], a_flows)
