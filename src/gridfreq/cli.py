@@ -35,8 +35,7 @@ from . import lyapunov, network, training
 
 DOMAIN_ERRORS = (network.NetworkError, costs_mod.CostError,
                  eq_mod.EquilibriumError, lyapunov.LyapunovError,
-                 dynamics.DynamicsError, FloatingPointError, ValueError,
-                 OSError)
+                 dynamics.DynamicsError, ValueError, OSError)
 GRAD_TOL = 1e-4               # gradient audits: relative error threshold
 
 

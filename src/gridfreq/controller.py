@@ -350,19 +350,6 @@ def eval_u(params: NetParams, x):
     return t.clamp(t.unclamped(np.asarray(x, dtype=float)))
 
 
-def eval_slope(params: NetParams, x):
-    """Right-limit derivative of eval_u at x (zero where saturated).
-
-    Inside the deadband, and strictly beyond a saturation bound, the slope
-    is zero.
-    """
-    t = params._tables
-    x = np.asarray(x, dtype=float)
-    xe = t.shift(x)
-    ip, im = t.index(xe)
-    return np.where(t.unsaturated(t.value(xe, ip, im)), t.slope(x, xe, ip, im), 0.0)
-
-
 def lipschitz_constant(params: NetParams):
     """Per-bus bound on |u(x1) - u(x2)| / |x1 - x2|: the steepest segment."""
     ps_plus = np.cumsum(params.k_plus, axis=-1)

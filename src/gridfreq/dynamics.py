@@ -16,8 +16,9 @@ Angles are integrated in center-of-inertia gauge.  In the DAI mode the
 angle/integrator clocks carry the 2*pi*f0 factor explicitly; the primary
 mode follows the companion convention d(delta)/dt = omega - mean(omega).
 
-`derivatives` is the one closed-loop right-hand side: the steppers here and
-the training rollout, which calls it on a batch of states, all evaluate it.
+`derivatives` is the one closed-loop right-hand side and `_advance` the one
+state update: the steppers here evaluate the one and end in the other, and
+the training rollout takes `euler_step` on a batch of states.
 States travel as one (..., 3, n) array of (delta, omega, s), so a stage
 advance or the RK4 combination is a single array operation.
 The load frequencies always come from the current (delta, s) before any
@@ -182,14 +183,18 @@ def _field(net, costs, controllers, scenario, x):
 
 
 def _advance(step_index, x, omega, dx):
-    """x + dx, with the omega row advanced from the algebraic omega of the
-    step's first stage; raises on non-finite or absurdly large states
-    (divergence, not drift), then re-projects the angle gauge."""
-    out = x + dx
-    out[..., 1, :] = omega + dx[..., 1, :]
-    if not np.abs(out).max() <= BLOWUP_LIMIT:
+    """x + dx, written over dx, with the omega row advanced from the
+    algebraic omega of the step's first stage; raises on non-finite or
+    absurdly large states (divergence, not drift), then re-projects the
+    angle gauge."""
+    omega = omega + dx[..., 1, :]
+    out = np.add(x, dx, out=dx)
+    out[..., 1, :] = omega
+    if not -BLOWUP_LIMIT <= out.min() <= out.max() <= BLOWUP_LIMIT:
         raise DynamicsError(f"integration blow-up at step {step_index}")
-    out[..., 0, :] = project_gauge(out[..., 0, :])
+    delta = out[..., 0, :]
+    if (fixed := project_gauge(delta)) is not delta:
+        delta[...] = fixed
     return out
 
 
@@ -200,7 +205,8 @@ def euler_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     Load-bus frequencies are evaluated from the pre-step (delta, s) and used
     in both the angle and integrator updates; generator frequencies advance
     by the swing equation.  `stage` is derivatives() at `x` when the caller
-    already has it.  Raises on any non-finite result.
+    already has it.  Raises DynamicsError naming step_index once the state
+    is non-finite or beyond BLOWUP_LIMIT.
     """
     k, omega = (stage or _field(net, costs, controllers, scenario, x))[:2]
     return _advance(step_index, x, omega, scenario.h * k)

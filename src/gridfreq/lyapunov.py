@@ -479,12 +479,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         raise LyapunovError(f"cannot certify mode {traj.mode!r}")
 
     h = float(traj.t[1] - traj.t[0])
-    fd = np.full_like(w, np.nan)
-    if len(w) >= 3:
-        fd[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-    if len(w) >= 2:
-        fd[0] = (w[1] - w[0]) / h
-        fd[-1] = (w[-1] - w[-2]) / h
+    fd = np.gradient(w, h)
 
     slack = tol.tol_abs + tol.tol_rel * h * np.abs(wdot[:-1])
     rise = np.diff(w)

@@ -244,7 +244,7 @@ def project_gauge(delta):
     state is considered corrupted.
     """
     delta = np.asarray(delta, dtype=float)
-    worst = float(np.abs(np.add.reduce(delta, axis=-1) / delta.shape[-1]).max())
+    worst = float(np.abs(np.add.reduce(delta, axis=-1)).max()) / delta.shape[-1]
     if worst > GAUGE_ERROR:
         raise NetworkError(f"angle gauge drift {worst:.3e} exceeds {GAUGE_ERROR}")
     if worst > GAUGE_CORRECT:

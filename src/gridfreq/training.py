@@ -1,8 +1,9 @@
 """Gradient-descent training of the monotone policies through the dynamics.
 
-The discrete-time rollout (forward Euler over dynamics.derivatives, the
-simulator's own right-hand side, evaluated on the whole batch at once) is
-unrolled over L steps for a batch of random disturbances, and the loss
+The discrete-time rollout (one dynamics.euler_step per step, the simulator's
+own Euler step over its right-hand side dynamics.derivatives, taken on the
+whole batch at once) is unrolled over L steps for a batch of random
+disturbances, and the loss
 
     J = mean over batch [ sum_gens max_l |omega_i at step l+1|
                           + rho * (1/L) sum_i sum_l C_i(u_i(s_i at step l)) ]
@@ -42,7 +43,7 @@ import numpy as np
 from .controller import (NetParams, RawParams, eval_u, init_raw_params,
                          transform_params, validate_params)
 from .costs import CostModel
-from .dynamics import derivatives
+from .dynamics import DynamicsError, Scenario, derivatives, euler_step
 from .network import (PowerNetwork, comm_laplacian_apply, flow_jacobian_apply,
                       line_weights)
 
@@ -127,10 +128,11 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     """Unroll the closed loop for a disturbance batch and score it.
 
     p has shape (B, n).  Returns the scalar loss (batch mean) and the tape
-    for backprop.  Each step is dynamics.euler_step's update over
-    dynamics.derivatives, without the gauge re-projection; the policies are
-    evaluated here from their tables, so that the step's table counts go on
-    the tape.
+    for backprop.  Each step is one dynamics.euler_step over
+    dynamics.derivatives, the step simulate takes, with its gauge
+    re-projection and its blow-up rule (DynamicsError naming the step); the
+    policies are evaluated here from their tables, so that the step's table
+    counts go on the tape.
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
@@ -138,7 +140,7 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     n = net.n
     g = net.gens
     L = cfg.steps
-    h = cfg.h
+    scenario = Scenario(p=p, T=cfg.T, h=cfg.h)
 
     theta = np.zeros((L + 1, B, n))
     omega_g = np.zeros((L + 1, B, len(g)))
@@ -149,7 +151,7 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     if initial is not None:
         theta[0], omega_g[0], s[0] = initial
 
-    x = np.zeros((B, 3, n))               # load omega entries stay zero
+    x = np.zeros((B, 3, n))    # derivatives ignores the load omega entries
     x[:, 0], x[:, 1, g], x[:, 2] = theta[0], omega_g[0], s[0]
     cost_acc = np.zeros(B)
     # running per-bus max |omega_g| and its first step (strict >, as argmax)
@@ -160,13 +162,10 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
         ip, im = t.index(xe)
         count[l] = ip - im
         u = t.clamp(t.value(xe, ip, im))
-        k = derivatives(net, costs, params, x, p, u=u)[0]
-        k *= h
-        x += k
+        x = euler_step(net, costs, params, scenario, x, l,
+                       derivatives(net, costs, params, x, p, u=u))
         theta[l + 1], omega_g[l + 1], s[l + 1] = x[:, 0], x[:, 1, g], x[:, 2]
         cost_acc += costs.values(u).sum(axis=-1)
-        if not np.isfinite(x).all():
-            raise FloatingPointError(f"integration blow-up at rollout step {l}")
         abs_om = np.abs(omega_g[l + 1])
         np.copyto(nadir_step, l, where=abs_om > peak_abs)
         np.maximum(peak_abs, abs_om, out=peak_abs)
@@ -388,8 +387,8 @@ def train(net: PowerNetwork, costs: CostModel, cfg: TrainConfig) -> TrainResult:
         p = rng.uniform(cfg.p_lo, cfg.p_hi, size=(cfg.batch_size, net.n))
         try:
             loss, tape = rollout_loss(net, costs, raw, p, cfg)
-        except FloatingPointError as exc:
-            raise FloatingPointError(
+        except DynamicsError as exc:
+            raise DynamicsError(
                 f"{exc} (epoch {e}, seed {cfg.seed})") from None
         grads = backprop(tape, net, costs)
         del tape                # so the next rollout's tape replaces it

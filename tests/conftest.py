@@ -1,4 +1,4 @@
-"""Shared network builders for the test suite.
+"""Shared network builders and oracles for the test suite.
 
 Everything here is deterministic: fixed parameters, fixed seeds. The builders
 return fresh PowerNetwork objects so tests can't contaminate each other
@@ -88,6 +88,17 @@ def dense_comm_laplacian(net):
     L[net.comm_j, net.comm_i] = -net.comm_q
     np.fill_diagonal(L, -L.sum(axis=1))
     return L
+
+
+def eval_slope(params, x):
+    """Right-limit derivative of controller.eval_u at x, the slope oracle of
+    the controller tests; zero inside the deadband and strictly beyond a
+    saturation bound."""
+    t = params._tables
+    x = np.asarray(x, dtype=float)
+    xe = t.shift(x)
+    ip, im = t.index(xe)
+    return np.where(t.unsaturated(t.value(xe, ip, im)), t.slope(x, xe, ip, im), 0.0)
 
 
 def random_connected_net(seed, buses=4, all_gens=False):

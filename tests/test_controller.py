@@ -12,14 +12,14 @@ from gridfreq import training as trn
 from gridfreq.controller import NetParams, RawParams
 from gridfreq.training import TrainConfig
 
-from conftest import random_connected_net
+from conftest import eval_slope, random_connected_net
 
 
 def test_identity_is_slope_one():
     params = ctl.identity_params(n=3)
     x = np.array([-2.0, 0.5, 1.7])
     assert np.allclose(ctl.eval_u(params, x), x, atol=1e-15)
-    assert np.allclose(ctl.eval_slope(params, x), 1.0, atol=1e-15)
+    assert np.allclose(eval_slope(params, x), 1.0, atol=1e-15)
     assert np.allclose(ctl.lipschitz_constant(params), 1.0, atol=1e-15)
 
 
@@ -31,8 +31,8 @@ def test_two_segment_piecewise_values():
     )
     assert ctl.eval_u(params, np.array([2.0]))[0] == pytest.approx(3.0)
     assert ctl.eval_u(params, np.array([0.5]))[0] == pytest.approx(0.5)
-    assert ctl.eval_slope(params, np.array([2.0]))[0] == pytest.approx(2.0)
-    assert ctl.eval_slope(params, np.array([0.5]))[0] == pytest.approx(1.0)
+    assert eval_slope(params, np.array([2.0]))[0] == pytest.approx(2.0)
+    assert eval_slope(params, np.array([0.5]))[0] == pytest.approx(1.0)
 
 
 def test_lipschitz_is_max_partial_sum():
@@ -99,7 +99,7 @@ def test_saturation_clamps_and_zeroes_slope():
     x = np.array([[-2.0], [-0.2], [0.3], [2.0]])
     u = ctl.eval_u(params, x)
     assert np.allclose(u.ravel(), [-0.5, -0.2, 0.3, 0.5])
-    slopes = ctl.eval_slope(params, x).ravel()
+    slopes = eval_slope(params, x).ravel()
     assert slopes[0] == 0.0 and slopes[3] == 0.0
     assert slopes[1] == 1.0 and slopes[2] == 1.0
 
@@ -109,7 +109,7 @@ def test_deadband_shifts_input():
     x = np.array([[-1.0], [-0.2], [0.0], [0.2], [1.0]])
     u = ctl.eval_u(params, x).ravel()
     assert np.allclose(u, [-0.7, 0.0, 0.0, 0.0, 0.7], atol=1e-15)
-    slopes = ctl.eval_slope(params, x).ravel()
+    slopes = eval_slope(params, x).ravel()
     assert np.allclose(slopes, [1.0, 0.0, 0.0, 0.0, 1.0])
 
 
@@ -121,7 +121,7 @@ def test_slope_matches_finite_difference_off_breakpoints():
         params = ctl.transform_params(raw)
         x = rng.uniform(-2.0, 2.0, size=(20, 2))
         fd = (ctl.eval_u(params, x + eps) - ctl.eval_u(params, x - eps)) / (2 * eps)
-        slope = ctl.eval_slope(params, x)
+        slope = eval_slope(params, x)
         near_break = np.zeros_like(x, dtype=bool)
         for b in np.concatenate([params.b_plus, params.b_minus], axis=-1).T:
             near_break |= np.abs(x - b) < 10 * eps
@@ -270,7 +270,7 @@ def test_tables_equal_relu_oracle_exactly_on_dyadic_inputs(case):
     params, x = case
     u, slope, unsat, _, _ = relu_oracle(params, x)
     assert np.array_equal(ctl.eval_u(params, x), u)
-    assert np.array_equal(ctl.eval_slope(params, x), slope)
+    assert np.array_equal(eval_slope(params, x), slope)
     t = params._tables
     assert np.array_equal(t.unsaturated(t.unclamped(x)), unsat)
 
@@ -290,7 +290,7 @@ def test_tables_match_relu_oracle(case):
     clear = ((np.abs(g - params.u_lo) > 1e-14 * scale)
              & (np.abs(g - params.u_hi) > 1e-14 * scale))
     assert np.array_equal(t.unsaturated(g_tab)[clear], unsat[clear])
-    assert np.all(np.abs(ctl.eval_slope(params, x) - slope)[clear]
+    assert np.all(np.abs(eval_slope(params, x) - slope)[clear]
                   <= 1e-14 * np.broadcast_to(ksum, x.shape)[clear])
 
 
@@ -301,7 +301,7 @@ def test_tables_count_past_255_breakpoints():
     x = rng.uniform(-20.0, 20.0, (50, 2))
     u, slope, _, _, scale = relu_oracle(params, x)
     assert np.all(np.abs(ctl.eval_u(params, x) - u) <= 1e-14 * scale)
-    assert np.allclose(ctl.eval_slope(params, x), slope, rtol=1e-13, atol=0.0)
+    assert np.allclose(eval_slope(params, x), slope, rtol=1e-13, atol=0.0)
 
 
 def test_counts_in_chunks_past_the_tile_budget(monkeypatch):

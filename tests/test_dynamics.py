@@ -4,6 +4,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
 from gridfreq import costs as cm
@@ -13,7 +15,8 @@ from gridfreq import network
 from gridfreq.dynamics import DynamicsError, Scenario, SystemState
 from gridfreq.network import comm_laplacian_apply, power_flows, project_gauge
 
-from conftest import nine_bus, three_bus, three_bus_gens, two_bus
+from conftest import (nine_bus, random_connected_net, three_bus, three_bus_gens,
+                      two_bus)
 
 
 def quad3():
@@ -553,3 +556,33 @@ def test_read_csv_returns_the_written_bits(tmp_path, with_w):
         assert same_bits(back.W, traj.W)
     else:
         assert back.W is None
+
+
+def random_loop(net_seed, buses, method="euler", steps=100):
+    """A random network's closed loop under a small disturbance, and a
+    scenario of `steps` steps at half of `method`'s stable step (1 ms at
+    most)."""
+    net = random_connected_net(net_seed, buses=buses)
+    rng = np.random.default_rng(net_seed)
+    costs = cm.random_power_costs(net.n, rng, r=4)
+    params = ctl.transform_params(ctl.init_raw_params(net.n, 3, rng))
+    p = rng.uniform(-0.3, 0.3, net.n)
+    limit = dyn.max_stable_step(net, costs, params, Scenario(p=p, T=1.0, h=1e-3),
+                                method)
+    h = min(1e-3, 0.5 * limit)
+    return net, costs, params, Scenario(p=p, T=steps * h, h=h)
+
+
+def bits(record):
+    """Every field of a result dataclass as bytes (arrays) or repr."""
+    return {f: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for f, v in vars(record).items()}
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 10 ** 6), st.integers(2, 10), st.sampled_from(["euler", "rk4"]))
+def test_simulate_reruns_bit_identical_on_random_networks(net_seed, buses, method):
+    net, costs, params, scen = random_loop(net_seed, buses, method)
+    first, again = (dyn.simulate(scen, net, costs, params,
+                                 stepper=dyn.STEPPERS[method]) for _ in range(2))
+    assert bits(first) == bits(again)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
@@ -19,7 +19,7 @@ from gridfreq.network import (angle_differences, edge_angle_spread,
 from conftest import (dense_comm_laplacian, random_connected_net, three_bus,
                       three_bus_gens, two_bus)
 from test_controller import relu_oracle
-from test_dynamics import case39
+from test_dynamics import bits, case39, random_loop
 
 
 def quad3():
@@ -279,6 +279,18 @@ def test_W_nonnegative_and_W_dot_nonpositive_on_random_networks(
     floor = -lyap.CertifyTolerances().positivity_floor
     assert np.all(lyap.lyap_W(net, params, state, eq) >= -floor)
     assert np.all(lyap.lyap_W_dot(net, costs, params, state, eq) <= floor)
+
+
+@settings(max_examples=20)
+@given(st.integers(0, 10 ** 6), st.integers(2, 10))
+def test_certify_trajectory_reruns_bit_identical_on_random_networks(net_seed,
+                                                                     buses):
+    net, costs, params, scen = random_loop(net_seed, buses)
+    eq = eqm.solve_equilibrium(net, costs, params, scen.p)
+    traj = dyn.simulate(scen, net, costs, params)
+    first, again = (lyap.certify_trajectory(traj, net, costs, params, eq)
+                    for _ in range(2))
+    assert bits(first) == bits(again)
 
 
 def test_cross_term_edge_sum_matches_dense_quadratic_form():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridfreq import network
 from gridfreq.network import NetworkError
@@ -170,6 +172,22 @@ def test_flows_sum_to_zero():
         delta = network.to_center_of_inertia(rng.uniform(-0.5, 0.5, net.n))
         flows = network.power_flows(net, delta)
         assert abs(flows.sum()) < 1e-12
+
+
+@given(st.integers(0, 10 ** 6), st.integers(2, 12), st.floats(0.01, 3.0),
+       st.floats(-10.0, 10.0))
+def test_flows_sum_to_zero_and_ignore_a_uniform_shift_on_random_networks(
+        net_seed, buses, spread, shift):
+    net = random_connected_net(net_seed, buses=buses)
+    delta = np.random.default_rng(net_seed).uniform(-spread, spread, net.n)
+    flows = network.power_flows(net, delta)
+    # every line's flow leaves one end and enters the other, and the shift
+    # cancels in each angle difference up to the rounding of delta + shift
+    total = np.abs(net.line_w).sum()
+    assert abs(flows.sum()) <= 8 * np.finfo(float).eps * total
+    moved = network.power_flows(net, delta + shift)
+    tol = 8 * np.finfo(float).eps * (spread + abs(shift)) * total
+    assert np.all(np.abs(moved - flows) <= tol)
 
 
 def test_power_flows_batched():

@@ -13,6 +13,7 @@ from gridfreq import dynamics as dyn
 from gridfreq import network
 from gridfreq import training as trn
 from gridfreq.controller import RawParams
+from gridfreq.dynamics import DynamicsError
 from gridfreq.training import TrainConfig
 
 from conftest import nine_bus, random_connected_net, three_bus, two_bus
@@ -191,9 +192,34 @@ def test_rollout_blow_up_message():
     cfg = TrainConfig(d=2, h=0.5, T=5.0, batch_size=2, seed=0)
     p = np.array([[5.0, -4.0], [-5.0, 3.0]])
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError,
-                           match=r"integration blow-up at rollout step \d+"):
+        with pytest.raises(DynamicsError,
+                           match=r"integration blow-up at step \d+"):
             trn.rollout_loss(net, costs, raw, p, cfg)
+
+
+def test_rollout_blow_up_past_limit_while_finite():
+    # the rollout stops at the first step whose state passes the simulator's
+    # blow-up limit, not at the first non-finite one
+    net = three_bus()
+    costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
+    raw = ctl.init_raw_params(3, 3, np.random.default_rng(12))
+    params = ctl.transform_params(raw)
+    cfg = TrainConfig(d=3, h=0.05, T=2.0, batch_size=2, seed=0)
+    p = np.array([[-0.5, -0.2, 0.1], [0.4, -0.3, 0.2]])
+
+    # unchecked Euler recursion on the same inputs
+    x = np.zeros((2, 3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(cfg.steps):
+            k, omega = dyn.derivatives(net, costs, params, x, p)[:2]
+            x = x + cfg.h * k
+            x[:, 1] = omega + cfg.h * k[:, 1]
+            if not np.abs(x).max() <= dyn.BLOWUP_LIMIT:
+                break
+    assert np.abs(x).max() > dyn.BLOWUP_LIMIT and np.isfinite(x).all()
+    with pytest.raises(DynamicsError,
+                       match=rf"integration blow-up at step {first}$"):
+        trn.rollout_loss(net, costs, raw, p, cfg)
 
 
 def test_train_blow_up_reports_epoch_and_seed():
@@ -202,7 +228,8 @@ def test_train_blow_up_reports_epoch_and_seed():
     cfg = TrainConfig(d=2, h=0.5, T=2.5, batch_size=2, epochs=2, lr=0.1,
                       p_lo=-5.0, p_hi=5.0, seed=9)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match=r"\(epoch \d+, seed 9\)"):
+        with pytest.raises(DynamicsError, match=r"integration blow-up at step "
+                                                r"\d+ \(epoch \d+, seed 9\)"):
             trn.train(net, costs, cfg)
 
 
