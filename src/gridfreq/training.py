@@ -132,7 +132,8 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     dynamics.derivatives, the step simulate takes, with its gauge
     re-projection and its blow-up rule (DynamicsError naming the step); the
     policies are evaluated here from their tables, so that the step's table
-    counts go on the tape.
+    counts go on the tape.  `initial` is (theta, omega_G, s) at step 0, with
+    the angles in the center-of-inertia gauge, as simulate takes them.
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
