@@ -33,19 +33,24 @@ prefix of them, so with c = #(x' > b_plus)
 
 and the minus side mirrors this with the breakpoints sorted descending and
 c = #(x' < b_minus).  Sorting inside the tables keeps directly built
-parameters with unsorted or repeated breakpoints exact.  The counts come
-from bool masks with the d axis leading, so no (..., n, d) float stack is
-formed; training's adjoint bins its parameter terms by the same counts.
-The masks compare the inputs against the breakpoints tiled along them, so
-each comparison runs over all rows of n buses at once, not over n entries
-at a time; the tiled copy holds at most TILE_ELEMENTS breakpoints per
-side, and longer inputs are counted in chunks of rows.
+parameters with unsorted or repeated breakpoints exact.
 
-An input is counted against the breakpoints once, strictly.  The
-right-limit slope gathers K at the weak count #(x' >= b_plus), which tie
-tables give from the strict count c: where x' equals the next sorted
-breakpoint b[c], the weak count also passes the run of breakpoints equal
-to it.  Two gathers and a compare, with no second pass over the breakpoints.
+The two sides share one count.  For every float x', x' > nextafter(b, -inf)
+holds exactly when x' >= b, so over a bus's 2d merged thresholds theta =
+[nextafter(b_minus, -inf), b_plus], sorted, the rank
+
+    r = #(x' > theta) = #(x' > b_plus) + #(x' >= b_minus) = c_plus - c_minus + d,
+
+and the plus thresholds among the first r give c_plus.  Row r of the merged
+table holds the sum of the two one-sided rows at those counts, formed as the
+one-sided evaluation forms it, so one compare, one reduce and one gather
+give its bits.  The right-limit slope needs the weak count #(x' >= b_plus)
+where x' equals the next plus breakpoint, so each row also carries that
+breakpoint and the slopes at the strict and the weak count.  The rank comes
+from a bool mask against the thresholds tiled along the flattened inputs
+(at most TILE_ELEMENTS of them; longer inputs are ranked in chunks of
+rows), so no (..., n, d) float stack is formed; training's adjoint bins its
+parameter terms by the same rank.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 SLOPE_WARN_FLOOR = 1e-6
-TILE_ELEMENTS = 1 << 16     # tiled breakpoints per side (512 kB of float64)
+TILE_ELEMENTS = 1 << 17     # tiled thresholds (1 MB of float64)
 
 
 @dataclass(frozen=True)
@@ -171,65 +176,63 @@ def validate_params(params: NetParams, warn=True):
     return bool(ok)
 
 
-def _ties(srt, end, off):
-    """One side's tie tables from its sorted breakpoints srt (n, d), flat
-    over the rows off + c for c = 0..d: the breakpoint srt[:, c] (`end` at
-    c = d), and the row off + c' where c' ends the run of breakpoints equal
-    to srt[:, c] that starts at c (c' = d at c = d)."""
-    n, d = srt.shape
-    # c' = the first run end at or after c; a non-end position reads d
-    ends = np.broadcast_to(np.arange(1, d + 1), (n, d)).copy()
-    ends[:, :-1][srt[:, :-1] == srt[:, 1:]] = d
-    past = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
-    nxt = np.concatenate([srt, np.full((n, 1), end)], axis=1)
-    rows = off[:, None] + np.concatenate([past, np.full((n, 1), d)], axis=1)
-    return nxt.ravel(), rows.ravel()
-
-
 class _Tables:
-    """Cumulative slope/intercept tables of one NetParams (module docstring).
-
-    Row bus*(d+1) + c of `plus` holds (K, -C) of the plus side and of
-    `minus` (-K, C) of the minus side, so g is the sum of the two rows'
-    first entries times x' plus their second entries.  E_p and E_m (minus
-    side negated) hold E of the antiderivative in their own arrays, so
-    `value` gathers two columns.  Counts are summed as uint8 while d < 256.
-    `inverse` solves g(x') = y on these rows between the `nodes`.  The tie
-    tables `next` and `ties` (side, n * (d+1)) hold, at each strict row, the
-    sorted breakpoint there (+-inf past the last) and the row past the run
-    of breakpoints equal to it, for `weak`.
+    """Merged-rank tables of one NetParams (module docstring): flat row
+    bus*(2d+1) + r of `pair` holds (K, -C) of g = K x' - C at rank r, of
+    `E` the two sides' E, and of `slopes` the next plus breakpoint with the
+    strict and weak right-limit slopes.  `inverse` solves g(x') = y on these
+    rows between the `nodes`.
     """
 
     def __init__(self, params: NetParams):
         n, d = params.k_plus.shape
-        self.order_p = np.argsort(params.b_plus, axis=-1, kind="stable")
-        self.order_m = np.argsort(-params.b_minus, axis=-1, kind="stable")
-        self.sorted_p = np.take_along_axis(params.b_plus, self.order_p, -1)
-        self.sorted_m = np.take_along_axis(params.b_minus, self.order_m, -1)
-        self.k_p = np.take_along_axis(params.k_plus, self.order_p, -1)
-        self.k_m = np.take_along_axis(params.k_minus, self.order_m, -1)
-        # (side, d, n) sorted breakpoints, tiled along the entries up to
-        # tile_size = rows * n of them (d * tile_size <= TILE_ELEMENTS, or
-        # one row); the copy grows to the largest input seen, and `layouts`
-        # maps an input shape to the copy's two (d,) + shape views
-        self.bpm = np.stack([self.sorted_p.T, self.sorted_m.T])
-        self.tile_size = max(1, TILE_ELEMENTS // (d * n)) * n
-        self.tiled = self.bpm
-        self.layouts = {}
+        order_p = np.argsort(params.b_plus, axis=-1, kind="stable")
+        order_m = np.argsort(-params.b_minus, axis=-1, kind="stable")
+        sorted_p = np.take_along_axis(params.b_plus, order_p, -1)
+        sorted_m = np.take_along_axis(params.b_minus, order_m, -1)
+        k_p = np.take_along_axis(params.k_plus, order_p, -1)
+        k_m = np.take_along_axis(params.k_minus, order_m, -1)
 
         def prefix(a):
             return np.concatenate([np.zeros((n, 1)), np.cumsum(a, -1)], -1)
 
-        self.K_p, self.K_m = prefix(self.k_p), prefix(self.k_m)     # (n, d+1)
-        C_p, C_m = prefix(self.k_p * self.sorted_p), prefix(self.k_m * self.sorted_m)
-        self.plus = np.stack([self.K_p, -C_p], -1).reshape(-1, 2)
-        self.minus = np.stack([-self.K_m, C_m], -1).reshape(-1, 2)
-        self.E_p = 0.5 * prefix(self.k_p * self.sorted_p ** 2).ravel()
-        self.E_m = -0.5 * prefix(self.k_m * self.sorted_m ** 2).ravel()
-        self.off = np.arange(n) * (d + 1)
-        self.next, self.ties = map(np.stack, zip(_ties(self.sorted_p, np.inf, self.off),
-                                                 _ties(self.sorted_m, -np.inf, self.off)))
-        self.count_dtype = np.uint8 if d < 256 else np.intp
+        K_p, K_m = prefix(k_p), prefix(k_m)                          # (n, d+1)
+        C_p, C_m = prefix(k_p * sorted_p), prefix(k_m * sorted_m)
+        E_p = 0.5 * prefix(k_p * sorted_p ** 2)
+        E_m = -0.5 * prefix(k_m * sorted_m ** 2)
+
+        # merged thresholds; the plus ones among the first r give c_plus
+        theta = np.concatenate([np.nextafter(params.b_minus, -np.inf),
+                                params.b_plus], axis=1)
+        order = np.argsort(theta, axis=-1, kind="stable")
+        self.pos = np.argsort(order, axis=-1, kind="stable")  # b_minus, b_plus
+        cp = prefix(order >= d).astype(np.intp)                      # (n, 2d+1)
+        cm = d - (np.arange(2 * d + 1) - cp)
+        bus = np.arange(n)[:, None]
+        self.pair = (np.stack([K_p, -C_p], -1)[bus, cp]
+                     + np.stack([-K_m, C_m], -1)[bus, cm]).reshape(-1, 2)
+        self.E = np.stack([E_p[bus, cp], E_m[bus, cm]], -1).reshape(-1, 2)
+        # weak plus count at x' = the next breakpoint: the end of the run of
+        # breakpoints equal to it (the first run end at or after c)
+        ends = np.broadcast_to(np.arange(1, d + 1), (n, d)).copy()
+        ends[:, :-1][sorted_p[:, :-1] == sorted_p[:, 1:]] = d
+        ends = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1]
+        weak = np.concatenate([ends, np.full((n, 1), d)], axis=1)[bus, cp]
+        nxt = np.concatenate([sorted_p, np.full((n, 1), np.inf)], axis=1)[bus, cp]
+        self.slopes = np.stack([nxt, K_p[bus, cp] - K_m[bus, cm],
+                                K_p[bus, weak] - K_m[bus, cm]], -1).reshape(-1, 3)
+        self.breakpoints = np.sort(np.concatenate([params.b_minus, params.b_plus],
+                                                  axis=1), axis=1)
+        self.off = np.arange(n) * (2 * d + 1)
+        self.count_dtype = np.min_scalar_type(2 * d)
+        # (2d, n) sorted thresholds, tiled along the entries up to tile_size
+        # = rows * n of them (2d * tile_size <= TILE_ELEMENTS, or one row);
+        # the copy grows to the largest input seen, and `layouts` maps an
+        # input shape to the copy's (2d,) + shape view
+        self.thresholds = np.take_along_axis(theta, order, -1).T
+        self.tile_size = max(1, TILE_ELEMENTS // (2 * d * n)) * n
+        self.tiled = self.thresholds
+        self.layouts = {}
         self.dz, self.u_lo, self.u_hi = params.dz, params.u_lo, params.u_hi
         self.shifted = bool(np.any(params.dz > 0))
         self.clamped = bool(np.any(np.isfinite(params.u_lo))
@@ -241,77 +244,62 @@ class _Tables:
             return x
         return np.sign(x) * np.maximum(np.abs(x) - self.dz, 0.0)
 
-    def _count(self, xe, side):
-        """#(x' > b) over the d sorted breakpoints b of the plus side (side
-        0), or #(x' < b) over the minus side's (side 1), for every entry of
-        xe (last axis against n).  Inputs longer than the tiled copy are
-        counted in chunks of its rows."""
+    def rank(self, xe):
+        """r = #(x' > theta) over each bus's 2d merged thresholds, for every
+        entry of xe (last axis against n); NaN ranks 0.  Inputs longer than
+        the tiled copy are counted in chunks of its rows."""
         b = self.layouts.get(xe.shape)
         if b is None:
             n = self.off.size
             if xe.shape[-1:] != (n,):
-                return self._count(np.broadcast_to(xe, xe.shape[:-1] + (n,)), side)
+                return self.rank(np.broadcast_to(xe, xe.shape[:-1] + (n,)))
             if xe.size > self.tile_size:
                 rows, step = xe.reshape(-1, n), self.tile_size // n
-                return np.concatenate([self._count(rows[lo:lo + step], side)
+                return np.concatenate([self.rank(rows[lo:lo + step])
                                        for lo in range(0, len(rows), step)]
                                       ).reshape(xe.shape)
-            b = self._layout(xe.shape)
-        op = np.less if side else np.greater
-        return np.add.reduce(op(xe, b[side]).view(np.uint8), axis=0,
+            if self.tiled.shape[-1] < xe.size:       # grow the tiled copy
+                self.tiled = np.tile(self.thresholds, xe.size // n)
+                self.layouts = {}
+            b = self.layouts[xe.shape] = self.tiled[:, :xe.size].reshape(
+                self.thresholds.shape[:1] + xe.shape)
+        return np.add.reduce(np.greater(xe, b).view(np.uint8), axis=0,
                              dtype=self.count_dtype)
 
-    def _layout(self, shape):
-        """The breakpoints of both sides laid out as (d,) + shape views of
-        the tiled copy, growing the copy when the shape needs more rows."""
-        size = int(np.prod(shape))
-        if self.tiled.shape[-1] < size:
-            self.tiled = np.tile(self.bpm, size // self.off.size)
-            self.layouts = {}
-        views = tuple(self.tiled[..., :size].reshape(self.bpm.shape[:2] + shape))
-        self.layouts[shape] = views
-        return views
-
     def index(self, xe):
-        """Table rows bus*(d+1) + c on each side: c = #(x' > b_plus) and
-        #(x' < b_minus)."""
-        return self.off + self._count(xe, 0), self.off + self._count(xe, 1)
+        """Table rows bus*(2d+1) + r of x'."""
+        return self.off + self.rank(xe)
 
-    def weak(self, xe, rows, side):
-        """The rows of #(x' >= b_plus) (side 0) or #(x' <= b_minus) (side 1)
-        from that side's strict rows: they differ where x' equals the next
-        breakpoint, by the run of breakpoints equal to it."""
-        return np.where(xe == self.next[side].take(rows),
-                        self.ties[side].take(rows), rows)
-
-    def rows(self, ip, im):
-        """(K, -C) of g = K x' - C, summed over both sides' table rows."""
-        pair = self.plus.take(ip, axis=0)
-        pair += self.minus.take(im, axis=0)
+    def rows(self, r):
+        """(K, -C) of g = K x' - C at table rows r."""
+        pair = self.pair.take(r, axis=0)
         return pair[..., 0], pair[..., 1]
 
-    def value(self, xe, ip, im):
+    def value(self, xe, r):
         """The unclamped g = f_plus + f_minus at x' from its table rows."""
-        k, c = self.rows(ip, im)
+        k, c = self.rows(r)
         return k * xe + c
 
-    def antiderivative(self, xe, ip, im):
-        """(g, G) at x' from one gather of `value`'s rows; G = K x'^2 / 2 - C x'
-        + E, so G' = g (k max(0, x' - b) integrates to k (x' - b)^2 / 2)."""
-        k, c = self.rows(ip, im)
+    def antiderivative(self, xe, r):
+        """(g, G) at x' from its table rows; G = K x'^2 / 2 - C x' + E, so
+        G' = g (k max(0, x' - b) integrates to k (x' - b)^2 / 2)."""
+        k, c = self.rows(r)
+        e = self.E.take(r, axis=0)
         kx = k * xe
-        return kx + c, (0.5 * kx + c) * xe + self.E_p.take(ip) + self.E_m.take(im)
+        return kx + c, (0.5 * kx + c) * xe + e[..., 0] + e[..., 1]
 
     def unclamped(self, x):
         """g = f_plus + f_minus at x (float array, last axis against n)."""
         xe = self.shift(x)
-        return self.value(xe, *self.index(xe))
+        return self.value(xe, self.index(xe))
 
-    def slope(self, x, xe, ip, im):
-        """Right-limit slope of g at x from the strict rows of x': k_plus
-        counts where x' >= b_plus, -k_minus where x' < b_minus.  Zero
-        inside the deadband."""
-        slope = self.K_p.take(self.weak(xe, ip, 0)) - self.K_m.take(im)
+    def slope(self, x, xe, r):
+        """Right-limit slope of g at x from the table rows r of x': k_plus
+        counts where x' >= b_plus (the weak count where x' is the next plus
+        breakpoint), -k_minus where x' < b_minus.  Zero inside the
+        deadband."""
+        nxt, strict, weak = np.moveaxis(self.slopes.take(r, axis=0), -1, 0)
+        slope = np.where(xe == nxt, weak, strict)
         if self.shifted:
             slope = slope * ((x >= self.dz) | (x < -self.dz))
         return slope
@@ -320,9 +308,9 @@ class _Tables:
     def nodes(self):
         """(x, g): both sides' breakpoints sorted and padded by one point
         beyond each end, shape (2d + 2, n), and the unclamped g there."""
-        x = np.sort(np.concatenate([self.sorted_p, self.sorted_m], axis=1), axis=1)
+        x = self.breakpoints
         x = np.concatenate([x[:, :1] - 1.0, x, x[:, -1:] + 1.0], axis=1).T
-        return x, self.value(x, *self.index(x))
+        return x, self.value(x, self.index(x))
 
     def inverse(self, y):
         """x' where a nondecreasing g meets y (k, n): on the line k x' + c of
@@ -332,7 +320,7 @@ class _Tables:
         j = np.clip(np.sum(g[:, None] < y, axis=0), 1, len(x) - 1)
         bus = np.arange(len(self.off))
         x0 = x[j - 1, bus]
-        k, c = self.rows(*self.index(0.5 * (x0 + x[j, bus])))
+        k, c = self.rows(self.index(0.5 * (x0 + x[j, bus])))
         # flatter: the crossing may lie past the floats
         return np.divide(y - c, k, out=x0, where=k >= 1e-300)
 

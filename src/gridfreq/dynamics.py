@@ -36,8 +36,8 @@ import numpy as np
 
 from .controller import NetParams, eval_u
 from .costs import CostModel
-from .network import (PowerNetwork, comm_laplacian_apply, power_flows,
-                      project_gauge)
+from .network import (NetworkError, PowerNetwork, comm_laplacian_apply,
+                      power_flows, project_gauge)
 
 MODES = ("dai_general", "primary")
 DEFAULT_LOAD_INERTIA = 0.1   # synthetic m for load buses in primary mode (s)
@@ -159,9 +159,10 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
             u = eval_u(controllers, omega) if controllers is not None \
                 else np.zeros(omega.shape)
         mc = costs.grad(u) if costs is not None else np.zeros_like(u)
-        k[..., 0, :] = omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n
-        k[..., 1, :] = (p - net.alpha * omega - u - flows) \
-            / full_inertia(net, load_inertia)
+        np.subtract(omega, np.add.reduce(omega, axis=-1, keepdims=True) / net.n,
+                    out=k[..., 0, :])
+        np.divide(p - net.alpha * omega - u - flows, full_inertia(net, load_inertia),
+                  out=k[..., 1, :])
         return k, omega, u, mc
 
     two_pi_f0 = 2.0 * np.pi * net.f0
@@ -169,11 +170,13 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
         u = eval_u(controllers, x[..., 2, :])
     omega = np.where(net._is_gen, omega, _balance_omega(net, flows, u, p))
     mc = costs.grad(u)
-    k[..., 0, :] = two_pi_f0 * (
-        omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n)
+    np.multiply(two_pi_f0,
+                omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n,
+                out=k[..., 0, :])
     np.divide(-net.alpha * omega - flows + p + u, net._m_bus,
               out=k[..., 1, :], where=net._is_gen)
-    k[..., 2, :] = -two_pi_f0 * omega - costs.zeta * comm_laplacian_apply(net, mc)
+    np.subtract(-two_pi_f0 * omega, costs.zeta * comm_laplacian_apply(net, mc),
+                out=k[..., 2, :])
     return k, omega, u, mc
 
 
@@ -196,6 +199,17 @@ def _advance(step_index, x, omega, dx):
     if (fixed := project_gauge(delta)) is not delta:
         delta[...] = fixed
     return out
+
+
+def gauge_initial(x):
+    """The (..., 3, n) initial state x with its angles put in the
+    center-of-inertia gauge in place before step 0, by `_advance`'s rule;
+    a drift past GAUGE_ERROR raises DynamicsError naming the initial state."""
+    try:
+        x[..., 0, :] = project_gauge(x[..., 0, :])
+    except NetworkError as exc:
+        raise DynamicsError(f"initial state: {exc}") from None
+    return x
 
 
 def euler_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
@@ -285,7 +299,7 @@ def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
     initial = scenario.initial or SystemState.zeros(n)
     if len(initial.delta) != n:
         raise DynamicsError("initial state size does not match network")
-    x = initial.stack()
+    x = gauge_initial(initial.stack())
 
     t = np.arange(steps + 1) * scenario.h
     delta, omega, s, u, mc = np.empty((5, steps + 1, n))

@@ -88,7 +88,7 @@ def integral_per_bus(params: NetParams, s):
 
     def tangent(xe):
         xc = np.clip(xe, x_lo, x_hi)
-        g, big_g = t.antiderivative(xc, *t.index(xc))
+        g, big_g = t.antiderivative(xc, t.index(xc))
         u = t.clamp(g)
         return big_g - u * xc, u
 

@@ -32,7 +32,10 @@ class PowerNetwork:
     generator buses only (length = len(gens)); `alpha` and `v` cover all
     buses.  Lines and comm edges are stored as index pairs with weights,
     plus a cached signed edge-by-bus incidence matrix per edge set (+1 at
-    i, -1 at j) that scatters edge quantities onto buses in one product.
+    i, -1 at j): its transpose takes every edge's x_i - x_j in one product
+    (exact for finite x, as a row has two nonzero +-1 terms; inf gives NaN,
+    so angle checks take differences by index), and it scatters edge
+    quantities onto buses in another.
     """
 
     ids: tuple              # external bus ids, sorted ascending
@@ -265,7 +268,7 @@ def power_flows(net: PowerNetwork, delta):
     to zero (every line's flow leaves one end and enters the other).  Gauge
     invariant: adding a constant to all angles changes nothing.
     """
-    return (net.line_w * np.sin(angle_differences(net, delta))) @ net._line_inc
+    return (net.line_w * np.sin(delta @ net._line_inc.T)) @ net._line_inc
 
 
 def potential_energy(net: PowerNetwork, delta):
@@ -281,7 +284,7 @@ def potential_energy(net: PowerNetwork, delta):
 def line_weights(net: PowerNetwork, delta):
     """Per-line weights v_i v_j B_ij cos(delta_i - delta_j) of the flow
     Jacobian (batch dims allowed)."""
-    return net.line_w * np.cos(angle_differences(net, delta))
+    return net.line_w * np.cos(delta @ net._line_inc.T)
 
 
 def flow_jacobian(net: PowerNetwork, delta):
@@ -307,12 +310,12 @@ def flow_jacobian_apply(net: PowerNetwork, delta, x, weights=None):
     computed them (the adjoint computes them for a block of steps at once).
     """
     w = line_weights(net, delta) if weights is None else weights
-    return (w * (x[..., net.line_i] - x[..., net.line_j])) @ net._line_inc
+    return (w * (x @ net._line_inc.T)) @ net._line_inc
 
 
 def comm_laplacian_apply(net: PowerNetwork, y):
     """Product L_Q @ y over the communication graph (batch dims allowed)."""
-    return (net.comm_q * (y[..., net.comm_i] - y[..., net.comm_j])) @ net._comm_inc
+    return (net.comm_q * (y @ net._comm_inc.T)) @ net._comm_inc
 
 
 def scaled_laplacian_bilinear(net: PowerNetwork, zeta, x, y):

@@ -21,8 +21,8 @@ first.  Every term that depends on the stored states alone (the controller
 values, saturation masks and slopes, the cost derivatives, and the cosine
 line weights of the flow Jacobian) is computed once per block in whole-block
 array operations; only the adjoint recursion runs step by step.  The
-controller table rows are not recounted: the rollout counts each input
-against the breakpoints once and stores the count on the tape, and the
+controller table rows are not recounted: the rollout ranks each input
+among the merged thresholds once and stores the rank on the tape, and the
 sweep reads it back.
 Elementwise operations give the same bits on a block as on one step, and the
 per-step products and histogram sums keep their shapes and order, so the
@@ -43,7 +43,8 @@ import numpy as np
 from .controller import (NetParams, RawParams, eval_u, init_raw_params,
                          transform_params, validate_params)
 from .costs import CostModel
-from .dynamics import DynamicsError, Scenario, derivatives, euler_step
+from .dynamics import (DynamicsError, Scenario, derivatives, euler_step,
+                       gauge_initial)
 from .network import (PowerNetwork, comm_laplacian_apply, flow_jacobian_apply,
                       line_weights)
 
@@ -97,11 +98,11 @@ class Tape:
     recomputed during the backward sweep, one block of steps at a time, from
     the stored (theta, omega_G, s) tracks and the controller table counts
     the forward took; these reproduce every intermediate exactly.  `count`
-    holds, per input s[l], #(x' > b_plus) - #(x' < b_minus): transform_params
-    puts b_plus >= 0 >= b_minus and the deadband shift keeps the sign of x,
-    so at most one of the two is nonzero and the sign tells which (`_rows`
-    decodes it).  train drops each epoch's tape before the next rollout, so
-    one tape is alive at a time.
+    holds, per input s[l], its rank r = #(x' > b_plus) - #(x' < b_minus) + d
+    among the merged thresholds (controller module docstring): the table
+    row is bus*(2d+1) + r, and r fits one byte while d <= 127.  train drops
+    each epoch's tape before the next rollout, so one tape is alive at a
+    time.
     """
 
     raw: RawParams
@@ -114,12 +115,7 @@ class Tape:
     nadir_step: np.ndarray      # (B, n_gen) argmax step index (first on ties)
     nadir_sign: np.ndarray      # (B, n_gen) sign of omega at that step
     cfg: TrainConfig
-    count: np.ndarray           # (L, B, n) signed table counts of s[:-1]
-
-
-def _rows(t, count):
-    """The strict plus and minus table rows of t from Tape.count."""
-    return t.off + np.maximum(count, 0), t.off - np.minimum(count, 0)
+    count: np.ndarray           # (L, B, n) merged table ranks of s[:-1]
 
 
 def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
@@ -132,8 +128,10 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     dynamics.derivatives, the step simulate takes, with its gauge
     re-projection and its blow-up rule (DynamicsError naming the step); the
     policies are evaluated here from their tables, so that the step's table
-    counts go on the tape.  `initial` is (theta, omega_G, s) at step 0, with
-    the angles in the center-of-inertia gauge, as simulate takes them.
+    ranks go on the tape.  `initial` is (theta, omega_G, s) at step 0; its
+    angles are put in the center-of-inertia gauge before step 0 as simulate
+    puts them (a drift past network.GAUGE_ERROR raises DynamicsError), and
+    the tape holds them in that gauge.
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
@@ -146,23 +144,22 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     theta = np.zeros((L + 1, B, n))
     omega_g = np.zeros((L + 1, B, len(g)))
     s = np.zeros((L + 1, B, n))
-    # counts run from -d to d
-    count = np.empty((L, B, n), np.min_scalar_type(-params.d - 1))
     t = params._tables
+    count = np.empty((L, B, n), t.count_dtype)
     if initial is not None:
         theta[0], omega_g[0], s[0] = initial
 
     x = np.zeros((B, 3, n))    # derivatives ignores the load omega entries
     x[:, 0], x[:, 1, g], x[:, 2] = theta[0], omega_g[0], s[0]
+    theta[0] = gauge_initial(x)[:, 0]
     cost_acc = np.zeros(B)
     # running per-bus max |omega_g| and its first step (strict >, as argmax)
     peak_abs = np.full((B, len(g)), -1.0)
     nadir_step = np.zeros((B, len(g)), dtype=np.intp)
     for l in range(L):
         xe = t.shift(x[:, 2])
-        ip, im = t.index(xe)
-        count[l] = ip - im
-        u = t.clamp(t.value(xe, ip, im))
+        count[l] = t.rank(xe)
+        u = t.clamp(t.value(xe, t.off + count[l]))
         x = euler_step(net, costs, params, scenario, x, l,
                        derivatives(net, costs, params, x, p, u=u))
         theta[l + 1], omega_g[l + 1], s[l + 1] = x[:, 0], x[:, 1, g], x[:, 2]
@@ -203,12 +200,12 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
     inv_m = 1.0 / net.m
 
     t = params._tables
-    rows = n * (params.d + 1)
+    rows = n * (2 * params.d + 1)
     g_theta = np.zeros((B, n))
     g_w = np.zeros((B, len(g)))
     g_s = np.zeros((B, n))
-    # per table row (bus, count c): sums of a and a * x' on each side
-    hist = np.zeros((4, rows))
+    # per table row (bus, rank r): sums of a and a * x'
+    hist = np.zeros((2, rows))
     inv_alpha = 1.0 / net.alpha
     gain_g = h * inv_m
     decay_g = 1.0 - h * net.alpha[g] * inv_m
@@ -220,13 +217,13 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
         # everything that depends on the stored states alone, for the block
         s_blk = tape.s[lo:hi]
         xe = t.shift(s_blk)
-        ip, im = _rows(t, tape.count[lo:hi])
-        g_unc = t.value(xe, ip, im)
+        r = t.off + tape.count[lo:hi]
+        g_unc = t.value(xe, r)
         u = t.clamp(g_unc)
         unsat = t.unsaturated(g_unc)
         run = run_w * costs.grad(u)
         curv = costs.curvature(u)
-        slope = np.where(unsat, t.slope(s_blk, xe, ip, im), 0.0)
+        slope = np.where(unsat, t.slope(s_blk, xe, r), 0.0)
         weights = line_weights(net, tape.theta[lo:hi])
 
         for l in range(hi - 1, lo - 1, -1):
@@ -252,13 +249,12 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
 
             # controller parameter gradients at input s[l], binned by table
             # row; a breakpoint moves the output only where its ReLU is
-            # strictly active, which is where the row's count exceeds its
-            # sorted position
+            # strictly active, which is where the row's rank passes its
+            # merged position (plus side) or does not reach it (minus side)
             a_eff = a_u * unsat[j]
-            a_x = a_eff * xe[j]
-            for k, (row, w) in enumerate(((ip[j], a_eff), (ip[j], a_x),
-                                          (im[j], a_eff), (im[j], a_x))):
-                hist[k] += np.bincount(row.ravel(), w.ravel(), rows)
+            rj = r[j].ravel()
+            hist[0] += np.bincount(rj, a_eff.ravel(), rows)
+            hist[1] += np.bincount(rj, (a_eff * xe[j]).ravel(), rows)
 
             # state adjoints for the previous step
             g_s = g_s + slope[j] * a_u
@@ -266,20 +262,18 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
             g_theta = g_theta + flow_jacobian_apply(net, tape.theta[l], -a_base,
                                                     weights=weights[j])
 
-    # sorted breakpoint j is active for every count above j: tail sums of
-    # the histograms, then back to the caller's breakpoint order; batch mean
-    s0p, s1p, s0m, s1m = np.cumsum(
-        hist.reshape(4, n, -1)[..., :0:-1], axis=-1)[..., ::-1] / B
-
-    def unsort(a, order):
-        out = np.empty_like(a)
-        np.put_along_axis(out, order, a, axis=-1)
-        return out
-
-    gk_p = unsort(s1p - t.sorted_p * s0p, t.order_p)
-    gb_p = unsort(-t.k_p * s0p, t.order_p)
-    gk_m = unsort(t.sorted_m * s0m - s1m, t.order_m)
-    gb_m = unsort(t.k_m * s0m, t.order_m)
+    # the plus breakpoint at merged position q is active for ranks above q,
+    # the minus one for ranks up to q: tail and prefix sums of the
+    # histograms at each breakpoint's position; batch mean
+    hist = hist.reshape(2, n, -1)
+    s0p, s1p = np.take_along_axis(np.cumsum(hist[..., ::-1], axis=-1)[..., ::-1] / B,
+                                  t.pos[None, :, params.d:] + 1, axis=-1)
+    s0m, s1m = np.take_along_axis(np.cumsum(hist, axis=-1) / B,
+                                  t.pos[None, :, :params.d], axis=-1)
+    gk_p = s1p - params.b_plus * s0p
+    gb_p = -params.k_plus * s0p
+    gk_m = params.b_minus * s0m - s1m
+    gb_m = params.k_minus * s0m
 
     # chain through the square/telescoping reparameterization
     g_mu_p = 2.0 * raw.mu_plus * (gk_p - np.concatenate(
@@ -297,11 +291,12 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
 
 def finite_difference_gradients(net: PowerNetwork, costs: CostModel,
                                 raw: RawParams, p, cfg: TrainConfig,
-                                eps=1e-6) -> RawParams:
-    """Central finite differences of the rollout loss (oracle for backprop)."""
+                                eps=1e-6, initial=None) -> RawParams:
+    """Central finite differences of the rollout loss (oracle for backprop);
+    `initial` as in rollout_loss."""
 
     def loss_at(r):
-        return rollout_loss(net, costs, r, p, cfg)[0]
+        return rollout_loss(net, costs, r, p, cfg, initial)[0]
 
     grads = {}
     for name in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
@@ -334,23 +329,21 @@ def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
     t = params._tables
     s = tape.s[:-1]                                  # inputs used in the loss
     xe = t.shift(s)
-    ip, im = _rows(t, tape.count)
-    g_unc = t.value(xe, ip, im)
+    r = t.off + tape.count
+    g_unc = t.value(xe, r)
     moving = xe != 0.0
     if np.any(moving & (np.abs(xe) < tol)):          # near the origin breakpoint
         return True
-    # the nearest breakpoints strictly below and above x' sit just outside
-    # the run the strict and weak counts bracket (inf pads where none);
-    # equal ones are exact hits
-    bus = np.arange(params.n)
-    for side, (srt, end, strict) in enumerate(((t.sorted_p, np.inf, ip),
-                                               (t.sorted_m, -np.inf, im))):
-        weak = t.weak(xe, strict, side)
-        pad = np.pad(srt, ((0, 0), (1, 1)), constant_values=(-end, end)).ravel()
-        near = np.minimum(np.abs(xe - pad.take(strict + bus)),
-                          np.abs(xe - pad.take(weak + bus + 1)))
-        if np.any((near < tol) | ((weak != strict) & moving)):
-            return True
+    # the rank splits the sorted breakpoints of both sides at x' (inf pads
+    # where none), so the nearest one is next to the split, equal ones
+    # included; a pinned zero only sees the breakpoints other than zero
+    bp = t.breakpoints
+    pad = np.pad(bp, ((0, 0), (1, 1)), constant_values=(-np.inf, np.inf)).ravel()
+    at = r + np.arange(params.n)
+    near = np.minimum(np.abs(xe - pad.take(at)), np.abs(xe - pad.take(at + 1)))
+    gap = np.abs(np.where(bp == 0.0, np.inf, bp)).min(axis=-1, initial=np.inf)
+    if np.any(np.where(moving, near, gap) < tol):
+        return True
     if np.any(params.dz > 0) and np.any(
             (np.abs(np.abs(s) - params.dz) < tol) & (s != 0.0)):
         return True

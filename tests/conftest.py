@@ -97,8 +97,8 @@ def eval_slope(params, x):
     t = params._tables
     x = np.asarray(x, dtype=float)
     xe = t.shift(x)
-    ip, im = t.index(xe)
-    return np.where(t.unsaturated(t.value(xe, ip, im)), t.slope(x, xe, ip, im), 0.0)
+    r = t.index(xe)
+    return np.where(t.unsaturated(t.value(xe, r)), t.slope(x, xe, r), 0.0)
 
 
 def random_connected_net(seed, buses=4, all_gens=False):

@@ -305,67 +305,117 @@ def test_tables_count_past_255_breakpoints():
 
 
 def test_counts_in_chunks_past_the_tile_budget(monkeypatch):
-    # with room for 7 rows of tiled breakpoints, 1000 rows are counted in
-    # chunks (the last one short) and give the counts of each row alone, and
-    # so do the weak counts taken from them; inputs broadcast against the
-    # bus axis count as their broadcast
+    # with room for 7 rows of tiled thresholds, 1000 rows are ranked in
+    # chunks (the last one short) and give the ranks of each row alone, and
+    # so do the slopes read at them; inputs broadcast against the bus axis
+    # rank as their broadcast
     rng = np.random.default_rng(8)
     params = ctl.transform_params(ctl.init_raw_params(4, 5, rng), dz=0.05)
-    monkeypatch.setattr(ctl, "TILE_ELEMENTS", 7 * 5 * 4)
+    monkeypatch.setattr(ctl, "TILE_ELEMENTS", 7 * 2 * 5 * 4)
     t = params._tables
     x = rng.uniform(-1.0, 1.0, (1000, 4))
     x[::3, 1] = params.b_plus[1, 2]
     rows = [t.index(row) for row in x]
-    ip, im = t.index(x)
-    assert np.array_equal(ip, [r[0] for r in rows])
-    assert np.array_equal(im, [r[1] for r in rows])
-    assert np.array_equal(t.weak(x, ip, 0), [t.weak(r, ri[0], 0) for r, ri in zip(x, rows)])
-    assert np.array_equal(t.weak(x, im, 1), [t.weak(r, ri[1], 1) for r, ri in zip(x, rows)])
-    assert t.tiled.shape == (2, 5, 7 * 4)
+    r = t.index(x)
+    assert np.array_equal(r, rows)
+    assert np.array_equal(t.slope(x, x, r), [t.slope(a, a, ra) for a, ra in zip(x, rows)])
+    assert t.tiled.shape == (2 * 5, 7 * 4)
     col = x[:, :1]
-    assert np.array_equal(t.index(col)[0], t.index(np.repeat(col, 4, axis=1))[0])
+    assert np.array_equal(t.index(col), t.index(np.repeat(col, 4, axis=1)))
 
 
 def test_tiled_breakpoints_stay_within_the_budget():
     # a long trajectory (lyap_W evaluates every row at once) must not tile
-    # the breakpoints along all of its rows
+    # the thresholds along all of its rows
     rng = np.random.default_rng(9)
     params = ctl.transform_params(ctl.init_raw_params(39, 20, rng))
     x = rng.uniform(-1.0, 1.0, (5000, 39))
     assert np.array_equal(ctl.eval_u(params, x),
                           np.array([ctl.eval_u(params, row) for row in x]))
-    assert params._tables.tiled[0].size <= ctl.TILE_ELEMENTS
+    assert params._tables.tiled.size <= ctl.TILE_ELEMENTS
+
+
+def one_sided_tables(params, x):
+    """Rank, value, antiderivative and right-limit slope at x (no deadband)
+    from per-side counts and one-sided prefix tables, the evaluation the
+    merged tables replaced: c_plus = #(x > b_plus), c_minus = #(x < b_minus),
+    the weak #(x >= b_plus) for the slope, each side's breakpoints sorted
+    (ties in the caller's order) before its prefix sums."""
+    n, d = params.k_plus.shape
+    xcol = x[..., None]
+    cp = np.sum(xcol > params.b_plus, axis=-1)
+    cm = np.sum(xcol < params.b_minus, axis=-1)
+    wp = np.sum(xcol >= params.b_plus, axis=-1)
+    rank = cp + np.sum(xcol >= params.b_minus, axis=-1)
+
+    def prefix(a, order):
+        a = np.take_along_axis(a, order, -1)
+        return np.concatenate([np.zeros((n, 1)), np.cumsum(a, -1)], -1)
+
+    op = np.argsort(params.b_plus, axis=-1, kind="stable")
+    om = np.argsort(-params.b_minus, axis=-1, kind="stable")
+    K_p, K_m = prefix(params.k_plus, op), prefix(params.k_minus, om)
+    C_p = prefix(params.k_plus * params.b_plus, op)
+    C_m = prefix(params.k_minus * params.b_minus, om)
+    E_p = 0.5 * prefix(params.k_plus * params.b_plus ** 2, op)
+    E_m = -0.5 * prefix(params.k_minus * params.b_minus ** 2, om)
+    bus = np.arange(n)
+    k = K_p[bus, cp] + -K_m[bus, cm]
+    c = -C_p[bus, cp] + C_m[bus, cm]
+    kx = k * x
+    big_g = (0.5 * kx + c) * x + E_p[bus, cp] + E_m[bus, cm]
+    return rank, cp - cm + d, kx + c, big_g, K_p[bus, wp] - K_m[bus, cm]
 
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 16), d=st.sampled_from([1, 2, 3, 5, 8, 130]),
-       repeat=st.floats(0.0, 1.0), permuted=st.booleans())
-def test_tie_tables_give_the_weak_counts(seed, d, repeat, permuted):
-    """The weak counts #(x' >= b_plus) and #(x' <= b_minus) read from the
-    strict counts through the tie tables equal direct counts: with runs of
-    repeated breakpoints (chi = 0 on a random share of them), inputs on
-    the breakpoints of both sides, at zero and in between, breakpoints in
-    the caller's order or shuffled, and d = 130 (counts summed past int8)."""
+       sided=st.booleans(), repeat=st.floats(0.0, 1.0), permuted=st.booleans())
+def test_merged_rank_matches_per_side_counts(seed, d, sided, repeat, permuted):
+    """The rank among the merged thresholds is #(x > b_plus) + #(x >=
+    b_minus), which is c_plus - c_minus + d but for NaN (rank 0), and the
+    value, antiderivative and right-limit slope read at its table row equal
+    the one-sided tables' at the per-side counts, bit for bit.  Breakpoints
+    from transform_params with runs of repeats (chi = 0 on a random share),
+    or drawn from a small pool of both signs and +-0 on either side; in the
+    caller's order or shuffled.  Inputs on the breakpoints, one float to
+    either side of them, +-0, +-inf, NaN and in between.  d = 130 ranks
+    past 255 in a wider dtype."""
     rng = np.random.default_rng(seed)
     n = 3
     raw = ctl.init_raw_params(n, d, rng)
     for chi in (raw.chi_plus, raw.chi_minus):
         chi[rng.random(chi.shape) < repeat] = 0.0
     params = ctl.transform_params(raw)
+    if not sided:
+        pool = np.array([-1.5, -0.25, -0.0, 0.0, 0.25, 0.75, 2.0])
+        params = replace(params, b_plus=rng.choice(pool, (n, d)),
+                         b_minus=rng.choice(pool, (n, d)),
+                         k_minus=rng.uniform(-1.0, 1.0, (n, d)))
     if permuted:
         perm = np.argsort(rng.random((n, d)), axis=-1)
         params = replace(params, b_plus=np.take_along_axis(params.b_plus, perm, -1),
                          b_minus=np.take_along_axis(params.b_minus, perm, -1))
-    bps = np.concatenate([params.b_plus, params.b_minus, np.zeros((n, 1))], axis=1)
-    pick = bps[np.arange(n), rng.integers(0, 2 * d + 1, (40, n))]
-    x = np.where(rng.random((40, n)) < 0.6, pick, rng.uniform(-4.0, 4.0, (40, n)))
+    bps = np.concatenate([params.b_plus, params.b_minus], axis=1)
+    pick = bps[np.arange(n), rng.integers(0, 2 * d, (60, n))]
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    x = np.where(rng.random((60, n)) < 0.5, pick, rng.uniform(-4.0, 4.0, (60, n)))
+    x = np.concatenate([x, np.nextafter(pick, np.inf), np.nextafter(pick, -np.inf),
+                        np.broadcast_to(special[:, None], (5, n))])
     t = params._tables
-    ip, im = t.index(x)
-    xcol = x[..., None]
-    assert np.array_equal(ip - t.off, np.sum(xcol > params.b_plus, axis=-1))
-    assert np.array_equal(im - t.off, np.sum(xcol < params.b_minus, axis=-1))
-    assert np.array_equal(t.weak(x, ip, 0) - t.off, np.sum(xcol >= params.b_plus, axis=-1))
-    assert np.array_equal(t.weak(x, im, 1) - t.off, np.sum(xcol <= params.b_minus, axis=-1))
+    rank, signed, g, big_g, slope = one_sided_tables(params, x)
+    r = t.rank(x)
+    assert r.dtype == (np.uint8 if d <= 127 else np.uint16)
+    assert np.array_equal(r, rank)
+    finite = ~np.isnan(x)
+    assert np.array_equal(r[finite], signed[finite])
+    assert np.all(r[-3] == 2 * d) and np.all(r[-2] == 0) and np.all(r[-1] == 0)
+    rows = t.off + r
+    got_g, got_big_g = t.antiderivative(x, rows)
+    for a, b in ((t.value(x, rows), g), (got_g, g), (got_big_g, big_g)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert np.isnan(g[-1]).all()
+    assert np.array_equal(t.slope(x, x, rows)[finite].view(np.uint64),
+                          slope[finite].view(np.uint64))
 
 
 def oracle_backprop(tape, net, costs):
@@ -458,8 +508,9 @@ def assert_matches_oracle_backprop(tape, net, costs):
 
 
 def test_histogram_adjoint_matches_per_step_products_past_127_breakpoints():
-    # at d = 130 the tape stores its counts as int16; integral states spread
-    # over the breakpoints reach counts above 127 on both sides
+    # at d = 130 the tape stores its ranks r = c_plus - c_minus + d as
+    # uint16; integral states spread over the breakpoints reach counts above
+    # 127 on both sides, so ranks past 255
     rng = np.random.default_rng(130)
     net = random_connected_net(130, buses=3)
     costs = cm.random_power_costs(net.n, rng)
@@ -469,6 +520,6 @@ def test_histogram_adjoint_matches_per_step_products_past_127_breakpoints():
     initial = (np.zeros((6, net.n)), np.zeros((6, len(net.gens))),
                rng.uniform(-8.0, 8.0, (6, net.n)))
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
-    assert tape.count.dtype == np.int16
-    assert tape.count.max() > 127 and tape.count.min() < -127
+    assert tape.count.dtype == np.uint16
+    assert tape.count.max() > 130 + 127 and tape.count.min() < 130 - 127
     assert_matches_oracle_backprop(tape, net, costs)

@@ -195,6 +195,26 @@ def test_simulate_rejects_wrong_size_initial():
                      ctl.identity_params(n=2))
 
 
+@pytest.mark.parametrize("stepper", [dyn.euler_step, dyn.rk4_step], ids=["euler", "rk4"])
+def test_simulate_gauges_the_initial_angles_before_step_0(stepper):
+    # angles off the center-of-inertia gauge by 1e-2 are refused before any
+    # step, naming the initial state; by 1e-6 they are projected, so row 0
+    # is in the gauge of the rows after it
+    net = three_bus()
+    costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
+    params = ctl.identity_params(n=3)
+    p = np.array([-0.5, 0.2, 0.1])
+    far = SystemState(np.full(3, 1e-2), np.zeros(3), np.zeros(3))
+    with pytest.raises(DynamicsError, match="initial state: angle gauge drift"):
+        dyn.simulate(Scenario(p=p, T=0.01, h=1e-3, initial=far), net, costs,
+                     params, stepper=stepper)
+    near = SystemState(np.full(3, 1e-6), np.zeros(3), np.zeros(3))
+    traj = dyn.simulate(Scenario(p=p, T=0.01, h=1e-3, initial=near), net, costs,
+                        params, stepper=stepper)
+    assert traj.delta[0].mean() == 0.0
+    assert np.all(np.abs(traj.delta.mean(axis=-1)) < 1e-15)
+
+
 def test_blow_up_reports_step_index():
     # grossly unstable step size makes Euler diverge to non-finite values
     net = two_bus()

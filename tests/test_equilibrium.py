@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
@@ -191,6 +191,37 @@ def test_solve_equilibrium_primary_fixed_point():
     assert res["flow_residual_max"] < 1e-9
     # u at equilibrium is the droop response to the synchronous frequency
     assert np.allclose(eq.u_star, np.full(3, eq.omega_star), atol=1e-9)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 16), buses=st.integers(2, 6),
+       mode=st.sampled_from(["dai_general", "primary"]), masked=st.booleans())
+def test_equilibrium_residuals_stay_under_tolerance_on_random_networks(
+        seed, buses, mode, masked):
+    # random networks, costs and d = 5 policies (in DAI mode optionally
+    # saturated at 1.5 times the largest |u*| and with a deadband, so that
+    # the tables' inverse works between clamped crossings); disturbances
+    # small enough for every line to carry the flows inside the region
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(seed, buses=buses)
+    costs = cm.random_power_costs(net.n, rng)
+    p = rng.uniform(-0.05, 0.05, net.n)
+    masks = {}
+    if masked:
+        bound = 1.5 * np.max(np.abs(eqm.steady_injections(costs, eqm.solve_gamma(costs, p))))
+        masks = dict(u_lo=-bound, u_hi=bound, dz=float(rng.uniform(0.0, 0.1)))
+    params = ctl.transform_params(ctl.init_raw_params(net.n, 5, rng), **masks)
+    eq = eqm.solve_equilibrium(net, costs, params, p, mode=mode)
+    res = eqm.equilibrium_residuals(net, costs, params, p, eq)
+    assert res["flow_residual_max"] < 1e-9
+    assert res["edge_angle_spread"] < np.pi / 2
+    if mode == "primary":
+        return
+    scale = max(1.0, float(np.max(np.abs(eq.u_star))))
+    assert eq.omega_star == 0.0
+    assert res["marginal_cost_spread"] < 1e-12 * np.max(np.abs(costs.grad(eq.u_star)))
+    assert abs(res["power_balance"]) < 1e-12 * scale
+    assert res["controller_residual_max"] < 1e-12 * scale
 
 
 def _oracle_s_star(params, u_star):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridfreq import controller as ctl
 from gridfreq import costs as cm
@@ -145,6 +145,31 @@ def test_backprop_matches_finite_differences():
     assert min(seen.values()) >= 1, seen
 
 
+@settings(max_examples=15)
+@given(seed=st.integers(0, 2 ** 16), masked=st.booleans())
+def test_backprop_matches_finite_differences_on_random_networks(seed, masked):
+    """Random networks and costs, d = 3 policies, rollouts from a random
+    integral state spread over both sides' breakpoints (optionally with
+    saturation and a deadband); instances the tie screen flags are skipped,
+    the rest must match central finite differences."""
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(seed, buses=4)
+    costs = cm.random_power_costs(net.n, rng)
+    raw = ctl.init_raw_params(net.n, 3, rng)
+    cfg = TrainConfig(d=3, h=1e-3, T=6e-3, batch_size=2, seed=seed,
+                      **(dict(u_lo=-0.3, u_hi=0.25, dz=0.05) if masked else {}))
+    p = rng.uniform(-2.0, 2.0, (2, net.n))
+    initial = (np.zeros((2, net.n)), np.zeros((2, len(net.gens))),
+               rng.uniform(-1.0, 1.0, (2, net.n)))
+    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
+    assume(not trn.gradient_tie_risk(tape))
+    analytic = trn.backprop(tape, net, costs)
+    fd = trn.finite_difference_gradients(net, costs, raw, p, cfg, initial=initial)
+    for name in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
+        a, f = getattr(analytic, name), getattr(fd, name)
+        assert np.max(np.abs(a - f)) <= 1e-4 * max(np.max(np.abs(f)), 1e-8), name
+
+
 def test_gradient_tie_risk_clean_case():
     net = two_bus()
     costs = cm.quadratic_costs(np.ones(2))
@@ -195,6 +220,23 @@ def test_rollout_blow_up_message():
         with pytest.raises(DynamicsError,
                            match=r"integration blow-up at step \d+"):
             trn.rollout_loss(net, costs, raw, p, cfg)
+
+
+def test_rollout_gauges_the_initial_angles_before_step_0():
+    # as simulate: initial angles off the gauge by 1e-2 raise before step 0,
+    # naming the initial state; by 1e-6 they are projected, and the tape's
+    # theta[0] holds them in the gauge of theta[1:]
+    net = three_bus()
+    costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
+    raw = ctl.init_raw_params(3, 3, np.random.default_rng(0))
+    cfg = TrainConfig(d=3, h=1e-3, T=0.01, batch_size=2, seed=0)
+    p = np.array([[-0.5, 0.2, 0.1], [0.3, -0.1, 0.0]])
+    rest = (np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(DynamicsError, match="initial state: angle gauge drift"):
+        trn.rollout_loss(net, costs, raw, p, cfg, (np.full((2, 3), 1e-2), *rest))
+    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, (np.full((2, 3), 1e-6), *rest))
+    assert np.all(tape.theta[0].mean(axis=-1) == 0.0)
+    assert np.all(np.abs(tape.theta.mean(axis=-1)) < 1e-15)
 
 
 def test_rollout_blow_up_past_limit_while_finite():
@@ -248,9 +290,10 @@ def test_train_deterministic():
 
 @pytest.mark.parametrize("masks", [{}, dict(u_lo=-0.3, u_hi=0.25, dz=0.05)],
                          ids=["unbounded", "saturation-deadband"])
-def test_tape_counts_are_the_signed_strict_counts(masks):
-    # at every step, #(x' > b_plus) - #(x' < b_minus) of the input s[l],
-    # counted here directly; at most one of the two is nonzero
+def test_tape_counts_are_the_merged_ranks(masks):
+    # at every step, the rank #(x' > b_plus) - #(x' < b_minus) + d of the
+    # input s[l] among the merged thresholds, counted here per side;
+    # at most one of the two counts is nonzero
     rng = np.random.default_rng(21)
     net = random_connected_net(21, buses=5)
     costs = cm.random_power_costs(net.n, rng)
@@ -268,9 +311,9 @@ def test_tape_counts_are_the_signed_strict_counts(masks):
     below = np.sum(xe < params.b_minus, axis=-1)
     assert not np.any((above > 0) & (below > 0))
     assert above.any() and below.any()
-    assert tape.count.dtype == np.int8
+    assert tape.count.dtype == np.uint8
     assert tape.count.shape == (cfg.steps, 4, net.n)
-    assert np.array_equal(tape.count, above - below)
+    assert np.array_equal(tape.count, above - below + cfg.d)
 
 
 def test_reruns_are_bit_identical_on_random_networks():
@@ -338,26 +381,39 @@ def test_train_frees_the_previous_tape_before_the_next_rollout():
 
 def per_step_backprop(tape, net, costs):
     """training.backprop as a plain per-step sweep, every state-only term
-    recomputed at its step (the sweep before it was blocked).  The table
-    rows are counted again from the states, and the slope's weak count
-    x' >= b_plus directly, so the tape's counts and the tie tables are
+    recomputed at its step (the sweep before it was blocked), with the
+    parameter adjoints binned by per-side counts into one-sided histograms
+    (the binning before the merged rank).  The per-side counts, and the
+    slope's weak count x' >= b_plus, are counted again from the states, so
+    the tape's ranks and the merged tables' positions and slopes are
     checked, not reused."""
     cfg, params, raw = tape.cfg, tape.params, tape.raw
     B, n = tape.p.shape
+    d = params.d
     g, ll = net.gens, net.loads
     L, h = cfg.steps, cfg.h
     two_pi_f0 = 2.0 * np.pi * net.f0
     inv_alpha_l, inv_m = 1.0 / net.alpha[ll], 1.0 / net.m
     t = params._tables
-    rows = n * (params.d + 1)
+    order_p = np.argsort(params.b_plus, axis=-1, kind="stable")
+    order_m = np.argsort(-params.b_minus, axis=-1, kind="stable")
+    sorted_p = np.take_along_axis(params.b_plus, order_p, -1)
+    sorted_m = np.take_along_axis(params.b_minus, order_m, -1)
+    k_p = np.take_along_axis(params.k_plus, order_p, -1)
+    k_m = np.take_along_axis(params.k_minus, order_m, -1)
+    K_p = np.concatenate([np.zeros((n, 1)), np.cumsum(k_p, -1)], -1).ravel()
+    K_m = np.concatenate([np.zeros((n, 1)), np.cumsum(k_m, -1)], -1).ravel()
+    off = np.arange(n) * (d + 1)
+    rows = n * (d + 1)
     g_theta, g_w, g_s = np.zeros((B, n)), np.zeros((B, len(g))), np.zeros((B, n))
     hist = np.zeros((4, rows))
     for l in range(L - 1, -1, -1):
         g_w = g_w + np.where(tape.nadir_step == l, tape.nadir_sign, 0.0)
         sl = tape.s[l]
         xe = t.shift(sl)
-        ip, im = t.index(xe)
-        g_unc = t.value(xe, ip, im)
+        ip = off + np.sum(xe[..., None] > sorted_p, axis=-1)
+        im = off + np.sum(xe[..., None] < sorted_m, axis=-1)
+        g_unc = t.value(xe, t.index(xe))
         u = t.clamp(g_unc)
         unsat = t.unsaturated(g_unc)
         mc = costs.grad(u)
@@ -376,8 +432,8 @@ def per_step_backprop(tape, net, costs):
         a_x = a_eff * xe
         for k, (row, w) in enumerate(((ip, a_eff), (ip, a_x), (im, a_eff), (im, a_x))):
             hist[k] += np.bincount(row.ravel(), w.ravel(), rows)
-        jp = t.off + np.sum(xe[..., None] >= t.sorted_p, axis=-1)
-        slope = t.K_p.take(jp) - t.K_m.take(im)
+        jp = off + np.sum(xe[..., None] >= sorted_p, axis=-1)
+        slope = K_p.take(jp) - K_m.take(im)
         if t.shifted:
             slope = slope * ((sl >= t.dz) | (sl < -t.dz))
         slope = np.where(unsat, slope, 0.0)
@@ -392,10 +448,10 @@ def per_step_backprop(tape, net, costs):
         np.put_along_axis(out, order, a, axis=-1)
         return out
 
-    gk_p = unsort(s1p - t.sorted_p * s0p, t.order_p)
-    gb_p = unsort(-t.k_p * s0p, t.order_p)
-    gk_m = unsort(t.sorted_m * s0m - s1m, t.order_m)
-    gb_m = unsort(t.k_m * s0m, t.order_m)
+    gk_p = unsort(s1p - sorted_p * s0p, order_p)
+    gb_p = unsort(-k_p * s0p, order_p)
+    gk_m = unsort(sorted_m * s0m - s1m, order_m)
+    gb_m = unsort(k_m * s0m, order_m)
     pad = np.zeros((n, 1))
     tail_p = np.cumsum(gb_p[:, ::-1], axis=1)[:, ::-1]
     tail_m = np.cumsum(gb_m[:, ::-1], axis=1)[:, ::-1]

@@ -1,0 +1,151 @@
+"""Print the sha256 of gridfreq's outputs, one line per output.
+
+Two checkouts give the same bits when their printed lines are the same:
+
+    python3 tools/bit_digest.py > a.txt      # in one checkout
+    python3 tools/bit_digest.py > b.txt      # in the other
+    diff a.txt b.txt
+
+The script reads gridfreq from `src/` of the checkout it sits in.  It
+covers, on the packaged 39-bus case with comm weight 50 on every line:
+
+- `simulate` for 1 s with Euler and with RK4 in DAI mode, and with RK4 in
+  primary mode (d = 20 policies from `init_raw_params`, a 3 pu loss on
+  three buses), with `lyap_W`, `certify_trajectory` and `write_csv` bytes;
+- at the train39 shape (B = 64, d = 20, 500 Euler steps), seeds 0-2 with
+  and without saturation bounds and a deadband: the loss, every `Tape`
+  field and the gradient, and a 4-epoch `train`;
+- `gridfreq certify` in DAI and primary mode (`certify.txt`, `certify.json`).
+
+Each array is hashed with its dtype and shape.  `Tape.count` is hashed as
+the signed count c_plus - c_minus of each input, so a tape that stores the
+merged rank r = c_plus - c_minus + d (unsigned) and one that stores the
+signed count print alike.  Takes about half a minute on one core.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from importlib import resources
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from gridfreq import cli, controller, costs as costs_mod, dynamics, equilibrium  # noqa: E402
+from gridfreq import lyapunov, network, training  # noqa: E402
+
+LOSS_BUSES = (30, 34, 37)
+LOSS_PU = -1.0
+
+
+def digest(value):
+    """sha256 of an array (with dtype and shape), bytes, or a float."""
+    if isinstance(value, bytes):
+        return hashlib.sha256(value).hexdigest()
+    a = np.ascontiguousarray(value)
+    head = f"{a.dtype.str}{a.shape}".encode()
+    return hashlib.sha256(head + a.tobytes()).hexdigest()
+
+
+def emit(name, value):
+    print(f"{digest(value)}  {name}", flush=True)
+
+
+def case39(tmpdir):
+    doc = json.loads((resources.files("gridfreq") / "data" / "case39.json").read_text())
+    doc["comm"] = [{"i": ln["i"], "j": ln["j"], "Q": 50.0} for ln in doc["lines"]]
+    path = os.path.join(tmpdir, "case39_q50.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path, network.network_from_dict(doc)
+
+
+def simulations(net, tmpdir):
+    rng = np.random.default_rng(1)
+    costs = costs_mod.random_power_costs(net.n, rng, r=4)
+    params = controller.transform_params(controller.init_raw_params(net.n, 20, rng))
+    p = np.zeros(net.n)
+    for b in LOSS_BUSES:
+        p[net.index_of(b)] = LOSS_PU
+    runs = (("euler", "dai_general", dynamics.euler_step),
+            ("rk4", "dai_general", dynamics.rk4_step),
+            ("rk4", "primary", dynamics.rk4_step))
+    for label, mode, stepper in runs:
+        name = f"simulate/{mode}/{label}"
+        scenario = dynamics.Scenario(p=p, T=1.0, h=5e-4, mode=mode)
+        traj = dynamics.simulate(scenario, net, costs, params, stepper=stepper)
+        for col in ("t", "delta", "omega", "s", "u", "mc"):
+            emit(f"{name}/{col}", getattr(traj, col))
+        eq = equilibrium.solve_equilibrium(net, costs, params, p, mode=mode)
+        if mode == "dai_general":
+            traj.W = lyapunov.lyap_W(net, params, (traj.delta, traj.omega, traj.s), eq)
+            emit(f"{name}/W", traj.W)
+        report = lyapunov.certify_trajectory(traj, net, costs, params, eq)
+        emit(f"{name}/certify_trajectory", repr(dataclasses.astuple(report)).encode())
+        path = os.path.join(tmpdir, "trajectory.csv")
+        dynamics.write_csv(traj, path)
+        with open(path, "rb") as fh:
+            emit(f"{name}/write_csv", fh.read())
+
+
+def signed_count(tape):
+    count = tape.count.astype(np.int64)
+    return count - tape.params.d if tape.count.dtype.kind == "u" else count
+
+
+def rollouts(net):
+    costs = costs_mod.random_power_costs(net.n, np.random.default_rng(0), r=4)
+    for masks in ({}, dict(u_lo=-0.5, u_hi=0.5, dz=1e-3)):
+        for seed in range(3):
+            name = f"rollout/{'masked' if masks else 'plain'}/seed{seed}"
+            cfg = training.TrainConfig(d=20, h=5e-4, T=0.25, batch_size=64,
+                                       seed=seed, **masks)
+            rng = np.random.default_rng(seed)
+            raw = controller.init_raw_params(net.n, cfg.d, rng)
+            p = rng.uniform(cfg.p_lo, cfg.p_hi, (cfg.batch_size, net.n))
+            loss, tape = training.rollout_loss(net, costs, raw, p, cfg)
+            emit(f"{name}/loss", np.float64(loss))
+            for field in ("theta", "omega_g", "s", "nadir_step", "nadir_sign"):
+                emit(f"{name}/tape.{field}", getattr(tape, field))
+            emit(f"{name}/tape.count", signed_count(tape))
+            grad = training.backprop(tape, net, costs)
+            for field, value in vars(grad).items():
+                emit(f"{name}/grad.{field}", value)
+    cfg = training.TrainConfig(d=20, h=5e-4, T=0.25, batch_size=64, epochs=4, seed=0)
+    result = training.train(net, costs, cfg)
+    for field, value in vars(result.raw).items():
+        emit(f"train/raw.{field}", value)
+    emit("train/loss_history", result.loss_history)
+
+
+def certify_cli(path, tmpdir):
+    p = json.dumps({"p": {str(b): LOSS_PU for b in LOSS_BUSES}})
+    for mode in ("dai_general", "primary"):
+        outdir = os.path.join(tmpdir, mode)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["certify", "--net", path, "--p", p, "--mode", mode,
+                             "--T", "1", "--integrator", "rk4", "--outdir", outdir])
+        emit(f"certify/{mode}/exit", np.int64(code))
+        for name in ("certify.txt", "certify.json"):
+            with open(os.path.join(outdir, name), "rb") as fh:
+                emit(f"certify/{mode}/{name}", fh.read())
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmpdir:
+        path, net = case39(tmpdir)
+        simulations(net, tmpdir)
+        rollouts(net)
+        certify_cli(path, tmpdir)
+
+
+if __name__ == "__main__":
+    main()
