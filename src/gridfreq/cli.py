@@ -268,6 +268,16 @@ def _cmd_equilibrium(args):
     return 0
 
 
+def _check_step(net, costs, params, scenario, method, where):
+    """Raise DynamicsError when scenario.h exceeds `method`'s stability
+    limit; `where` ends the message by naming the state the limit is for."""
+    limit = dynamics.max_stable_step(net, costs, params, scenario, method)
+    if scenario.h > limit:
+        raise dynamics.DynamicsError(
+            f"--h {scenario.h:g} exceeds the {method} stability limit "
+            f"h <= {limit:.3g} s {where}")
+
+
 def _simulate_from_args(args):
     """(net, costs, params, scenario, trajectory) of the scenario the flags
     name; costs are None in primary mode.  A step size beyond the
@@ -279,12 +289,8 @@ def _simulate_from_args(args):
     params = _load_controllers(net, args)
     scenario = dynamics.Scenario(p=_load_disturbance(net, args.p), T=args.T,
                                  h=args.h, mode=args.mode)
-    limit = dynamics.max_stable_step(net, costs, params, scenario, args.integrator)
-    if args.h > limit:
-        raise dynamics.DynamicsError(
-            f"--h {args.h:g} exceeds the {args.integrator} stability limit "
-            f"h <= {limit:.3g} s of the closed loop linearized at the initial "
-            f"state")
+    _check_step(net, costs, params, scenario, args.integrator,
+                "of the closed loop linearized at the initial state")
     traj = dynamics.simulate(scenario, net, costs, params,
                              stepper=dynamics.STEPPERS[args.integrator])
     return net, costs, params, scenario, traj
@@ -380,11 +386,8 @@ def _cmd_train(args):
         controller.init_raw_params(net.n, cfg.d, np.random.default_rng(cfg.seed)),
         cfg.u_lo, cfg.u_hi, cfg.dz)
     scenario = dynamics.Scenario(p=np.zeros(net.n), T=cfg.T, h=cfg.h)
-    limit = dynamics.max_stable_step(net, costs, params, scenario, "euler")
-    if cfg.h > limit:
-        raise dynamics.DynamicsError(
-            f"--h {cfg.h:g} exceeds the euler stability limit h <= {limit:.3g} s "
-            f"at the origin with the first epoch's policies")
+    _check_step(net, costs, params, scenario, "euler",
+                "at the origin with the first epoch's policies")
     outdir = _outdir(args)
 
     if args.grad_check:

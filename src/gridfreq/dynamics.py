@@ -8,9 +8,9 @@ Two closed loops share one integrator:
   The controllers map s_i to the injection u_i; the classic linear rule
   u_i = k_i s_i is dai_general with controller.scaled_identity_params(k).
 - primary: the all-machine droop model used for the exponential-stability
-  analysis; every bus carries inertia (load buses get a small synthetic one),
-  the controller input is the local frequency deviation, and there is no
-  integral state.
+  analysis; every bus carries the network's inertia (load buses the
+  synthetic network.DEFAULT_LOAD_INERTIA, re-exported here), the controller
+  input is the local frequency deviation, and there is no integral state.
 
 Angles are integrated in center-of-inertia gauge.  In the DAI mode the
 angle/integrator clocks carry the 2*pi*f0 factor explicitly; the primary
@@ -36,11 +36,10 @@ import numpy as np
 
 from .controller import NetParams, eval_u
 from .costs import CostModel
-from .network import (NetworkError, PowerNetwork, comm_laplacian_apply,
-                      power_flows, project_gauge)
+from .network import (DEFAULT_LOAD_INERTIA, NetworkError, PowerNetwork,  # noqa: F401
+                      comm_laplacian_apply, power_flows, project_gauge)
 
 MODES = ("dai_general", "primary")
-DEFAULT_LOAD_INERTIA = 0.1   # synthetic m for load buses in primary mode (s)
 BLOWUP_LIMIT = 1e9           # all states are per-unit scale; beyond this the
                              # integration has lost the solution
 CSV_BLOCK_ROWS = 2048        # rows formatted per write: bounds write_csv's memory
@@ -81,7 +80,6 @@ class Scenario:
     h: float
     mode: str = "dai_general"
     initial: SystemState = None
-    load_inertia: float = DEFAULT_LOAD_INERTIA
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -117,11 +115,6 @@ class Trajectory:
         return self.delta.shape[1]
 
 
-def full_inertia(net: PowerNetwork, load_inertia=DEFAULT_LOAD_INERTIA):
-    """Inertia vector over all buses for the primary (all-machine) mode."""
-    return np.where(net._is_gen, net._m_bus, float(load_inertia))
-
-
 def _balance_omega(net: PowerNetwork, flows, u, p):
     """Power balance solved for omega on every bus, (-flow_i + p_i + u_i)/alpha_i;
     the load buses' algebraic frequencies are its load entries."""
@@ -138,8 +131,7 @@ def load_bus_frequencies(net: PowerNetwork, delta, u, p):
 
 
 def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
-                x, p, mode="dai_general", load_inertia=DEFAULT_LOAD_INERTIA,
-                u=None):
+                x, p, mode="dai_general", u=None):
     """The closed-loop right-hand side on stacked (..., 3, n) states.
 
     x holds (delta, omega, s) along axis -2.  Returns (k, omega, u, mc): k is
@@ -161,8 +153,7 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
         mc = costs.grad(u) if costs is not None else np.zeros_like(u)
         np.subtract(omega, np.add.reduce(omega, axis=-1, keepdims=True) / net.n,
                     out=k[..., 0, :])
-        np.divide(p - net.alpha * omega - u - flows, full_inertia(net, load_inertia),
-                  out=k[..., 1, :])
+        np.divide(p - net.alpha * omega - u - flows, net.inertia, out=k[..., 1, :])
         return k, omega, u, mc
 
     two_pi_f0 = 2.0 * np.pi * net.f0
@@ -173,7 +164,7 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     np.multiply(two_pi_f0,
                 omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n,
                 out=k[..., 0, :])
-    np.divide(-net.alpha * omega - flows + p + u, net._m_bus,
+    np.divide(-net.alpha * omega - flows + p + u, net.inertia,
               out=k[..., 1, :], where=net._is_gen)
     np.subtract(-two_pi_f0 * omega, costs.zeta * comm_laplacian_apply(net, mc),
                 out=k[..., 2, :])
@@ -181,8 +172,7 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
 
 
 def _field(net, costs, controllers, scenario, x):
-    return derivatives(net, costs, controllers, x, scenario.p,
-                       scenario.mode, scenario.load_inertia)
+    return derivatives(net, costs, controllers, x, scenario.p, scenario.mode)
 
 
 def _advance(step_index, x, omega, dx):

@@ -12,7 +12,9 @@ Two closed loops, two energy functions:
 - primary mode: V = kinetic + potential Bregman + a small cross term
   epsilon * (flow mismatch) . M . (frequency mismatch), whose derivative is
   a quadratic form in (flow mismatch, frequency mismatch) defined by a
-  2n x 2n matrix Q(delta), minus a controller damping term.
+  2n x 2n matrix Q(delta), minus a controller damping term.  M is the
+  network's per-bus inertia, the one the primary-mode simulation divides
+  by, so the certificate always scores the simulated model.
 
 Everything here is numeric: positivity and decrease are checked on sampled
 states and along simulated trajectories, the epsilon in V comes from a grid
@@ -31,8 +33,7 @@ import numpy as np
 
 from .controller import NetParams, eval_u, validate_params
 from .costs import CostModel
-from .dynamics import (DEFAULT_LOAD_INERTIA, SystemState, Trajectory,
-                       full_inertia)
+from .dynamics import SystemState, Trajectory
 from .equilibrium import Equilibrium
 from .network import (PowerNetwork, angle_differences, edge_angle_spread,
                       flow_jacobian, flow_jacobian_apply, potential_energy,
@@ -43,6 +44,7 @@ DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 REGION_MARGIN = 0.05          # rad, kept away from the pi/2 edge limit
 OMEGA_RANGE = 0.05            # pu, sampling box for frequency deviations
 S_RANGE = 2.0                 # sampling box for integral states
+POSITIVITY_FLOOR = -1e-12     # certified energies may dip this far below 0
 
 
 class LyapunovError(ValueError):
@@ -190,11 +192,10 @@ def _primary_mismatch(net, delta, omega, eq, flows_star=None):
     return power_flows(net, delta) - flows_star, omega - eq.omega_star
 
 
-def lyap_V(net: PowerNetwork, state, eq: Equilibrium, epsilon,
-           load_inertia=DEFAULT_LOAD_INERTIA):
+def lyap_V(net: PowerNetwork, state, eq: Equilibrium, epsilon):
     """Primary-mode energy: kinetic + potential Bregman + epsilon cross term."""
     delta, omega, _ = _unpack(state)
-    m = full_inertia(net, load_inertia)
+    m = net.inertia
     flows_star = power_flows(net, eq.delta_star)
     x, y = _primary_mismatch(net, delta, omega, eq, flows_star)
     kinetic = 0.5 * np.sum(m * y ** 2, axis=-1)
@@ -203,7 +204,7 @@ def lyap_V(net: PowerNetwork, state, eq: Equilibrium, epsilon,
 
 
 def lyap_V_dot(net: PowerNetwork, controllers: NetParams, state,
-               eq: Equilibrium, epsilon, load_inertia=DEFAULT_LOAD_INERTIA):
+               eq: Equilibrium, epsilon):
     """Analytic derivative of lyap_V along the primary-mode flow.
 
     Equals -[x; y]' Q(delta) [x; y] - (y + eps x)'(u(omega) - u(omega* 1))
@@ -212,11 +213,10 @@ def lyap_V_dot(net: PowerNetwork, controllers: NetParams, state,
     Batch dims allowed.
     """
     delta, omega, _ = _unpack(state)
-    m = full_inertia(net, load_inertia)
     d = net.alpha
     x, y = _primary_mismatch(net, delta, omega, eq)
     # quadratic form: eps|x|^2 + eps x'D y + y'D y - eps y'H(delta) M y
-    hmy = flow_jacobian_apply(net, delta, m * y)
+    hmy = flow_jacobian_apply(net, delta, net.inertia * y)
     quad = (epsilon * np.sum(x * x, axis=-1)
             + epsilon * np.sum(x * d * y, axis=-1)
             + np.sum(d * y * y, axis=-1)
@@ -230,15 +230,14 @@ def lyap_V_dot(net: PowerNetwork, controllers: NetParams, state,
     return -quad - control
 
 
-def assemble_Q(net: PowerNetwork, delta, epsilon, load_inertia=DEFAULT_LOAD_INERTIA):
+def assemble_Q(net: PowerNetwork, delta, epsilon):
     """Dense 2n x 2n matrix of the quadratic form in lyap_V_dot.
 
     Batch dims allowed: delta of shape (..., n) gives (..., 2n, 2n).
     """
     n = net.n
-    m = full_inertia(net, load_inertia)
     d = np.diag(net.alpha)
-    hm = flow_jacobian(net, delta) * m          # H @ diag(m)
+    hm = flow_jacobian(net, delta) * net.inertia    # H @ diag(m)
     q = np.zeros(np.shape(delta)[:-1] + (2 * n, 2 * n))
     q[..., :n, :n] = epsilon * np.eye(n)
     q[..., :n, n:] = 0.5 * epsilon * d
@@ -247,13 +246,12 @@ def assemble_Q(net: PowerNetwork, delta, epsilon, load_inertia=DEFAULT_LOAD_INER
     return q
 
 
-def schur_block(net: PowerNetwork, delta, epsilon, load_inertia=DEFAULT_LOAD_INERTIA):
+def schur_block(net: PowerNetwork, delta, epsilon):
     """Schur complement of the epsilon*I block of Q: the PD test matrix.
 
     Batch dims allowed: delta of shape (..., n) gives (..., n, n).
     """
-    m = full_inertia(net, load_inertia)
-    hm = flow_jacobian(net, delta) * m
+    hm = flow_jacobian(net, delta) * net.inertia
     d = net.alpha
     return (np.diag(d) - 0.5 * epsilon * (hm + np.swapaxes(hm, -1, -2))
             - 0.25 * epsilon * np.diag(d * d))
@@ -280,7 +278,7 @@ def _box(r, half):
 
 def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
                          omega_range=OMEGA_RANGE, s_range=S_RANGE,
-                         margin=REGION_MARGIN, base_spread=0.4):
+                         base_spread=0.4):
     """Random states around the equilibrium, inside the security region.
 
     Sample k maps row k of np.random.default_rng(seed).random((count, 3n)):
@@ -292,8 +290,8 @@ def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
     seed must be non-negative integers, count at most 2**32.
 
     Angle perturbations are halved until every edge difference stays in
-    (-pi/2 + margin, pi/2 - margin), falling back to delta* after 64
-    halvings; frequency and integral offsets are box-uniform.
+    (-pi/2 + REGION_MARGIN, pi/2 - REGION_MARGIN), falling back to delta*
+    after 64 halvings; frequency and integral offsets are box-uniform.
     Returns (delta, omega, s) stacked as (count, n) arrays.
     """
     for name, value in (("count", count), ("seed", seed)):
@@ -303,7 +301,7 @@ def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
     if count > 2 ** 32:
         raise LyapunovError(f"count must be at most 2**32, got {count}")
     n = net.n
-    limit = np.pi / 2 - margin
+    limit = np.pi / 2 - REGION_MARGIN
     if edge_angle_spread(net, eq.delta_star) >= limit:
         raise LyapunovError("equilibrium itself violates the sampling margin")
     r = np.random.default_rng(int(seed)).random((count, 3 * n))
@@ -341,8 +339,7 @@ class EpsilonSearchResult:
 
 
 def epsilon_and_c_search(net: PowerNetwork, eq: Equilibrium, grid=None,
-                         samples=200, seed=0,
-                         load_inertia=DEFAULT_LOAD_INERTIA) -> EpsilonSearchResult:
+                         samples=200, seed=0) -> EpsilonSearchResult:
     """Largest epsilon from a geometric grid certifying Q(delta) > 0.
 
     For each epsilon (largest first) the Schur-complement block is tested
@@ -362,13 +359,12 @@ def epsilon_and_c_search(net: PowerNetwork, eq: Equilibrium, grid=None,
     deltas, omegas, _ = sample_region_states(net, eq, samples, seed=seed)
     test_deltas = np.vstack([eq.delta_star[None, :], deltas])
     for chosen in sorted(grid, reverse=True):
-        if cholesky_factor(schur_block(net, test_deltas, chosen,
-                                       load_inertia)) is not None:
+        if cholesky_factor(schur_block(net, test_deltas, chosen)) is not None:
             break
     else:
         raise LyapunovError("no certifying epsilon found in the grid")
 
-    low = cholesky_factor(assemble_Q(net, test_deltas, chosen, load_inertia))
+    low = cholesky_factor(assemble_Q(net, test_deltas, chosen))
     if low is None:
         raise LyapunovError("Q lost positive definiteness at the chosen epsilon")
     min_pivot = float(np.min(np.diagonal(low, axis1=-2, axis2=-1) ** 2))
@@ -383,7 +379,7 @@ def epsilon_and_c_search(net: PowerNetwork, eq: Equilibrium, grid=None,
     keep = dd_norm2 > 1e-16
     gamma1 = float(np.min(np.sum(x[keep] ** 2, axis=-1) / dd_norm2[keep]))
 
-    v = lyap_V(net, (deltas, omegas, None), eq, chosen, load_inertia)
+    v = lyap_V(net, (deltas, omegas, None), eq, chosen)
     z2 = dd_norm2 + np.sum((omegas - eq.omega_star) ** 2, axis=-1)
     alpha2 = float(np.max(v / np.maximum(z2, 1e-16)))
 
@@ -402,7 +398,6 @@ class CertifyTolerances:
     tol_abs: float = 1e-9       # absolute decrease slack per step
     tol_rel: float = 0.05       # relative slack factor on h*|Wdot|
     fd_rtol: float = None       # gate analytic-vs-FD agreement when set
-    positivity_floor: float = -1e-12
 
 
 @dataclass
@@ -445,8 +440,7 @@ class CertificationReport:
 def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
                        controllers: NetParams, eq: Equilibrium,
                        tolerances: CertifyTolerances = None,
-                       epsilon=None,
-                       load_inertia=DEFAULT_LOAD_INERTIA) -> CertificationReport:
+                       epsilon=None) -> CertificationReport:
     """Check positivity and per-step decrease of the energy along a trajectory.
 
     DAI trajectories are scored with W and its analytic derivative; primary
@@ -461,11 +455,11 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
     decay_c = None
     if traj.mode == "primary":
         if epsilon is None:
-            found = epsilon_and_c_search(net, eq, load_inertia=load_inertia)
+            found = epsilon_and_c_search(net, eq)
             epsilon, decay_c = found.epsilon, found.c
-        w = lyap_V(net, (traj.delta, traj.omega, None), eq, epsilon, load_inertia)
+        w = lyap_V(net, (traj.delta, traj.omega, None), eq, epsilon)
         wdot = lyap_V_dot(net, controllers, (traj.delta, traj.omega, None),
-                          eq, epsilon, load_inertia)
+                          eq, epsilon)
         cross_min = None
     elif traj.mode in ("dai_general", "unknown"):
         w = lyap_W(net, controllers, (traj.delta, traj.omega, traj.s), eq)
@@ -485,7 +479,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
     rise = np.diff(w)
     margins = slack - rise
     decrease_ok = margins >= 0.0
-    positivity_ok = w >= tol.positivity_floor
+    positivity_ok = w >= POSITIVITY_FLOOR
 
     # Normalized agreement over the centered-stencil interior: pointwise
     # ratios blow up wherever the decrease rate passes through zero, so the

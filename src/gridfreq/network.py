@@ -18,6 +18,7 @@ import numpy as np
 # silently re-projected, above ERROR the caller gets an exception.
 GAUGE_CORRECT = 1e-9
 GAUGE_ERROR = 1e-3
+DEFAULT_LOAD_INERTIA = 0.1   # synthetic inertia of load buses (s), primary mode
 
 
 class NetworkError(ValueError):
@@ -29,13 +30,13 @@ class PowerNetwork:
     """Immutable lossless network.
 
     Arrays are aligned to buses sorted by external id.  `m` is defined on
-    generator buses only (length = len(gens)); `alpha` and `v` cover all
-    buses.  Lines and comm edges are stored as index pairs with weights,
-    plus a cached signed edge-by-bus incidence matrix per edge set (+1 at
-    i, -1 at j): its transpose takes every edge's x_i - x_j in one product
-    (exact for finite x, as a row has two nonzero +-1 terms; inf gives NaN,
-    so angle checks take differences by index), and it scatters edge
-    quantities onto buses in another.
+    generator buses only (length = len(gens)); `alpha`, `v` and `inertia`
+    cover all buses.  Lines and comm edges are stored as index pairs with
+    weights, plus a cached signed edge-by-bus incidence matrix per edge set
+    (+1 at i, -1 at j): its transpose takes every edge's x_i - x_j in one
+    product (exact for finite x, as a row has two nonzero +-1 terms; inf
+    gives NaN, so angle checks take differences by index), and it scatters
+    edge quantities onto buses in another.
     """
 
     ids: tuple              # external bus ids, sorted ascending
@@ -56,7 +57,7 @@ class PowerNetwork:
     _line_inc: np.ndarray = field(default=None, repr=False)  # (lines, n)
     _comm_inc: np.ndarray = field(default=None, repr=False)  # (comm edges, n)
     _is_gen: np.ndarray = field(default=None, repr=False)    # bool, per bus
-    _m_bus: np.ndarray = field(default=None, repr=False)     # m on gens, 1 on loads
+    _inertia: np.ndarray = field(default=None, repr=False)   # per bus
 
     @property
     def n(self):
@@ -65,6 +66,12 @@ class PowerNetwork:
     @property
     def n_gen(self):
         return len(self.gens)
+
+    @property
+    def inertia(self):
+        """Inertia per bus: m on generator buses, DEFAULT_LOAD_INERTIA on
+        load buses (the primary mode's synthetic load inertia)."""
+        return self._inertia
 
     @property
     def line_w(self):
@@ -216,10 +223,11 @@ def network_from_dict(doc) -> PowerNetwork:
     object.__setattr__(net, "_line_w", v[li] * v[lj] * lb)
     object.__setattr__(net, "_line_inc", eye[li] - eye[lj])
     object.__setattr__(net, "_comm_inc", eye[ci] - eye[cj])
-    is_gen, m_bus = np.zeros(len(ids), dtype=bool), np.ones(len(ids))
-    is_gen[gens], m_bus[gens] = True, net.m
+    is_gen = np.zeros(len(ids), dtype=bool)
+    inertia = np.full(len(ids), DEFAULT_LOAD_INERTIA)
+    is_gen[gens], inertia[gens] = True, net.m
     object.__setattr__(net, "_is_gen", is_gen)
-    object.__setattr__(net, "_m_bus", m_bus)
+    object.__setattr__(net, "_inertia", inertia)
     return net
 
 

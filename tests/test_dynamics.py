@@ -235,21 +235,6 @@ def test_primary_mode_convergence_to_synchronous_frequency():
     assert np.max(np.abs(traj.omega[-1] - omega_sync)) < 1e-6
 
 
-def test_primary_load_inertia_parameter():
-    # synthetic load inertia shapes the transient but not the steady state
-    net = three_bus()
-    p = np.array([-0.5, -0.3, 0.1])
-    light = dyn.simulate(Scenario(p=p, T=20.0, h=1e-3, mode="primary",
-                                  load_inertia=0.05), net)
-    heavy = dyn.simulate(Scenario(p=p, T=20.0, h=1e-3, mode="primary",
-                                  load_inertia=0.5), net)
-    omega_sync = p.sum() / net.alpha.sum()
-    assert np.max(np.abs(light.omega[-1] - omega_sync)) < 1e-3
-    assert np.max(np.abs(heavy.omega[-1] - omega_sync)) < 1e-3
-    i = net.loads[0]
-    assert np.max(np.abs(light.omega[:500, i] - heavy.omega[:500, i])) > 1e-3
-
-
 def test_csv_roundtrip(tmp_path):
     net = three_bus()
     costs = quad3()
@@ -291,7 +276,7 @@ def test_csv_header_and_golden_first_rows(tmp_path):
 # stacked-state stepping against a frozen copy of the SystemState loop
 # --------------------------------------------------------------------------
 
-def _oracle_field(net, costs, controllers, state, p, mode, load_inertia):
+def _oracle_field(net, costs, controllers, state, p, mode):
     """The closed-loop right-hand side, one state component at a time."""
     p = np.asarray(p, dtype=float)
     flows = power_flows(net, state.delta)
@@ -301,7 +286,8 @@ def _oracle_field(net, costs, controllers, state, p, mode, load_inertia):
         u = ctl.eval_u(controllers, omega) if controllers is not None \
             else np.zeros(np.shape(omega))
         mc = costs.grad(u) if costs is not None else np.zeros_like(u)
-        m = dyn.full_inertia(net, load_inertia)
+        m = np.full(net.n, network.DEFAULT_LOAD_INERTIA)
+        m[net.gens] = net.m
         ddelta = omega - omega.mean(axis=-1, keepdims=True)
         domega = (p - net.alpha * omega - u - flows) / m
         return ddelta, domega, np.zeros_like(omega), omega, u, mc
@@ -324,8 +310,7 @@ def _oracle_simulate(scen, net, costs, controllers, rk4):
     h = scen.h
 
     def f(st):
-        return _oracle_field(net, costs, controllers, st, scen.p, scen.mode,
-                             scen.load_inertia)
+        return _oracle_field(net, costs, controllers, st, scen.p, scen.mode)
 
     state = scen.initial or SystemState.zeros(net.n)
     rows = []

@@ -276,7 +276,7 @@ def test_W_nonnegative_and_W_dot_nonpositive_on_random_networks(
     state = (delta, omega, s)
     # W and W_dot sum differences of O(1) terms, so rounding may cross zero
     # by a few ulps: the floor is the certifier's positivity floor, both ways
-    floor = -lyap.CertifyTolerances().positivity_floor
+    floor = -lyap.POSITIVITY_FLOOR
     assert np.all(lyap.lyap_W(net, params, state, eq) >= -floor)
     assert np.all(lyap.lyap_W_dot(net, costs, params, state, eq) <= floor)
 
@@ -700,8 +700,15 @@ def test_certify_rejects_unknown_mode():
                                 ctl.identity_params(n=2), None)
 
 
-def test_certify_primary_trajectory_passes():
-    net, params, p, eq = primary_setup()
+@pytest.mark.parametrize("make_net", [three_bus_gens, three_bus],
+                         ids=lambda make: make.__name__)
+def test_certify_primary_trajectory_passes(make_net):
+    # on three_bus the load bus's synthetic inertia enters both the
+    # simulated loop and V; the fd gate fails if the two models differ
+    net = make_net()
+    params = ctl.identity_params(n=3)
+    p = np.array([-0.5, -0.2, 0.1])
+    eq = eqm.solve_equilibrium(net, None, params, p, mode="primary")
     scen = Scenario(p=p, T=10.0, h=1e-3, mode="primary")
     traj = dyn.simulate(scen, net, None, params, stepper=dyn.rk4_step)
     report = lyap.certify_trajectory(traj, net, None, params, eq,

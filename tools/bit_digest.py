@@ -12,6 +12,9 @@ covers, on the packaged 39-bus case with comm weight 50 on every line:
 - `simulate` for 1 s with Euler and with RK4 in DAI mode, and with RK4 in
   primary mode (d = 20 policies from `init_raw_params`, a 3 pu loss on
   three buses), with `lyap_W`, `certify_trajectory` and `write_csv` bytes;
+- `max_stable_step` of that loop for Euler and RK4 in both modes;
+- the primary-mode `epsilon_and_c_search` (every result field) and
+  `lyap_V_dot` on the states it samples;
 - at the train39 shape (B = 64, d = 20, 500 Euler steps), seeds 0-2 with
   and without saturation bounds and a deadband: the loss, every `Tape`
   field and the gradient, and a 4-epoch `train`;
@@ -68,13 +71,19 @@ def case39(tmpdir):
     return path, network.network_from_dict(doc)
 
 
-def simulations(net, tmpdir):
+def closed_loop(net):
+    """(costs, params, p) of the simulated loop."""
     rng = np.random.default_rng(1)
     costs = costs_mod.random_power_costs(net.n, rng, r=4)
     params = controller.transform_params(controller.init_raw_params(net.n, 20, rng))
     p = np.zeros(net.n)
     for b in LOSS_BUSES:
         p[net.index_of(b)] = LOSS_PU
+    return costs, params, p
+
+
+def simulations(net, tmpdir):
+    costs, params, p = closed_loop(net)
     runs = (("euler", "dai_general", dynamics.euler_step),
             ("rk4", "dai_general", dynamics.rk4_step),
             ("rk4", "primary", dynamics.rk4_step))
@@ -94,6 +103,26 @@ def simulations(net, tmpdir):
         dynamics.write_csv(traj, path)
         with open(path, "rb") as fh:
             emit(f"{name}/write_csv", fh.read())
+
+
+def step_limits(net):
+    costs, params, p = closed_loop(net)
+    for mode in ("dai_general", "primary"):
+        scenario = dynamics.Scenario(p=p, T=1.0, h=5e-4, mode=mode)
+        for method in ("euler", "rk4"):
+            limit = dynamics.max_stable_step(net, costs, params, scenario, method)
+            emit(f"max_stable_step/{mode}/{method}", np.float64(limit))
+
+
+def primary_certificate(net):
+    _, params, p = closed_loop(net)
+    eq = equilibrium.solve_equilibrium(net, None, params, p, mode="primary")
+    found = lyapunov.epsilon_and_c_search(net, eq, samples=200, seed=0)
+    for field, value in vars(found).items():
+        emit(f"epsilon_and_c_search/{field}", np.float64(value))
+    delta, omega, _ = lyapunov.sample_region_states(net, eq, 200, seed=0)
+    emit("epsilon_and_c_search/lyap_V_dot",
+         lyapunov.lyap_V_dot(net, params, (delta, omega, None), eq, found.epsilon))
 
 
 def signed_count(tape):
@@ -143,6 +172,8 @@ def main():
     with tempfile.TemporaryDirectory() as tmpdir:
         path, net = case39(tmpdir)
         simulations(net, tmpdir)
+        step_limits(net)
+        primary_certificate(net)
         rollouts(net)
         certify_cli(path, tmpdir)
 
