@@ -19,8 +19,10 @@ mode follows the companion convention d(delta)/dt = omega - mean(omega).
 `derivatives` is the one closed-loop right-hand side and `_advance` the one
 state update: the steppers here evaluate the one and end in the other, and
 the training rollout takes `euler_step` on a batch of states.
-States travel as one (..., 3, n) array of (delta, omega, s), so a stage
-advance or the RK4 combination is a single array operation.
+States travel as one (3, ..., n) array of (delta, omega, s), so a stage
+advance or the RK4 combination is a single array operation; the rows lead
+so that each is a C-contiguous (..., n) block at any batch size, which the
+incidence products and table ranks read faster than a strided view.
 The load frequencies always come from the current (delta, s) before any
 state is advanced.  A rollout of one scenario replays its forward-Euler
 simulation bit for bit; in a larger batch the BLAS incidence products of
@@ -67,8 +69,8 @@ class SystemState:
         return SystemState(np.zeros(n), np.zeros(n), np.zeros(n))
 
     def stack(self):
-        """The (..., 3, n) array that derivatives and the steppers take."""
-        return np.stack((self.delta, self.omega, self.s), axis=-2)
+        """The (3, ..., n) array that derivatives and the steppers take."""
+        return np.stack((self.delta, self.omega, self.s))
 
 
 @dataclass(frozen=True)
@@ -132,9 +134,9 @@ def load_bus_frequencies(net: PowerNetwork, delta, u, p):
 
 def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
                 x, p, mode="dai_general", u=None):
-    """The closed-loop right-hand side on stacked (..., 3, n) states.
+    """The closed-loop right-hand side on stacked (3, ..., n) states.
 
-    x holds (delta, omega, s) along axis -2.  Returns (k, omega, u, mc): k is
+    x holds (delta, omega, s) along axis 0.  Returns (k, omega, u, mc): k is
     the time derivative in the layout of x, and omega, u, mc are the
     algebraic quantities at the state.  In DAI mode the load-bus entries of
     x's omega are ignored; omega carries their power-balance values and k's
@@ -142,8 +144,8 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     without a cost model.  `u` is the policies' output at x's controller
     input (the integral row in DAI mode) when the caller already has it.
     """
-    omega = x[..., 1, :]
-    flows = power_flows(net, x[..., 0, :])
+    omega = x[1]
+    flows = power_flows(net, x[0])
     k = np.zeros(x.shape)
 
     if mode == "primary":
@@ -152,22 +154,22 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
                 else np.zeros(omega.shape)
         mc = costs.grad(u) if costs is not None else np.zeros_like(u)
         np.subtract(omega, np.add.reduce(omega, axis=-1, keepdims=True) / net.n,
-                    out=k[..., 0, :])
-        np.divide(p - net.alpha * omega - u - flows, net.inertia, out=k[..., 1, :])
+                    out=k[0])
+        np.divide(p - net.alpha * omega - u - flows, net.inertia, out=k[1])
         return k, omega, u, mc
 
     two_pi_f0 = 2.0 * np.pi * net.f0
     if u is None:
-        u = eval_u(controllers, x[..., 2, :])
+        u = eval_u(controllers, x[2])
     omega = np.where(net._is_gen, omega, _balance_omega(net, flows, u, p))
     mc = costs.grad(u)
     np.multiply(two_pi_f0,
                 omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n,
-                out=k[..., 0, :])
+                out=k[0])
     np.divide(-net.alpha * omega - flows + p + u, net.inertia,
-              out=k[..., 1, :], where=net._is_gen)
+              out=k[1], where=net._is_gen)
     np.subtract(-two_pi_f0 * omega, costs.zeta * comm_laplacian_apply(net, mc),
-                out=k[..., 2, :])
+                out=k[2])
     return k, omega, u, mc
 
 
@@ -180,23 +182,23 @@ def _advance(step_index, x, omega, dx):
     algebraic omega of the step's first stage; raises on non-finite or
     absurdly large states (divergence, not drift), then re-projects the
     angle gauge."""
-    omega = omega + dx[..., 1, :]
+    omega = omega + dx[1]
     out = np.add(x, dx, out=dx)
-    out[..., 1, :] = omega
+    out[1] = omega
     if not -BLOWUP_LIMIT <= out.min() <= out.max() <= BLOWUP_LIMIT:
         raise DynamicsError(f"integration blow-up at step {step_index}")
-    delta = out[..., 0, :]
+    delta = out[0]
     if (fixed := project_gauge(delta)) is not delta:
         delta[...] = fixed
     return out
 
 
 def gauge_initial(x):
-    """The (..., 3, n) initial state x with its angles put in the
+    """The (3, ..., n) initial state x with its angles put in the
     center-of-inertia gauge in place before step 0, by `_advance`'s rule;
     a drift past GAUGE_ERROR raises DynamicsError naming the initial state."""
     try:
-        x[..., 0, :] = project_gauge(x[..., 0, :])
+        x[0] = project_gauge(x[0])
     except NetworkError as exc:
         raise DynamicsError(f"initial state: {exc}") from None
     return x
@@ -204,7 +206,7 @@ def gauge_initial(x):
 
 def euler_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
                scenario: Scenario, x, step_index=0, stage=None):
-    """One forward-Euler step of the scenario's mode on a (..., 3, n) state.
+    """One forward-Euler step of the scenario's mode on a (3, ..., n) state.
 
     Load-bus frequencies are evaluated from the pre-step (delta, s) and used
     in both the angle and integrator updates; generator frequencies advance
@@ -258,8 +260,9 @@ def max_stable_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     i = np.arange(N)
     x[1 + i, i] += eps
     x[1 + N + i, i] -= eps
-    k = _field(net, costs, controllers, scenario,
-               x.reshape(-1, 3, net.n))[0].reshape(2 * N + 1, N)
+    k = _field(net, costs, controllers, scenario,    # x as (3, 2N+1, n)
+               x.reshape(-1, 3, net.n).swapaxes(0, 1))[0]
+    k = k.swapaxes(0, 1).reshape(2 * N + 1, N)
     lam = np.concatenate([np.linalg.eigvals((k[1:N + 1] - k[0]) / eps[:, None]),
                           np.linalg.eigvals((k[0] - k[N + 1:]) / eps[:, None])])
     lam = lam[lam.real < -1e-9 * np.abs(lam).max(initial=0.0)]

@@ -445,11 +445,12 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
 
     DAI trajectories are scored with W and its analytic derivative; primary
     trajectories with V at the given epsilon (searched automatically when
-    omitted, and the search's decay constant c reported with it).  The
-    per-step decrease allowance is tol_abs + tol_rel*h*|Wdot| (forward
-    Euler overshoots the continuous decrease by O(h)).  A finite
-    difference of the recorded energy is compared against the analytic
-    derivative and gates the verdict only when fd_rtol is set.
+    omitted, and the search's decay constant c reported with it).  Other
+    modes raise LyapunovError before scoring, read_csv's "unknown" (no
+    angles) among them.  The per-step decrease allowance is tol_abs +
+    tol_rel*h*|Wdot| (forward Euler overshoots the continuous decrease by
+    O(h)).  A finite difference of the recorded energy is compared against
+    the analytic derivative and gates the verdict only when fd_rtol is set.
     """
     tol = tolerances or CertifyTolerances()
     decay_c = None
@@ -461,7 +462,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         wdot = lyap_V_dot(net, controllers, (traj.delta, traj.omega, None),
                           eq, epsilon)
         cross_min = None
-    elif traj.mode in ("dai_general", "unknown"):
+    elif traj.mode == "dai_general":
         w = lyap_W(net, controllers, (traj.delta, traj.omega, traj.s), eq)
         wdot = lyap_W_dot(net, costs, controllers,
                           (traj.delta, traj.omega, traj.s), eq)
@@ -470,7 +471,9 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         cross_min = float(np.min(cross))
         epsilon = None
     else:
-        raise LyapunovError(f"cannot certify mode {traj.mode!r}")
+        why = (": its angles are missing (the CSV does not store them)"
+               if traj.mode == "unknown" else "")
+        raise LyapunovError(f"cannot certify mode {traj.mode!r}{why}")
 
     h = float(traj.t[1] - traj.t[0])
     fd = np.gradient(w, h)

@@ -33,10 +33,11 @@ class PowerNetwork:
     generator buses only (length = len(gens)); `alpha`, `v` and `inertia`
     cover all buses.  Lines and comm edges are stored as index pairs with
     weights, plus a cached signed edge-by-bus incidence matrix per edge set
-    (+1 at i, -1 at j): its transpose takes every edge's x_i - x_j in one
-    product (exact for finite x, as a row has two nonzero +-1 terms; inf
-    gives NaN, so angle checks take differences by index), and it scatters
-    edge quantities onto buses in another.
+    (+1 at i, -1 at j) and a C-contiguous copy of its transpose (matmul is
+    slower on a transposed view): the transpose takes every edge's x_i - x_j
+    in one product (exact for finite x, as a row has two nonzero +-1 terms;
+    inf gives NaN, so angle checks take differences by index), and the
+    matrix scatters edge quantities onto buses in another.
     """
 
     ids: tuple              # external bus ids, sorted ascending
@@ -56,6 +57,8 @@ class PowerNetwork:
     _line_w: np.ndarray = field(default=None, repr=False)   # v_i v_j B_ij cache
     _line_inc: np.ndarray = field(default=None, repr=False)  # (lines, n)
     _comm_inc: np.ndarray = field(default=None, repr=False)  # (comm edges, n)
+    _line_inc_t: np.ndarray = field(default=None, repr=False)  # (n, lines)
+    _comm_inc_t: np.ndarray = field(default=None, repr=False)  # (n, comm edges)
     _is_gen: np.ndarray = field(default=None, repr=False)    # bool, per bus
     _inertia: np.ndarray = field(default=None, repr=False)   # per bus
 
@@ -221,8 +224,9 @@ def network_from_dict(doc) -> PowerNetwork:
     )
     eye = np.eye(len(ids))
     object.__setattr__(net, "_line_w", v[li] * v[lj] * lb)
-    object.__setattr__(net, "_line_inc", eye[li] - eye[lj])
-    object.__setattr__(net, "_comm_inc", eye[ci] - eye[cj])
+    for name, inc in (("_line", eye[li] - eye[lj]), ("_comm", eye[ci] - eye[cj])):
+        object.__setattr__(net, f"{name}_inc", inc)
+        object.__setattr__(net, f"{name}_inc_t", np.ascontiguousarray(inc.T))
     is_gen = np.zeros(len(ids), dtype=bool)
     inertia = np.full(len(ids), DEFAULT_LOAD_INERTIA)
     is_gen[gens], inertia[gens] = True, net.m
@@ -276,7 +280,7 @@ def power_flows(net: PowerNetwork, delta):
     to zero (every line's flow leaves one end and enters the other).  Gauge
     invariant: adding a constant to all angles changes nothing.
     """
-    return (net.line_w * np.sin(delta @ net._line_inc.T)) @ net._line_inc
+    return (net.line_w * np.sin(delta @ net._line_inc_t)) @ net._line_inc
 
 
 def potential_energy(net: PowerNetwork, delta):
@@ -292,7 +296,7 @@ def potential_energy(net: PowerNetwork, delta):
 def line_weights(net: PowerNetwork, delta):
     """Per-line weights v_i v_j B_ij cos(delta_i - delta_j) of the flow
     Jacobian (batch dims allowed)."""
-    return net.line_w * np.cos(delta @ net._line_inc.T)
+    return net.line_w * np.cos(delta @ net._line_inc_t)
 
 
 def flow_jacobian(net: PowerNetwork, delta):
@@ -318,12 +322,12 @@ def flow_jacobian_apply(net: PowerNetwork, delta, x, weights=None):
     computed them (the adjoint computes them for a block of steps at once).
     """
     w = line_weights(net, delta) if weights is None else weights
-    return (w * (x @ net._line_inc.T)) @ net._line_inc
+    return (w * (x @ net._line_inc_t)) @ net._line_inc
 
 
 def comm_laplacian_apply(net: PowerNetwork, y):
     """Product L_Q @ y over the communication graph (batch dims allowed)."""
-    return (net.comm_q * (y @ net._comm_inc.T)) @ net._comm_inc
+    return (net.comm_q * (y @ net._comm_inc_t)) @ net._comm_inc
 
 
 def scaled_laplacian_bilinear(net: PowerNetwork, zeta, x, y):

@@ -149,20 +149,20 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     if initial is not None:
         theta[0], omega_g[0], s[0] = initial
 
-    x = np.zeros((B, 3, n))    # derivatives ignores the load omega entries
-    x[:, 0], x[:, 1, g], x[:, 2] = theta[0], omega_g[0], s[0]
-    theta[0] = gauge_initial(x)[:, 0]
+    x = np.zeros((3, B, n))    # derivatives ignores the load omega entries
+    x[0], x[1][:, g], x[2] = theta[0], omega_g[0], s[0]
+    theta[0] = gauge_initial(x)[0]
     cost_acc = np.zeros(B)
     # running per-bus max |omega_g| and its first step (strict >, as argmax)
     peak_abs = np.full((B, len(g)), -1.0)
     nadir_step = np.zeros((B, len(g)), dtype=np.intp)
     for l in range(L):
-        xe = t.shift(x[:, 2])
+        xe = t.shift(x[2])
         count[l] = t.rank(xe)
         u = t.clamp(t.value(xe, t.off + count[l]))
         x = euler_step(net, costs, params, scenario, x, l,
                        derivatives(net, costs, params, x, p, u=u))
-        theta[l + 1], omega_g[l + 1], s[l + 1] = x[:, 0], x[:, 1, g], x[:, 2]
+        theta[l + 1], omega_g[l + 1], s[l + 1] = x[0], x[1][:, g], x[2]
         cost_acc += costs.values(u).sum(axis=-1)
         abs_om = np.abs(omega_g[l + 1])
         np.copyto(nadir_step, l, where=abs_om > peak_abs)
@@ -233,7 +233,7 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
             g_w = g_w + np.where(tape.nadir_step == l, tape.nadir_sign, 0.0)
 
             # adjoint of the full omega vector used by the theta and s updates
-            pg = g_theta - g_theta.mean(axis=-1, keepdims=True)
+            pg = g_theta - np.add.reduce(g_theta, axis=-1, keepdims=True) / n
             a_omega = two_pi_f0 * h * pg - two_pi_f0 * h * g_s
 
             # u and the flows enter the swing update of omega_g[l+1] (gens)

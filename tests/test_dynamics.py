@@ -98,6 +98,43 @@ def test_dai_linear_equals_general_with_matching_quadratics():
     assert np.max(np.abs(traj.u - gains * traj.s)) <= 1e-15
 
 
+def ring(n):
+    """n buses on a ring, generators on the even ones.  Every bus has two
+    lines, so its incidence sums have two terms, which any summation order
+    adds to the same bits: a batched call cannot differ from a single one
+    in the last bits, as it may on buses with more lines."""
+    return network.network_from_dict({
+        "buses": [{"id": b, "kind": "gen", "m": 2.0 + b, "alpha": 1.0 + 0.1 * b}
+                  if b % 2 == 0 else {"id": b, "kind": "load", "alpha": 1.5}
+                  for b in range(n)],
+        "lines": [{"i": b, "j": (b + 1) % n, "B": 1.0 + 0.2 * b} for b in range(n)],
+        "base": {"f0": 50.0},
+    })
+
+
+@pytest.mark.parametrize("mode", dyn.MODES)
+def test_batched_states_lead_with_the_rows(mode):
+    # B = 5 is neither 3 nor n = 6, so a batch on another axis cannot pass:
+    # stack() puts (delta, omega, s) first, and column b of a batched
+    # derivatives call is the single-scenario call on scenario b
+    net = ring(6)
+    rng = np.random.default_rng(5)
+    costs = cm.random_power_costs(net.n, rng, r=4)
+    params = ctl.transform_params(ctl.init_raw_params(net.n, 3, rng))
+    fields = rng.uniform(-0.3, 0.3, (3, 5, net.n))
+    p = rng.uniform(-0.3, 0.3, (5, net.n))
+    x = SystemState(*fields).stack()
+    assert x.shape == (3, 5, net.n) and x.flags.c_contiguous
+    assert x.tobytes() == fields.tobytes()
+    batch = dyn.derivatives(net, costs, params, x, p, mode)
+    assert batch[0].shape == (3, 5, net.n)
+    for b in range(5):
+        one = dyn.derivatives(net, costs, params, x[:, b], p[b], mode)
+        assert batch[0][:, b].tobytes() == one[0].tobytes()
+        for got, want in zip(batch[1:], one[1:]):
+            assert got[b].tobytes() == want.tobytes()
+
+
 def test_euler_matches_hand_rolled_step():
     net = two_bus()
     costs = cm.quadratic_costs(np.ones(2))

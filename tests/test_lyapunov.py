@@ -700,6 +700,23 @@ def test_certify_rejects_unknown_mode():
                                 ctl.identity_params(n=2), None)
 
 
+def test_certify_refuses_a_trajectory_read_back_from_csv(tmp_path):
+    # the CSV stores no angles, so read_csv's "unknown" trajectory has NaN
+    # delta: refused by name before scoring, not reported as FAIL with nan
+    net = three_bus()
+    costs = quad3()
+    params = ctl.identity_params(n=3)
+    p = np.array([-0.3, -0.15, 0.0])
+    eq = eqm.solve_equilibrium(net, costs, params, p)
+    traj = dyn.simulate(Scenario(p=p, T=0.05, h=1e-3), net, costs, params)
+    dyn.write_csv(traj, tmp_path / "run.csv")
+    back = dyn.read_csv(tmp_path / "run.csv")
+    assert back.mode == "unknown" and np.isnan(back.delta).all()
+    with pytest.raises(LyapunovError,
+                       match=r"cannot certify mode 'unknown': its angles are missing"):
+        lyap.certify_trajectory(back, net, costs, params, eq)
+
+
 @pytest.mark.parametrize("make_net", [three_bus_gens, three_bus],
                          ids=lambda make: make.__name__)
 def test_certify_primary_trajectory_passes(make_net):

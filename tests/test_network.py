@@ -298,6 +298,33 @@ def test_comm_laplacian_apply_matches_dense():
                            dense_comm_laplacian(net) @ y, atol=1e-13)
 
 
+@given(st.integers(0, 10 ** 6), st.integers(2, 12),
+       st.sampled_from([(), (1,), (7,), (64,)]))
+def test_incidence_kernels_match_the_transposed_views_bit_for_bit(
+        net_seed, buses, batch):
+    # the kernels take edge differences against cached C-contiguous copies
+    # of the incidence transposes; the .T views give the same bits
+    net = random_connected_net(net_seed, buses=buses)
+    for inc, inc_t in ((net._line_inc, net._line_inc_t),
+                       (net._comm_inc, net._comm_inc_t)):
+        assert inc_t.flags.c_contiguous and np.array_equal(inc_t, inc.T)
+    delta, x, y = np.random.default_rng(net_seed).uniform(
+        -1.0, 1.0, (3,) + batch + (net.n,))
+    line_t, comm_t = net._line_inc.T, net._comm_inc.T
+    w = net.line_w * np.cos(delta @ line_t)
+    pairs = [
+        (network.power_flows(net, delta),
+         (net.line_w * np.sin(delta @ line_t)) @ net._line_inc),
+        (network.line_weights(net, delta), w),
+        (network.flow_jacobian_apply(net, delta, x),
+         (w * (x @ line_t)) @ net._line_inc),
+        (network.comm_laplacian_apply(net, y),
+         (net.comm_q * (y @ comm_t)) @ net._comm_inc),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_edge_angle_spread():
     net = three_bus()
     delta = np.array([0.2, -0.1, 0.05])

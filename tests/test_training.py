@@ -250,12 +250,12 @@ def test_rollout_blow_up_past_limit_while_finite():
     p = np.array([[-0.5, -0.2, 0.1], [0.4, -0.3, 0.2]])
 
     # unchecked Euler recursion on the same inputs
-    x = np.zeros((2, 3, 3))
+    x = np.zeros((3, 2, 3))
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(cfg.steps):
             k, omega = dyn.derivatives(net, costs, params, x, p)[:2]
             x = x + cfg.h * k
-            x[:, 1] = omega + cfg.h * k[:, 1]
+            x[1] = omega + cfg.h * k[1]
             if not np.abs(x).max() <= dyn.BLOWUP_LIMIT:
                 break
     assert np.abs(x).max() > dyn.BLOWUP_LIMIT and np.isfinite(x).all()

@@ -14,7 +14,11 @@ covers, on the packaged 39-bus case with comm weight 50 on every line:
   three buses), with `lyap_W`, `certify_trajectory` and `write_csv` bytes;
 - `max_stable_step` of that loop for Euler and RK4 in both modes;
 - the primary-mode `epsilon_and_c_search` (every result field) and
-  `lyap_V_dot` on the states it samples;
+  `lyap_V_dot` on the states it samples; `sample_region_states`, `lyap_V`
+  and `lyap_V_dot` on 1,500 fresh states (cert39's count at 30 s);
+- `power_flows`, `line_weights`, `flow_jacobian_apply` and
+  `comm_laplacian_apply` on seeded inputs of one scenario (a vector), of
+  64 and of 1,500: the batch shapes of the three benchmark workloads;
 - at the train39 shape (B = 64, d = 20, 500 Euler steps), seeds 0-2 with
   and without saturation bounds and a deadband: the loss, every `Tape`
   field and the gradient, and a 4-epoch `train`;
@@ -47,6 +51,7 @@ from gridfreq import lyapunov, network, training  # noqa: E402
 
 LOSS_BUSES = (30, 34, 37)
 LOSS_PU = -1.0
+FRESH = 1500            # cert39's fresh states at --seconds 30
 
 
 def digest(value):
@@ -123,6 +128,23 @@ def primary_certificate(net):
     delta, omega, _ = lyapunov.sample_region_states(net, eq, 200, seed=0)
     emit("epsilon_and_c_search/lyap_V_dot",
          lyapunov.lyap_V_dot(net, params, (delta, omega, None), eq, found.epsilon))
+    states = lyapunov.sample_region_states(net, eq, FRESH, seed=1_000_003)
+    for name, value in zip(("delta", "omega", "s"), states):
+        emit(f"fresh/sample_region_states/{name}", value)
+    emit("fresh/lyap_V", lyapunov.lyap_V(net, states, eq, found.epsilon))
+    emit("fresh/lyap_V_dot",
+         lyapunov.lyap_V_dot(net, params, states, eq, found.epsilon))
+
+
+def network_kernels(net):
+    rng = np.random.default_rng(7)
+    for batch in ((), (64,), (FRESH,)):
+        name = f"network/B{batch[0] if batch else 1}"
+        delta, x, y = rng.uniform(-0.5, 0.5, (3,) + batch + (net.n,))
+        emit(f"{name}/power_flows", network.power_flows(net, delta))
+        emit(f"{name}/line_weights", network.line_weights(net, delta))
+        emit(f"{name}/flow_jacobian_apply", network.flow_jacobian_apply(net, delta, x))
+        emit(f"{name}/comm_laplacian_apply", network.comm_laplacian_apply(net, y))
 
 
 def signed_count(tape):
@@ -174,6 +196,7 @@ def main():
         simulations(net, tmpdir)
         step_limits(net)
         primary_certificate(net)
+        network_kernels(net)
         rollouts(net)
         certify_cli(path, tmpdir)
 
