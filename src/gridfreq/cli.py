@@ -177,7 +177,8 @@ def svg_line_chart(t, series, title, ylabel):
     def sy(y):
         return mt + (hi - y) / (hi - lo) * ih
 
-    xs = [f"{x:.2f}," for x in sx(t).tolist()]
+    # one %-format per chart: "%.2f" % y and f"{y:.2f}" give the same text
+    points = " ".join([f"{x:.2f},%.2f" for x in sx(t).tolist()])
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
            f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
@@ -210,8 +211,7 @@ def svg_line_chart(t, series, title, ylabel):
                f'text-anchor="middle">{ylabel}</text>')
     for k, (name, vals) in enumerate(series.items()):
         color = _PALETTE[k % len(_PALETTE)]
-        ys = sy(np.asarray(vals, dtype=float)).tolist()
-        pts = " ".join([f"{x}{y:.2f}" for x, y in zip(xs, ys)])
+        pts = points % tuple(sy(np.asarray(vals, dtype=float)).tolist())
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    'stroke-width="1.2"/>')
         ly = mt + 14 + 16 * k
@@ -521,24 +521,16 @@ def _cmd_grad_check(args):
 
 
 def _cmd_plot(args):
-    traj = dynamics.read_csv(args.traj)
-    header = dynamics.csv_header(traj.n)
     wanted = [c.strip() for c in args.cols.split(",")]
-    series = {}
-    for col, name in enumerate(header[1:], 1):
-        if any(name == w or name.startswith(w + "_") for w in wanted):
-            block, rem = divmod(col - 1, traj.n)
-            if name == "W":
-                vals = traj.W
-            else:
-                vals = (traj.omega, traj.s, traj.u, traj.mc)[block][:, rem]
-            if vals is not None:
-                series[name] = vals
+    t, cols = dynamics.read_csv_columns(
+        args.traj, lambda name: any(name == w or name.startswith(w + "_") for w in wanted))
+    series = {name: vals for name, vals in cols.items()
+              if name != "W" or not np.all(np.isnan(vals))}
     if not series:
         raise ValueError(f"no columns match {args.cols!r}")
     outdir = _outdir(args)
     path = os.path.join(outdir, args.out)
-    svg = svg_line_chart(traj.t, series, title=os.path.basename(args.traj),
+    svg = svg_line_chart(t, series, title=os.path.basename(args.traj),
                          ylabel=args.cols)
     with open(path, "w") as fh:
         fh.write(svg + "\n")

@@ -33,6 +33,7 @@ results in the last bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -327,12 +328,27 @@ def write_csv(traj: Trajectory, path):
             fh.write("".join([",".join(map(repr, row)) + end for row in rows]))
 
 
+def _load_csv(path, keep=None):
+    """The column names and rows of a trajectory CSV: the header checked
+    against csv_header, then one loadtxt over t and the columns whose names
+    pass `keep` (every column when None); an empty W cell reads as nan."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        pairs = list(zip_longest(header, csv_header((len(header) - 2) // 4), fillvalue=""))
+        if (bad := next((i for i, (a, b) in enumerate(pairs) if a != b), None)) is not None:
+            raise ValueError(f"{path}: header column {bad + 1} is {pairs[bad][0]!r}, "
+                             f"expected {pairs[bad][1]!r}")
+        cols = None if keep is None else [j for j, name in enumerate(header)
+                                          if j == 0 or keep(name)]
+        rows = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=cols,
+                          converters={len(header) - 1: lambda x: float(x or "nan")})
+    return header if cols is None else [header[j] for j in cols], rows
+
+
 def read_csv(path):
     """Inverse of write_csv; returns a Trajectory without angles (not stored)."""
-    with open(path) as fh:
-        n = (len(fh.readline().split(",")) - 2) // 4
-        arr = np.loadtxt(fh, delimiter=",", ndmin=2,
-                         converters={4 * n + 1: lambda x: float(x or "nan")})
+    header, arr = _load_csv(path)
+    n = (len(header) - 2) // 4
     t = arr[:, 0]
     omega = arr[:, 1:1 + n]
     s = arr[:, 1 + n:1 + 2 * n]
@@ -343,3 +359,10 @@ def read_csv(path):
         W = None
     return Trajectory(mode="unknown", t=t, delta=np.full((len(t), n), np.nan),
                       omega=omega, s=s, u=u, mc=mc, W=W)
+
+
+def read_csv_columns(path, keep):
+    """t and the trajectory CSV's columns whose names pass `keep`, as
+    (t, {name: values}) in file order; only those columns are parsed."""
+    names, rows = _load_csv(path, keep)
+    return rows[:, 0], dict(zip(names[1:], rows[:, 1:].T))

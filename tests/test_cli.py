@@ -643,3 +643,45 @@ def test_plot_unknown_columns_return_one(tmp_path, net2_file,
                  "--outdir", str(tmp_path)])
     assert code == 1
     assert "no columns match" in capsys.readouterr().err
+
+
+def full_read_series(path, cols):
+    """--cols resolved on a full read_csv by the rule plot has always used:
+    a name matches a prefix w when it is w or starts with w + "_", in
+    header order, and an empty W column is left out."""
+    traj = dynamics.read_csv(path)
+    wanted = [c.strip() for c in cols.split(",")]
+    series = {}
+    for col, name in enumerate(dynamics.csv_header(traj.n)[1:]):
+        if any(name == w or name.startswith(w + "_") for w in wanted):
+            block, rem = divmod(col, traj.n)
+            vals = traj.W if name == "W" else (traj.omega, traj.s, traj.u, traj.mc)[block][:, rem]
+            if vals is not None:
+                series[name] = vals
+    return traj.t, series
+
+
+@pytest.mark.parametrize("lyapunov", [True, False])
+@pytest.mark.parametrize("cols", ["omega", "omega,W", "u_1", "s,mc"])
+def test_plot_svg_matches_a_chart_from_the_full_read(tmp_path, net2_file,
+                                                     quad2_costs_file, capsys,
+                                                     lyapunov, cols):
+    traj = make_trajectory_csv(tmp_path, net2_file, quad2_costs_file, lyapunov)
+    assert main(["plot", "--traj", traj, "--cols", cols,
+                 "--outdir", str(tmp_path), "--out", "chart.svg"]) == 0
+    t, series = full_read_series(traj, cols)
+    want = cli.svg_line_chart(t, series, title="traj.csv", ylabel=cols) + "\n"
+    assert (tmp_path / "chart.svg").read_bytes() == want.encode()
+
+
+def test_plot_bad_header_returns_one(tmp_path, net2_file, quad2_costs_file,
+                                     capsys):
+    traj = make_trajectory_csv(tmp_path, net2_file, quad2_costs_file)
+    with open(traj) as fh:
+        header, body = fh.read().split("\n", 1)
+    with open(traj, "w") as fh:
+        fh.write(header.replace("s_2", "z_2") + "\n" + body)
+    code = main(["plot", "--traj", traj, "--outdir", str(tmp_path)])
+    assert code == 1
+    assert f"{traj}: header column 5 is 'z_2', expected 's_2'" in capsys.readouterr().err
+    assert not (tmp_path / "plot.svg").exists()

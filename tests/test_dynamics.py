@@ -4,7 +4,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
@@ -521,6 +521,62 @@ def test_step_guard_rejects_the_case39_rk4_run_at_2ms():
     assert 5e-4 < limit < 2e-3
 
 
+# stability functions of the steppers, written out: R(h lam) multiplies a mode
+STABILITY = {"euler": lambda z: 1 + z,
+             "rk4": lambda z: 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24}
+
+
+def _modes_at_origin(net, costs, params):
+    """Eigenvalues with a negative real part of the closed loop linearized
+    at the origin, and their left eigenvectors as rows, from central
+    differences of `derivatives` on the flat (3n) state."""
+    N, eps = 3 * net.n, 1e-7
+    x = np.concatenate([np.eye(N), -np.eye(N)]) * eps
+    k = dyn.derivatives(net, costs, params, x.reshape(2 * N, 3, net.n).swapaxes(0, 1),
+                        np.zeros(net.n))[0]
+    k = k.swapaxes(0, 1).reshape(2 * N, N)
+    lam, right = np.linalg.eig(((k[:N] - k[N:]) / (2 * eps)).T)
+    keep = lam.real < -1e-9 * np.abs(lam).max()
+    return lam[keep], np.linalg.inv(right)[keep]
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10 ** 6), st.integers(2, 10), st.sampled_from(["euler", "rk4"]))
+def test_step_limit_is_the_edge_of_stability_on_random_networks(net_seed, buses, method):
+    # with p = 0 the origin is an equilibrium, and the linear policies put no
+    # kink there, so near it each step multiplies a mode's amplitude by
+    # R(h lam): at 0.98 of the limit no mode grows, and at 1.05 the limiting
+    # one grows by |R|^steps >= 1e3.  A limit set by a weakly damped mode
+    # grows too slowly to see (|R| < 1.01); those draws are counted as a
+    # Hypothesis event (`--hypothesis-show-statistics`) and not checked
+    net = random_connected_net(net_seed, buses=buses)
+    rng = np.random.default_rng(net_seed)
+    costs = cm.quadratic_costs(rng.uniform(0.5, 2.0, net.n))
+    params = ctl.scaled_identity_params(rng.uniform(0.5, 2.0, net.n))
+    x0 = rng.uniform(-1e-6, 1e-6, (3, net.n))
+    x0[0] -= x0[0].mean()
+    scen = Scenario(p=np.zeros(net.n), T=1.0, h=1e-3, initial=SystemState(*x0))
+    limit = dyn.max_stable_step(net, costs, params, scen, method)
+    lam, left = _modes_at_origin(net, costs, params)
+    growth = np.abs(STABILITY[method](1.05 * limit * lam))
+    worst = np.argmax(growth)
+    if growth[worst] < 1.01:
+        event("skipped: |R(1.05 h lam)| < 1.01")
+        return
+    event("checked")
+    steps = int(np.ceil(np.log(1e3) / np.log(growth[worst])))
+    for factor in (0.98, 1.05):
+        h = factor * limit
+        traj = dyn.simulate(Scenario(p=scen.p, T=steps * h, h=h, initial=scen.initial),
+                            net, costs, params, stepper=dyn.STEPPERS[method])
+        x = np.concatenate([traj.delta, traj.omega, traj.s], axis=1)
+        amp = np.abs(x @ left.T)          # (steps + 1, modes)
+        if factor < 1:
+            assert np.all(amp <= amp[0] * (1 + 1e-6) + 1e-9 * amp[0].max())
+        else:
+            assert amp[-1, worst] >= 0.99e3 * amp[0, worst]
+
+
 # --------------------------------------------------------------------------
 # CSV I/O against frozen copies of the csv-module writer and reader
 # --------------------------------------------------------------------------
@@ -598,6 +654,43 @@ def test_read_csv_returns_the_written_bits(tmp_path, with_w):
         assert same_bits(back.W, traj.W)
     else:
         assert back.W is None
+
+
+@pytest.mark.parametrize("with_w", [False, True])
+@pytest.mark.parametrize("n", [2, 5, 39])
+def test_read_csv_columns_returns_read_csvs_bits(tmp_path, with_w, n):
+    traj = _odd_trajectory(30, n, with_w, seed=n)
+    path = tmp_path / "traj.csv"
+    dyn.write_csv(traj, path)
+    full = dyn.read_csv(path)
+    W = np.full(30, np.nan) if full.W is None else full.W
+    want = {"W": W}
+    for name in ("omega", "s", "u", "mc"):
+        want.update({f"{name}_{i + 1}": col for i, col in enumerate(getattr(full, name).T)})
+    for keep in (lambda name: True, lambda name: name.startswith("omega_"),
+                 lambda name: name in ("u_2", "mc_1", "W"), lambda name: False):
+        t, cols = dyn.read_csv_columns(path, keep)
+        assert same_bits(t, full.t)
+        assert list(cols) == [name for name in dyn.csv_header(n)[1:] if keep(name)]
+        for name, values in cols.items():
+            assert same_bits(values, want[name]), name
+
+
+@pytest.mark.parametrize("header, column", [
+    (",".join(dyn.csv_header(5)[:-1]), "header column 6 is 'omega_5', expected 's_1'"),
+    (",".join(dyn.csv_header(5)).replace("s_3", "x_3"),
+     "header column 9 is 'x_3', expected 's_3'"),
+    ("t,omega_1,x", "header column 2 is 'omega_1', expected 'W'"),
+])
+def test_csv_readers_name_the_first_wrong_header_column(tmp_path, header, column):
+    path = tmp_path / "bad.csv"
+    dyn.write_csv(_odd_trajectory(4, 5, True), path)
+    body = path.read_text().split("\n", 1)[1]
+    path.write_text(header + "\n" + body)
+    for read in (dyn.read_csv, lambda p: dyn.read_csv_columns(p, lambda name: True)):
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: {column}"
 
 
 def random_loop(net_seed, buses, method="euler", steps=100):

@@ -22,7 +22,9 @@ covers, on the packaged 39-bus case with comm weight 50 on every line:
 - at the train39 shape (B = 64, d = 20, 500 Euler steps), seeds 0-2 with
   and without saturation bounds and a deadband: the loss, every `Tape`
   field and the gradient, and a 4-epoch `train`;
-- `gridfreq certify` in DAI and primary mode (`certify.txt`, `certify.json`).
+- `gridfreq certify` in DAI and primary mode (`certify.txt`, `certify.json`);
+- `gridfreq plot --cols omega` and `--cols omega,W` at the sim39 shape (a
+  301-row RK4 trajectory, written with W and without it).
 
 Each array is hashed with its dtype and shape.  `Tape.count` is hashed as
 the signed count c_plus - c_minus of each input, so a tape that stores the
@@ -190,6 +192,25 @@ def certify_cli(path, tmpdir):
                 emit(f"certify/{mode}/{name}", fh.read())
 
 
+def plot_cli(net, tmpdir):
+    costs, params, p = closed_loop(net)
+    scenario = dynamics.Scenario(p=p, T=300 * 5e-4, h=5e-4)
+    traj = dynamics.simulate(scenario, net, costs, params, stepper=dynamics.rk4_step)
+    eq = equilibrium.solve_equilibrium(net, costs, params, p)
+    for label, W in (("no_W", None),
+                     ("W", lyapunov.lyap_W(net, params, (traj.delta, traj.omega, traj.s), eq))):
+        traj.W = W
+        path = os.path.join(tmpdir, f"plot_{label}.csv")
+        dynamics.write_csv(traj, path)
+        for cols in ("omega", "omega,W"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["plot", "--traj", path, "--cols", cols,
+                                 "--out", "plot.svg", "--outdir", tmpdir])
+            emit(f"plot/{label}/{cols}/exit", np.int64(code))
+            with open(os.path.join(tmpdir, "plot.svg"), "rb") as fh:
+                emit(f"plot/{label}/{cols}", fh.read())
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmpdir:
         path, net = case39(tmpdir)
@@ -199,6 +220,7 @@ def main():
         network_kernels(net)
         rollouts(net)
         certify_cli(path, tmpdir)
+        plot_cli(net, tmpdir)
 
 
 if __name__ == "__main__":
