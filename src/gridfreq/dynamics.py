@@ -45,7 +45,9 @@ from .network import (DEFAULT_LOAD_INERTIA, NetworkError, PowerNetwork,  # noqa:
 MODES = ("dai_general", "primary")
 BLOWUP_LIMIT = 1e9           # all states are per-unit scale; beyond this the
                              # integration has lost the solution
-CSV_BLOCK_ROWS = 2048        # rows formatted per write: bounds write_csv's memory
+CSV_BLOCK_VALUES = 1 << 12   # values formatted per write_csv write (whole rows,
+                             # at least one): its floats and strings stay near
+                             # 0.4 MB at any row count or network size
 
 
 class DynamicsError(RuntimeError):
@@ -178,7 +180,19 @@ def _field(net, costs, controllers, scenario, x):
     return derivatives(net, costs, controllers, x, scenario.p, scenario.mode)
 
 
-def _advance(step_index, x, omega, dx):
+def _blow_up(net, step_index, x):
+    """The DynamicsError for state x at step_index, naming the state row,
+    the bus id and, for a batch, the scenario of its first non-finite entry,
+    or of its largest |x| when every entry is finite."""
+    bad = ~np.isfinite(x)
+    at = np.argmax(bad) if bad.any() else np.argmax(np.abs(x))
+    row, *batch, bus = np.unravel_index(at, x.shape)
+    where = f" of scenario {','.join(map(str, batch))}" if batch else ""
+    return DynamicsError(f"integration blow-up at step {step_index} in "
+                         f"{('delta', 'omega', 's')[row]} at bus {net.ids[bus]}{where}")
+
+
+def _advance(net, step_index, x, omega, dx):
     """x + dx, written over dx, with the omega row advanced from the
     algebraic omega of the step's first stage; raises on non-finite or
     absurdly large states (divergence, not drift), then re-projects the
@@ -187,7 +201,7 @@ def _advance(step_index, x, omega, dx):
     out = np.add(x, dx, out=dx)
     out[1] = omega
     if not -BLOWUP_LIMIT <= out.min() <= out.max() <= BLOWUP_LIMIT:
-        raise DynamicsError(f"integration blow-up at step {step_index}")
+        raise _blow_up(net, step_index, out)
     delta = out[0]
     if (fixed := project_gauge(delta)) is not delta:
         delta[...] = fixed
@@ -212,11 +226,12 @@ def euler_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     Load-bus frequencies are evaluated from the pre-step (delta, s) and used
     in both the angle and integrator updates; generator frequencies advance
     by the swing equation.  `stage` is derivatives() at `x` when the caller
-    already has it.  Raises DynamicsError naming step_index once the state
-    is non-finite or beyond BLOWUP_LIMIT.
+    already has it.  Raises DynamicsError naming step_index, and the state
+    row, bus and scenario, once the state is non-finite or beyond
+    BLOWUP_LIMIT.
     """
     k, omega = (stage or _field(net, costs, controllers, scenario, x))[:2]
-    return _advance(step_index, x, omega, scenario.h * k)
+    return _advance(net, step_index, x, omega, scenario.h * k)
 
 
 def rk4_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
@@ -228,7 +243,7 @@ def rk4_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     k2 = _field(net, costs, controllers, scenario, x + (0.5 * h) * k1)[0]
     k3 = _field(net, costs, controllers, scenario, x + (0.5 * h) * k2)[0]
     k4 = _field(net, costs, controllers, scenario, x + h * k3)[0]
-    return _advance(step_index, x, omega, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+    return _advance(net, step_index, x, omega, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 STEPPERS = {"euler": euler_step, "rk4": rk4_step}
@@ -321,17 +336,32 @@ def write_csv(traj: Trajectory, path):
     cols = [traj.t[:, None], traj.omega, traj.s, traj.u, traj.mc]
     if traj.W is not None:
         cols.append(traj.W[:, None])
+    header = csv_header(traj.n)
+    block = max(1, CSV_BLOCK_VALUES // len(header))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(csv_header(traj.n)) + "\r\n")
-        for lo in range(0, len(traj.t), CSV_BLOCK_ROWS):
-            rows = np.hstack([c[lo:lo + CSV_BLOCK_ROWS] for c in cols]).tolist()
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(traj.t), block):
+            rows = np.hstack([c[lo:lo + block] for c in cols]).tolist()
             fh.write("".join([",".join(map(repr, row)) + end for row in rows]))
+
+
+def _checked_lines(fh, path, width):
+    """The data lines of an open trajectory CSV as they stream past, each
+    blank or holding `width` fields; loadtxt with usecols reads a ragged
+    row without a word, so a row cut short or grown raises ValueError
+    naming the file and line."""
+    for number, line in enumerate(fh, start=2):
+        if line.count(",") != width - 1 and line.strip():
+            raise ValueError(f"{path}: line {number} has {line.count(',') + 1} "
+                             f"fields, expected {width}")
+        yield line
 
 
 def _load_csv(path, keep=None):
     """The column names and rows of a trajectory CSV: the header checked
     against csv_header, then one loadtxt over t and the columns whose names
-    pass `keep` (every column when None); an empty W cell reads as nan."""
+    pass `keep` (every column when None), with every row's field count
+    checked against the header; an empty W cell reads as nan."""
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         pairs = list(zip_longest(header, csv_header((len(header) - 2) // 4), fillvalue=""))
@@ -340,7 +370,8 @@ def _load_csv(path, keep=None):
                              f"expected {pairs[bad][1]!r}")
         cols = None if keep is None else [j for j, name in enumerate(header)
                                           if j == 0 or keep(name)]
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2, usecols=cols,
+        rows = np.loadtxt(_checked_lines(fh, path, len(header)), delimiter=",",
+                          ndmin=2, usecols=cols,
                           converters={len(header) - 1: lambda x: float(x or "nan")})
     return header if cols is None else [header[j] for j in cols], rows
 

@@ -126,8 +126,8 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     p has shape (B, n).  Returns the scalar loss (batch mean) and the tape
     for backprop.  Each step is one dynamics.euler_step over
     dynamics.derivatives, the step simulate takes, with its gauge
-    re-projection and its blow-up rule (DynamicsError naming the step); the
-    policies are evaluated here from their tables, so that the step's table
+    re-projection and its blow-up rule (DynamicsError naming the step, and
+    the state row, bus and scenario); the policies are evaluated here from their tables, so that the step's table
     ranks go on the tape.  `initial` is (theta, omega_G, s) at step 0; its
     angles are put in the center-of-inertia gauge before step 0 as simulate
     puts them (a drift past network.GAUGE_ERROR raises DynamicsError), and

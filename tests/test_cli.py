@@ -685,3 +685,26 @@ def test_plot_bad_header_returns_one(tmp_path, net2_file, quad2_costs_file,
     assert code == 1
     assert f"{traj}: header column 5 is 'z_2', expected 's_2'" in capsys.readouterr().err
     assert not (tmp_path / "plot.svg").exists()
+
+
+@pytest.mark.parametrize("ragged", ["cut", "grown"])
+def test_plot_ragged_row_returns_one(tmp_path, net2_file, quad2_costs_file,
+                                     capsys, ragged):
+    # a row cut short after the omega columns that --cols omega reads, or
+    # one with a field too many, names the file and line
+    traj = make_trajectory_csv(tmp_path, net2_file, quad2_costs_file)
+    with open(traj, newline="") as fh:
+        lines = fh.read().split("\r\n")               # header, 51 rows, ""
+    if ragged == "cut":
+        row = lines[51].split(",")
+        lines[51:] = [",".join(row[:3]) + "," + row[3][:3]]
+        line, fields = 52, 4
+    else:
+        lines[10] += ",0.5"
+        line, fields = 11, 11
+    with open(traj, "w", newline="") as fh:
+        fh.write("\r\n".join(lines))
+    code = main(["plot", "--traj", traj, "--cols", "omega", "--outdir", str(tmp_path)])
+    assert code == 1
+    assert f"{traj}: line {line} has {fields} fields, expected 10" in capsys.readouterr().err
+    assert not (tmp_path / "plot.svg").exists()

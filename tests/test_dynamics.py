@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -451,10 +452,13 @@ def test_blow_up_check_catches_nan_and_inf():
     costs = cm.quadratic_costs(np.ones(2))
     params = ctl.identity_params(n=2)
     scen = Scenario(p=np.zeros(2), T=1e-3, h=1e-3)
-    for bad in (np.nan, np.inf, 2e9):
+    # a non-finite s spreads to every entry within the step, so the error
+    # names the first non-finite entry; a finite one, the largest
+    for bad, bus, where in ((np.nan, 0, "delta at bus 1"), (np.inf, 0, "delta at bus 1"),
+                            (2e9, 0, "s at bus 1"), (2e9, 1, "s at bus 2")):
         x = np.zeros((3, 2))
-        x[2, 0] = bad
-        with pytest.raises(DynamicsError, match="integration blow-up at step 7"), \
+        x[2, bus] = bad
+        with pytest.raises(DynamicsError, match=f"integration blow-up at step 7 in {where}$"), \
                 np.errstate(invalid="ignore"):
             dyn.rk4_step(net, costs, params, scen, x, step_index=7)
 
@@ -628,10 +632,13 @@ def _odd_trajectory(rows, n, with_w, seed=0):
 
 @pytest.mark.parametrize("with_w", [False, True])
 @pytest.mark.parametrize("rows, n, block", [(40, 3, 2048), (301, 39, 64),
-                                            (7, 2, 3)])
+                                            (7, 2, 3), (5, 2, 0)])
 def test_write_csv_matches_the_csv_module_bytes(tmp_path, monkeypatch, with_w,
                                                 rows, n, block):
-    monkeypatch.setattr(dyn, "CSV_BLOCK_ROWS", block)
+    # a budget of `block` values per column writes `block` rows at a time:
+    # one block, many, a short last block of 3-row blocks, and, below one
+    # row's width, a row at a time
+    monkeypatch.setattr(dyn, "CSV_BLOCK_VALUES", block * len(dyn.csv_header(n)))
     traj = _odd_trajectory(rows, n, with_w)
     dyn.write_csv(traj, tmp_path / "new.csv")
     _oracle_write_csv(traj, tmp_path / "old.csv")
@@ -691,6 +698,42 @@ def test_csv_readers_name_the_first_wrong_header_column(tmp_path, header, column
         with pytest.raises(ValueError) as err:
             read(path)
         assert str(err.value) == f"{path}: {column}"
+
+
+@pytest.mark.parametrize("ragged, line, fields", [("cut", 7, 8), ("grown", 4, 23)])
+def test_csv_readers_name_a_ragged_row(tmp_path, ragged, line, fields):
+    # a write stopped mid-row after the last omega column, or a row with one
+    # field too many: loadtxt with usecols alone would read either
+    path = tmp_path / "ragged.csv"
+    dyn.write_csv(_odd_trajectory(6, 5, True), path)
+    lines = path.read_bytes().split(b"\r\n")       # header, 6 rows, b""
+    if ragged == "cut":
+        row = lines[6].split(b",")
+        lines[6:] = [b",".join(row[:7]) + b"," + row[7][:3]]
+    else:
+        lines[3] += b",1.0"
+    path.write_bytes(b"\r\n".join(lines))
+    for read in (dyn.read_csv,
+                 lambda p: dyn.read_csv_columns(p, lambda name: name.startswith("omega_"))):
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value) == f"{path}: line {line} has {fields} fields, expected 22"
+
+
+def test_write_csv_traced_peak_stays_flat_in_the_row_count(tmp_path):
+    # the writer formats CSV_BLOCK_VALUES values at a time, so its floats
+    # and strings take the same room at 300 and at 3,000 rows
+    peaks = []
+    for rows in (300, 3000):
+        traj = _odd_trajectory(rows, 39, True, seed=rows)
+        tracemalloc.start()
+        try:
+            dyn.write_csv(traj, tmp_path / "traj.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1 << 20, peaks
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def random_loop(net_seed, buses, method="euler", steps=100):

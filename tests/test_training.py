@@ -259,8 +259,10 @@ def test_rollout_blow_up_past_limit_while_finite():
             if not np.abs(x).max() <= dyn.BLOWUP_LIMIT:
                 break
     assert np.abs(x).max() > dyn.BLOWUP_LIMIT and np.isfinite(x).all()
+    row, b, bus = np.unravel_index(np.argmax(np.abs(x)), x.shape)
+    where = f"{('delta', 'omega', 's')[row]} at bus {net.ids[bus]} of scenario {b}"
     with pytest.raises(DynamicsError,
-                       match=rf"integration blow-up at step {first}$"):
+                       match=rf"integration blow-up at step {first} in {where}$"):
         trn.rollout_loss(net, costs, raw, p, cfg)
 
 
@@ -270,8 +272,9 @@ def test_train_blow_up_reports_epoch_and_seed():
     cfg = TrainConfig(d=2, h=0.5, T=2.5, batch_size=2, epochs=2, lr=0.1,
                       p_lo=-5.0, p_hi=5.0, seed=9)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DynamicsError, match=r"integration blow-up at step "
-                                                r"\d+ \(epoch \d+, seed 9\)"):
+        with pytest.raises(DynamicsError, match=r"integration blow-up at step \d+ in "
+                                                r"(delta|omega|s) at bus [12] of "
+                                                r"scenario [01] \(epoch \d+, seed 9\)$"):
             trn.train(net, costs, cfg)
 
 
