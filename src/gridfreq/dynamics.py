@@ -180,16 +180,14 @@ def _field(net, costs, controllers, scenario, x):
     return derivatives(net, costs, controllers, x, scenario.p, scenario.mode)
 
 
-def _blow_up(net, step_index, x):
-    """The DynamicsError for state x at step_index, naming the state row,
-    the bus id and, for a batch, the scenario of its first non-finite entry,
-    or of its largest |x| when every entry is finite."""
+def _locate(net, x):
+    """The place "<row> at bus <id>[ of scenario b]" of the state x's first
+    non-finite entry, or of its largest |x| when every entry is finite."""
     bad = ~np.isfinite(x)
     at = np.argmax(bad) if bad.any() else np.argmax(np.abs(x))
     row, *batch, bus = np.unravel_index(at, x.shape)
     where = f" of scenario {','.join(map(str, batch))}" if batch else ""
-    return DynamicsError(f"integration blow-up at step {step_index} in "
-                         f"{('delta', 'omega', 's')[row]} at bus {net.ids[bus]}{where}")
+    return f"{('delta', 'omega', 's')[row]} at bus {net.ids[bus]}{where}"
 
 
 def _advance(net, step_index, x, omega, dx):
@@ -201,17 +199,21 @@ def _advance(net, step_index, x, omega, dx):
     out = np.add(x, dx, out=dx)
     out[1] = omega
     if not -BLOWUP_LIMIT <= out.min() <= out.max() <= BLOWUP_LIMIT:
-        raise _blow_up(net, step_index, out)
+        raise DynamicsError(f"integration blow-up at step {step_index} in "
+                            f"{_locate(net, out)}")
     delta = out[0]
     if (fixed := project_gauge(delta)) is not delta:
         delta[...] = fixed
     return out
 
 
-def gauge_initial(x):
+def gauge_initial(net, x):
     """The (3, ..., n) initial state x with its angles put in the
-    center-of-inertia gauge in place before step 0, by `_advance`'s rule;
-    a drift past GAUGE_ERROR raises DynamicsError naming the initial state."""
+    center-of-inertia gauge in place before step 0, by `_advance`'s rule.
+    A non-finite entry, or a drift past GAUGE_ERROR, raises DynamicsError
+    naming the initial state."""
+    if not np.isfinite(x).all():
+        raise DynamicsError(f"initial state: non-finite {_locate(net, x)}")
     try:
         x[0] = project_gauge(x[0])
     except NetworkError as exc:
@@ -308,7 +310,7 @@ def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
     initial = scenario.initial or SystemState.zeros(n)
     if len(initial.delta) != n:
         raise DynamicsError("initial state size does not match network")
-    x = gauge_initial(initial.stack())
+    x = gauge_initial(net, initial.stack())
 
     t = np.arange(steps + 1) * scenario.h
     delta, omega, s, u, mc = np.empty((5, steps + 1, n))

@@ -28,8 +28,10 @@ Elementwise operations give the same bits on a block as on one step, and the
 per-step products and histogram sums keep their shapes and order, so the
 gradient does not depend on the block length.
 
-No autodiff framework is involved; a central-finite-difference checker is
-provided and wired into the test suite and the CLI.
+No autodiff framework is involved.  The test suite checks backprop against
+per-parameter central finite differences, and the CLI's gradient audit
+(`gridfreq grad-check`, `gridfreq train --grad-check`) against central
+differences along seeded random directions.
 """
 
 from __future__ import annotations
@@ -127,11 +129,12 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     for backprop.  Each step is one dynamics.euler_step over
     dynamics.derivatives, the step simulate takes, with its gauge
     re-projection and its blow-up rule (DynamicsError naming the step, and
-    the state row, bus and scenario); the policies are evaluated here from their tables, so that the step's table
-    ranks go on the tape.  `initial` is (theta, omega_G, s) at step 0; its
-    angles are put in the center-of-inertia gauge before step 0 as simulate
-    puts them (a drift past network.GAUGE_ERROR raises DynamicsError), and
-    the tape holds them in that gauge.
+    the state row, bus and scenario); the policies are evaluated here from
+    their tables, so that the step's table ranks go on the tape.  `initial`
+    is (theta, omega_G, s) at step 0; it goes through dynamics.gauge_initial
+    as simulate's does (a non-finite entry or a drift past
+    network.GAUGE_ERROR raises DynamicsError), and the tape holds its angles
+    in the center-of-inertia gauge.
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
@@ -151,7 +154,7 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
 
     x = np.zeros((3, B, n))    # derivatives ignores the load omega entries
     x[0], x[1][:, g], x[2] = theta[0], omega_g[0], s[0]
-    theta[0] = gauge_initial(x)[0]
+    theta[0] = gauge_initial(net, x)[0]
     cost_acc = np.zeros(B)
     # running per-bus max |omega_g| and its first step (strict >, as argmax)
     peak_abs = np.full((B, len(g)), -1.0)
@@ -287,31 +290,6 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
     g_chi_m = -2.0 * raw.chi_minus * tail_m[:, 1:]
     return RawParams(mu_plus=g_mu_p, mu_minus=g_mu_m,
                      chi_plus=g_chi_p, chi_minus=g_chi_m)
-
-
-def finite_difference_gradients(net: PowerNetwork, costs: CostModel,
-                                raw: RawParams, p, cfg: TrainConfig,
-                                eps=1e-6, initial=None) -> RawParams:
-    """Central finite differences of the rollout loss (oracle for backprop);
-    `initial` as in rollout_loss."""
-
-    def loss_at(r):
-        return rollout_loss(net, costs, r, p, cfg, initial)[0]
-
-    grads = {}
-    for name in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
-        base = getattr(raw, name)
-        grad = np.zeros_like(base)
-        for idx in np.ndindex(base.shape):
-            bumped = {f: getattr(raw, f).copy()
-                      for f in ("mu_plus", "mu_minus", "chi_plus", "chi_minus")}
-            bumped[name][idx] = base[idx] + eps
-            up = loss_at(RawParams(**bumped))
-            bumped[name][idx] = base[idx] - eps
-            down = loss_at(RawParams(**bumped))
-            grad[idx] = (up - down) / (2.0 * eps)
-        grads[name] = grad
-    return RawParams(**grads)
 
 
 def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gridfreq import network
+from gridfreq import network, training
+from gridfreq.controller import RawParams
 
 # property tests draw the same examples on every run, so tier-1 reruns stay
 # deterministic; no example database is written
@@ -99,6 +100,31 @@ def eval_slope(params, x):
     xe = t.shift(x)
     r = t.index(xe)
     return np.where(t.unsaturated(t.value(xe, r)), t.slope(x, xe, r), 0.0)
+
+
+def finite_difference_gradients(net, costs, raw, p, cfg, eps=1e-6,
+                                initial=None):
+    """Central finite differences of training.rollout_loss in each raw
+    parameter, the per-parameter oracle for training.backprop; `initial`
+    as in rollout_loss."""
+    fields = ("mu_plus", "mu_minus", "chi_plus", "chi_minus")
+
+    def loss_at(r):
+        return training.rollout_loss(net, costs, r, p, cfg, initial)[0]
+
+    grads = {}
+    for name in fields:
+        base = getattr(raw, name)
+        grad = np.zeros_like(base)
+        for idx in np.ndindex(base.shape):
+            bumped = {f: getattr(raw, f).copy() for f in fields}
+            bumped[name][idx] = base[idx] + eps
+            up = loss_at(RawParams(**bumped))
+            bumped[name][idx] = base[idx] - eps
+            down = loss_at(RawParams(**bumped))
+            grad[idx] = (up - down) / (2.0 * eps)
+        grads[name] = grad
+    return RawParams(**grads)
 
 
 def random_connected_net(seed, buses=4, all_gens=False):

@@ -41,7 +41,7 @@ from gridfreq import controller, dynamics, lyapunov, network, training
 from gridfreq import costs as costs_mod
 from gridfreq import equilibrium as eq_mod
 
-from conftest import nine_bus, three_bus, three_bus_gens
+from conftest import finite_difference_gradients, nine_bus, three_bus, three_bus_gens
 
 
 def report(capsys, num, ok, detail):
@@ -305,7 +305,7 @@ def test_criterion_06_gradient_audit(capsys):
             continue
         clean_instances += 1
         analytic = training.backprop(tape, net, costs)
-        fd = training.finite_difference_gradients(net, costs, raw, p, cfg)
+        fd = finite_difference_gradients(net, costs, raw, p, cfg)
         num = den = 0.0
         for field in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
             a = getattr(analytic, field)

@@ -545,8 +545,34 @@ def test_grad_check_passes(tmp_path, monkeypatch, capsys):
     code = main(["grad-check", "--seed", "0", "--instances", "2"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "gradient audit passed" in out
-    assert out.count("max relative gradient error") == 2
+    assert out.count("gradient audit passed on the 2-bus network") == 2
+    assert "FAILED" not in out
+
+
+@pytest.fixture
+def doubled_backprop(monkeypatch):
+    """training.backprop returning twice the exact gradient."""
+    exact = training.backprop
+
+    def doubled(*args):
+        g = exact(*args)
+        return controller.RawParams(2 * g.mu_plus, 2 * g.mu_minus,
+                                    2 * g.chi_plus, 2 * g.chi_minus)
+
+    monkeypatch.setattr(training, "backprop", doubled)
+
+
+def test_grad_check_failure_exits_one(tmp_path, capsys, doubled_backprop):
+    assert main(["grad-check", "--instances", "2", "--outdir", str(tmp_path)]) == 1
+    assert "gradient audit FAILED on the 2-bus network" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("instances", ["0", "-2"])
+def test_grad_check_refuses_no_instances(tmp_path, capsys, instances):
+    outdir = tmp_path / "audit"
+    assert main(["grad-check", "--instances", instances, "--outdir", str(outdir)]) == 1
+    assert "--instances" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_grad_check_writes_manifest_into_fresh_outdir(tmp_path):
@@ -576,15 +602,7 @@ def test_train_grad_check_audits_the_loaded_network(tmp_path, net3_file,
 
 def test_train_grad_check_failure_exits_one(tmp_path, net3_file,
                                             quartic_costs_file, capsys,
-                                            monkeypatch):
-    exact = training.backprop
-
-    def doubled(*args):
-        g = exact(*args)
-        return controller.RawParams(2 * g.mu_plus, 2 * g.mu_minus,
-                                    2 * g.chi_plus, 2 * g.chi_minus)
-
-    monkeypatch.setattr(training, "backprop", doubled)
+                                            doubled_backprop):
     assert main(_train_argv(tmp_path, net3_file, quartic_costs_file)) == 1
     captured = capsys.readouterr()
     assert "gradient audit FAILED on the 3-bus network" in captured.out

@@ -253,6 +253,21 @@ def test_simulate_gauges_the_initial_angles_before_step_0(stepper):
     assert np.all(np.abs(traj.delta.mean(axis=-1)) < 1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_simulate_names_a_non_finite_initial_state(bad):
+    # refused before step 0, naming the entry: a non-finite integral state
+    # would reach every entry within the first step
+    net = three_bus()
+    costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
+    params = ctl.identity_params(n=3)
+    for row, bus, where in ((2, 2, "s at bus 3"), (0, 1, "delta at bus 2")):
+        fields = np.zeros((3, 3))
+        fields[row, bus] = bad
+        scen = Scenario(p=np.zeros(3), T=0.01, h=1e-3, initial=SystemState(*fields))
+        with pytest.raises(DynamicsError, match=f"^initial state: non-finite {where}$"):
+            dyn.simulate(scen, net, costs, params)
+
+
 def test_blow_up_reports_step_index():
     # grossly unstable step size makes Euler diverge to non-finite values
     net = two_bus()

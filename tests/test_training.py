@@ -16,7 +16,8 @@ from gridfreq.controller import RawParams
 from gridfreq.dynamics import DynamicsError
 from gridfreq.training import TrainConfig
 
-from conftest import nine_bus, random_connected_net, three_bus, two_bus
+from conftest import (finite_difference_gradients, nine_bus, random_connected_net,
+                      three_bus, two_bus)
 
 
 @pytest.mark.parametrize("masks", [{}, dict(u_lo=-0.02, u_hi=0.03, dz=2e-3)],
@@ -124,7 +125,7 @@ def test_backprop_matches_finite_differences():
             if trn.gradient_tie_risk(tape):
                 continue
             analytic = trn.backprop(tape, net, costs)
-            fd = trn.finite_difference_gradients(net, costs, raw, p, cfg)
+            fd = finite_difference_gradients(net, costs, raw, p, cfg)
             num = den = 0.0
             for name in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
                 a, f = getattr(analytic, name), getattr(fd, name)
@@ -164,7 +165,7 @@ def test_backprop_matches_finite_differences_on_random_networks(seed, masked):
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
     assume(not trn.gradient_tie_risk(tape))
     analytic = trn.backprop(tape, net, costs)
-    fd = trn.finite_difference_gradients(net, costs, raw, p, cfg, initial=initial)
+    fd = finite_difference_gradients(net, costs, raw, p, cfg, initial=initial)
     for name in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
         a, f = getattr(analytic, name), getattr(fd, name)
         assert np.max(np.abs(a - f)) <= 1e-4 * max(np.max(np.abs(f)), 1e-8), name
@@ -237,6 +238,22 @@ def test_rollout_gauges_the_initial_angles_before_step_0():
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg, (np.full((2, 3), 1e-6), *rest))
     assert np.all(tape.theta[0].mean(axis=-1) == 0.0)
     assert np.all(np.abs(tape.theta.mean(axis=-1)) < 1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_rollout_names_a_non_finite_initial_state(bad):
+    # as simulate: refused before step 0, naming the row, bus and scenario
+    net = three_bus()
+    costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
+    raw = ctl.init_raw_params(3, 3, np.random.default_rng(0))
+    cfg = TrainConfig(d=3, h=1e-3, T=0.01, batch_size=2, seed=0)
+    p = np.zeros((2, 3))
+    for row, b, bus, where in ((2, 1, 2, "s at bus 3 of scenario 1"),
+                               (1, 0, 1, "omega at bus 2 of scenario 0")):
+        initial = (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)))
+        initial[row][b, bus] = bad
+        with pytest.raises(DynamicsError, match=f"^initial state: non-finite {where}$"):
+            trn.rollout_loss(net, costs, raw, p, cfg, initial)
 
 
 def test_rollout_blow_up_past_limit_while_finite():
