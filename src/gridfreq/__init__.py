@@ -16,7 +16,7 @@ from .network import PowerNetwork, NetworkError, load_network, network_from_dict
 from .costs import CostModel
 from .controller import RawParams, NetParams, transform_params, eval_u
 from .equilibrium import Equilibrium, solve_equilibrium
-from .dynamics import Scenario, SystemState, Trajectory, simulate
+from .dynamics import Scenario, Trajectory, simulate
 from .lyapunov import CertificationReport, certify_trajectory
 from .training import TrainConfig, train
 
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PowerNetwork", "NetworkError", "load_network", "network_from_dict",
     "CostModel", "RawParams", "NetParams", "transform_params", "eval_u",
-    "Equilibrium", "solve_equilibrium", "Scenario", "SystemState",
-    "Trajectory", "simulate", "CertificationReport", "certify_trajectory",
-    "TrainConfig", "train",
+    "Equilibrium", "solve_equilibrium", "Scenario", "Trajectory", "simulate",
+    "CertificationReport", "certify_trajectory", "TrainConfig", "train",
 ]

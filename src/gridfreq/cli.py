@@ -263,7 +263,7 @@ def _cmd_equilibrium(args):
                          f"{float(eq.delta_star[i])!r},{s_val}\n")
         outputs.append(path)
     config = {"net": args.net, "p": args.p, "mode": args.mode,
-              "costs": _cost_config(args)}
+              "checkpoint": args.checkpoint, "costs": _cost_config(args)}
     _write_manifest(outdir, "equilibrium", config,
                     {"cost_seed": args.cost_seed}, outputs)
     return 0
@@ -432,8 +432,8 @@ def _audit_network_gradient(net, costs, cfg, steps=10, attempts=10, eps=1e-6):
         rng = np.random.default_rng([cfg.seed, attempt])
         raw = controller.init_raw_params(net.n, cfg.d, rng)
         p = rng.uniform(cfg.p_lo, cfg.p_hi, (2, net.n))
-        initial = (np.zeros((2, net.n)), np.zeros((2, len(net.gens))),
-                   rng.uniform(-1.0, 1.0, (2, net.n)))
+        initial = np.zeros((3, 2, net.n))
+        initial[2] = rng.uniform(-1.0, 1.0, (2, net.n))
         _, tape = training.rollout_loss(net, costs, raw, p, acfg, initial)
         if not training.gradient_tie_risk(tape):
             break
@@ -480,6 +480,8 @@ def _tiny_instance(seed):
 def _cmd_grad_check(args):
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     outdir = _outdir(args)
     errors = [_audit_network_gradient(*_tiny_instance(seed),
                                       training.TrainConfig(d=2, h=1e-3, seed=seed))

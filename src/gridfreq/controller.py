@@ -348,9 +348,7 @@ def lipschitz_constant(params: NetParams):
 
 def identity_params(n=1, u_lo=None, u_hi=None, dz=None) -> NetParams:
     """Slope-1 policy u(x) = x on every bus (useful baseline, d = 1)."""
-    raw = RawParams(mu_plus=np.ones((n, 1)), mu_minus=np.ones((n, 1)),
-                    chi_plus=np.zeros((n, 0)), chi_minus=np.zeros((n, 0)))
-    return transform_params(raw, u_lo=u_lo, u_hi=u_hi, dz=dz)
+    return scaled_identity_params(np.ones(n), u_lo=u_lo, u_hi=u_hi, dz=dz)
 
 
 def scaled_identity_params(gains, u_lo=None, u_hi=None, dz=None) -> NetParams:

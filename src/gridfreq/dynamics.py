@@ -55,36 +55,17 @@ class DynamicsError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SystemState:
-    """Snapshot of (delta, omega, s); omega is full-length.
-
-    In DAI mode the load-bus omega components are the algebraic values
-    implied by (delta, s) — outputs, not integrated states.  In primary mode
-    every omega component is a state and s is unused (kept zero).
-    """
-
-    delta: np.ndarray
-    omega: np.ndarray
-    s: np.ndarray
-
-    @staticmethod
-    def zeros(n):
-        return SystemState(np.zeros(n), np.zeros(n), np.zeros(n))
-
-    def stack(self):
-        """The (3, ..., n) array that derivatives and the steppers take."""
-        return np.stack((self.delta, self.omega, self.s))
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Constant-disturbance experiment description."""
+    """Constant-disturbance experiment description.  `initial` is the
+    (3,) + p.shape state of (delta, omega, s) rows at step 0, or None for
+    the origin: load-bus omega entries are ignored in DAI mode (derivatives
+    gives their algebraic values), and s is unused in primary mode."""
 
     p: np.ndarray
     T: float
     h: float
     mode: str = "dai_general"
-    initial: SystemState = None
+    initial: np.ndarray = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -95,6 +76,18 @@ class Scenario:
             raise DynamicsError("horizon T must cover at least one step")
         if not np.all(np.isfinite(self.p)):
             raise DynamicsError("disturbance p must be finite")
+        want = (3,) + np.shape(self.p)
+        if self.initial is not None and np.shape(self.initial) != want:
+            raise DynamicsError(f"initial state has shape {np.shape(self.initial)}, "
+                                f"expected {want}")
+
+    @property
+    def x0(self):
+        """A fresh float copy of the initial state (zeros when None), which
+        the caller may write into, as gauge_initial does."""
+        if self.initial is None:
+            return np.zeros((3,) + np.shape(self.p))
+        return np.array(self.initial, dtype=float)
 
     @property
     def steps(self):
@@ -270,8 +263,7 @@ def max_stable_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     of it (the angle gauge, the algebraic load frequencies) are left out:
     no step size damps them.  Returns inf when no eigenvalue limits h.
     """
-    initial = scenario.initial or SystemState.zeros(net.n)
-    x0 = initial.stack().ravel()
+    x0 = scenario.x0.ravel()
     N = x0.size
     eps = 1e-7 * np.maximum(1.0, np.abs(x0))
     x = np.tile(x0, (2 * N + 1, 1))
@@ -306,11 +298,11 @@ def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
     if scenario.mode != "primary" and costs is None:
         raise DynamicsError("DAI modes need a cost model")
     n = net.n
+    if np.shape(scenario.p) != (n,):
+        raise DynamicsError(f"disturbance p has shape {np.shape(scenario.p)}, "
+                            f"expected ({n},) for the {n}-bus network")
     steps = scenario.steps
-    initial = scenario.initial or SystemState.zeros(n)
-    if len(initial.delta) != n:
-        raise DynamicsError("initial state size does not match network")
-    x = gauge_initial(net, initial.stack())
+    x = gauge_initial(net, scenario.x0)
 
     t = np.arange(steps + 1) * scenario.h
     delta, omega, s, u, mc = np.empty((5, steps + 1, n))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .controller import NetParams, eval_u, validate_params
 from .costs import CostModel
-from .dynamics import SystemState, Trajectory
+from .dynamics import Trajectory
 from .equilibrium import Equilibrium
 from .network import (PowerNetwork, angle_differences, edge_angle_spread,
                       flow_jacobian, flow_jacobian_apply, potential_energy,
@@ -110,9 +110,8 @@ def integral_L(controllers: NetParams, s):
 # --------------------------------------------------------------------------
 
 def _unpack(state):
-    """(delta, omega, s) of a SystemState or a triple as float arrays (s may be None)."""
-    if isinstance(state, SystemState):
-        state = state.delta, state.omega, state.s
+    """(delta, omega, s) of a (3, ..., n) state or a triple as float arrays
+    (s may be None)."""
     return tuple(None if a is None else np.asarray(a, dtype=float) for a in state)
 
 

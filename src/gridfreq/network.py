@@ -31,7 +31,9 @@ class PowerNetwork:
 
     Arrays are aligned to buses sorted by external id.  `m` is defined on
     generator buses only (length = len(gens)); `alpha`, `v` and `inertia`
-    cover all buses.  Lines and comm edges are stored as index pairs with
+    cover all buses, `inertia` being m on generator buses and
+    DEFAULT_LOAD_INERTIA (the primary mode's synthetic load inertia) on load
+    buses.  Lines and comm edges are stored as index pairs with
     weights, plus a cached signed edge-by-bus incidence matrix per edge set
     (+1 at i, -1 at j) and a C-contiguous copy of its transpose (matmul is
     slower on a transposed view): the transpose takes every edge's x_i - x_j
@@ -54,13 +56,28 @@ class PowerNetwork:
     comm_q: np.ndarray      # edge weights Q (>= 0)
     f0: float               # nominal frequency (Hz)
     s_base: float = 100.0   # MVA base, bookkeeping only
-    _line_w: np.ndarray = field(default=None, repr=False)   # v_i v_j B_ij cache
-    _line_inc: np.ndarray = field(default=None, repr=False)  # (lines, n)
-    _comm_inc: np.ndarray = field(default=None, repr=False)  # (comm edges, n)
-    _line_inc_t: np.ndarray = field(default=None, repr=False)  # (n, lines)
-    _comm_inc_t: np.ndarray = field(default=None, repr=False)  # (n, comm edges)
-    _is_gen: np.ndarray = field(default=None, repr=False)    # bool, per bus
-    _inertia: np.ndarray = field(default=None, repr=False)   # per bus
+    # derived in __post_init__, so that dataclasses.replace recomputes them
+    line_w: np.ndarray = field(init=False, repr=False)   # v_i v_j B_ij per line
+    inertia: np.ndarray = field(init=False, repr=False)  # per bus
+    _is_gen: np.ndarray = field(init=False, repr=False)  # bool, per bus
+    _line_inc: np.ndarray = field(init=False, repr=False)    # (lines, n)
+    _comm_inc: np.ndarray = field(init=False, repr=False)    # (comm edges, n)
+    _line_inc_t: np.ndarray = field(init=False, repr=False)  # (n, lines)
+    _comm_inc_t: np.ndarray = field(init=False, repr=False)  # (n, comm edges)
+
+    def __post_init__(self):
+        n = len(self.ids)
+        inertia, is_gen = np.full(n, DEFAULT_LOAD_INERTIA), np.zeros(n, dtype=bool)
+        inertia[self.gens], is_gen[self.gens] = self.m, True
+        eye = np.eye(n)
+        line_inc = eye[self.line_i] - eye[self.line_j]
+        comm_inc = eye[self.comm_i] - eye[self.comm_j]
+        for name, value in (
+                ("line_w", self.v[self.line_i] * self.v[self.line_j] * self.line_b),
+                ("inertia", inertia), ("_is_gen", is_gen),
+                ("_line_inc", line_inc), ("_line_inc_t", np.ascontiguousarray(line_inc.T)),
+                ("_comm_inc", comm_inc), ("_comm_inc_t", np.ascontiguousarray(comm_inc.T))):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self):
@@ -69,17 +86,6 @@ class PowerNetwork:
     @property
     def n_gen(self):
         return len(self.gens)
-
-    @property
-    def inertia(self):
-        """Inertia per bus: m on generator buses, DEFAULT_LOAD_INERTIA on
-        load buses (the primary mode's synthetic load inertia)."""
-        return self._inertia
-
-    @property
-    def line_w(self):
-        """Effective edge weights v_i * v_j * B_ij."""
-        return self._line_w
 
     def index_of(self, bus_id):
         try:
@@ -210,29 +216,17 @@ def network_from_dict(doc) -> PowerNetwork:
         raise NetworkError(f"communication graph is disconnected: bus "
                            f"{ids[lost]} cannot be reached from bus {ids[0]}")
 
-    v = np.array([v_by_id[b] for b in ids])
-    net = PowerNetwork(
+    return PowerNetwork(
         ids=ids,
         gens=gens,
         loads=loads,
         m=np.array([m_by_id[ids[g]] for g in gens]),
         alpha=np.array([alpha_by_id[b] for b in ids]),
-        v=v,
+        v=np.array([v_by_id[b] for b in ids]),
         line_i=li, line_j=lj, line_b=lb,
         comm_i=ci, comm_j=cj, comm_q=cq,
         f0=f0, s_base=s_base,
     )
-    eye = np.eye(len(ids))
-    object.__setattr__(net, "_line_w", v[li] * v[lj] * lb)
-    for name, inc in (("_line", eye[li] - eye[lj]), ("_comm", eye[ci] - eye[cj])):
-        object.__setattr__(net, f"{name}_inc", inc)
-        object.__setattr__(net, f"{name}_inc_t", np.ascontiguousarray(inc.T))
-    is_gen = np.zeros(len(ids), dtype=bool)
-    inertia = np.full(len(ids), DEFAULT_LOAD_INERTIA)
-    is_gen[gens], inertia[gens] = True, net.m
-    object.__setattr__(net, "_is_gen", is_gen)
-    object.__setattr__(net, "_inertia", inertia)
-    return net
 
 
 def load_network(path) -> PowerNetwork:

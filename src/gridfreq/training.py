@@ -76,10 +76,10 @@ class TrainConfig:
     dz: float = 0.0
 
     def __post_init__(self):
-        for name in ("d", "batch_size", "epochs"):
+        for name, least in (("d", 1), ("batch_size", 1), ("epochs", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
-                raise ValueError(f"TrainConfig.{name} must be an integer >= 1, "
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"TrainConfig.{name} must be an integer >= {least}, "
                                  f"got {value!r}")
         if not self.h > 0:
             raise ValueError(f"TrainConfig.h must be positive, got {self.h!r}")
@@ -131,10 +131,11 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     re-projection and its blow-up rule (DynamicsError naming the step, and
     the state row, bus and scenario); the policies are evaluated here from
     their tables, so that the step's table ranks go on the tape.  `initial`
-    is (theta, omega_G, s) at step 0; it goes through dynamics.gauge_initial
-    as simulate's does (a non-finite entry or a drift past
-    network.GAUGE_ERROR raises DynamicsError), and the tape holds its angles
-    in the center-of-inertia gauge.
+    is the (3, B, n) state of (theta, omega, s) rows at step 0, as
+    dynamics.Scenario takes it (the load-bus omega entries are ignored); it
+    goes through dynamics.gauge_initial as simulate's does (a non-finite
+    entry or a drift past network.GAUGE_ERROR raises DynamicsError), and the
+    tape holds its angles in the center-of-inertia gauge.
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
@@ -142,19 +143,15 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     n = net.n
     g = net.gens
     L = cfg.steps
-    scenario = Scenario(p=p, T=cfg.T, h=cfg.h)
+    scenario = Scenario(p=p, T=cfg.T, h=cfg.h, initial=initial)
 
     theta = np.zeros((L + 1, B, n))
     omega_g = np.zeros((L + 1, B, len(g)))
     s = np.zeros((L + 1, B, n))
     t = params._tables
     count = np.empty((L, B, n), t.count_dtype)
-    if initial is not None:
-        theta[0], omega_g[0], s[0] = initial
-
-    x = np.zeros((3, B, n))    # derivatives ignores the load omega entries
-    x[0], x[1][:, g], x[2] = theta[0], omega_g[0], s[0]
-    theta[0] = gauge_initial(net, x)[0]
+    x = gauge_initial(net, scenario.x0)
+    theta[0], omega_g[0], s[0] = x[0], x[1][:, g], x[2]
     cost_acc = np.zeros(B)
     # running per-bus max |omega_g| and its first step (strict >, as argmax)
     peak_abs = np.full((B, len(g)), -1.0)

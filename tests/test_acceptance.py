@@ -205,8 +205,7 @@ def test_criterion_04_energy_certification(restoration_cases, capsys):
     eq_bad = eq_mod.Equilibrium(gamma=gamma, u_star=u_star,
                                 delta_star=delta_star, s_star=u_star / 3.0,
                                 omega_star=0.0)
-    start = dynamics.SystemState(delta_star.copy(), np.zeros(3),
-                                 np.full(3, 1.0))
+    start = np.stack((delta_star, np.zeros(3), np.full(3, 1.0)))
     traj_bad = dynamics.simulate(
         dynamics.Scenario(p=p_bad, T=0.05, h=1e-3, initial=start),
         net, costs, bad, stepper=dynamics.rk4_step)

@@ -348,6 +348,26 @@ def test_manifest_hash_tracks_configuration(tmp_path, net3_file,
     assert doc_a["config_hash"] != doc_b["config_hash"]
 
 
+def test_manifest_hash_tracks_the_checkpoint(tmp_path, net3_file,
+                                            quartic_costs_file, capsys):
+    # two checkpoints give two equilibria, so two configs and two hashes
+    docs, omegas = [], []
+    for seed in (1, 2):
+        path = str(tmp_path / f"ck{seed}.json")
+        controller.save_checkpoint(path, controller.init_raw_params(
+            3, 2, np.random.default_rng(seed)))
+        outdir = tmp_path / f"eq{seed}"
+        assert main(["equilibrium", "--net", net3_file, "--costs", quartic_costs_file,
+                     "--p", "[-1.0, -0.5, -0.5]", "--mode", "primary",
+                     "--checkpoint", path, "--outdir", str(outdir)]) == 0
+        omegas.append([line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("omega*")])
+        docs.append(json.loads((outdir / "manifest.json").read_text()))
+        assert docs[-1]["config"]["checkpoint"] == path
+    assert omegas[0] != omegas[1]
+    assert docs[0]["config_hash"] != docs[1]["config_hash"]
+
+
 # --------------------------------------------------------------------------
 # certify subcommand
 # --------------------------------------------------------------------------
@@ -481,6 +501,22 @@ def test_train_rejects_nonpositive_sizes_before_training(tmp_path, net2_file,
     assert field in err and "Traceback" not in err
     assert not (tmp_path / "ck.json").exists()
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grad-check"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, net2_file, quad2_costs_file,
+                                            capsys, command):
+    # NumPy's own message ("expected non-negative integer") names neither
+    # the flag nor the value; the seed is refused before the output
+    # directory is made
+    outdir = tmp_path / "run"
+    argv = ([command, "--seed", "-5", "--outdir", str(outdir)]
+            + (["--net", net2_file, "--costs", quad2_costs_file]
+               if command == "train" else ["--instances", "1"]))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "seed" in err and "-5" in err and "Traceback" not in err
+    assert not outdir.exists()
 
 
 def test_train_rejects_a_step_beyond_the_stability_limit(tmp_path, capsys):

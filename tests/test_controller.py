@@ -485,8 +485,8 @@ def test_histogram_adjoint_matches_per_step_products(seed, masked, permuted):
     cfg = TrainConfig(d=4, h=1e-3, T=0.02, batch_size=3, seed=seed,
                       **(dict(u_lo=-0.3, u_hi=0.25, dz=0.05) if masked else {}))
     p = rng.uniform(-2.0, 2.0, (3, net.n))
-    initial = (np.zeros((3, net.n)), np.zeros((3, len(net.gens))),
-               rng.uniform(-1.0, 1.0, (3, net.n)))
+    initial = np.zeros((3, 3, net.n))
+    initial[2] = rng.uniform(-1.0, 1.0, (3, net.n))
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
     if permuted:
         prm = tape.params
@@ -517,8 +517,8 @@ def test_histogram_adjoint_matches_per_step_products_past_127_breakpoints():
     raw = ctl.init_raw_params(net.n, 130, rng)
     cfg = TrainConfig(d=130, h=1e-3, T=0.01, batch_size=6, seed=0)
     p = rng.uniform(-2.0, 2.0, (6, net.n))
-    initial = (np.zeros((6, net.n)), np.zeros((6, len(net.gens))),
-               rng.uniform(-8.0, 8.0, (6, net.n)))
+    initial = np.zeros((3, 6, net.n))
+    initial[2] = rng.uniform(-8.0, 8.0, (6, net.n))
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
     assert tape.count.dtype == np.uint16
     assert tape.count.max() > 130 + 127 and tape.count.min() < 130 - 127

@@ -1,6 +1,8 @@
 import csv
 import json
+import re
 import tracemalloc
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -13,7 +15,7 @@ from gridfreq import costs as cm
 from gridfreq import dynamics as dyn
 from gridfreq import equilibrium as eqm
 from gridfreq import network
-from gridfreq.dynamics import DynamicsError, Scenario, SystemState
+from gridfreq.dynamics import DynamicsError, Scenario
 from gridfreq.network import comm_laplacian_apply, power_flows, project_gauge
 
 from conftest import (nine_bus, random_connected_net, three_bus, three_bus_gens,
@@ -65,9 +67,8 @@ def test_derivatives_stationary_at_equilibrium():
     params = ctl.identity_params(n=3)
     p = np.array([-0.6, -0.2, -0.2])
     eq = eqm.solve_equilibrium(net, costs, params, p)
-    state = SystemState(eq.delta_star.copy(), np.zeros(3), eq.s_star.copy())
-    (ddelta, domega, ds), *_ = dyn.derivatives(net, costs, params,
-                                               state.stack(), p)
+    state = np.stack((eq.delta_star, np.zeros(3), eq.s_star))
+    (ddelta, domega, ds), *_ = dyn.derivatives(net, costs, params, state, p)
     assert np.max(np.abs(ddelta)) < 1e-9
     assert np.max(np.abs(domega)) < 1e-9
     assert np.max(np.abs(ds)) < 1e-9
@@ -79,9 +80,9 @@ def test_primary_derivatives_stationary_at_equilibrium():
     p = np.array([-0.5, -0.1, 0.2])
     eq = eqm.solve_equilibrium(net, None, params, p, mode="primary")
     omega = np.full(3, eq.omega_star)
-    state = SystemState(eq.delta_star.copy(), omega, np.zeros(3))
-    (ddelta, domega, _), *_ = dyn.derivatives(net, None, params, state.stack(),
-                                              p, mode="primary")
+    state = np.stack((eq.delta_star, omega, np.zeros(3)))
+    (ddelta, domega, _), *_ = dyn.derivatives(net, None, params, state, p,
+                                              mode="primary")
     assert np.max(np.abs(ddelta)) < 1e-9
     assert np.max(np.abs(domega)) < 1e-8
 
@@ -116,7 +117,7 @@ def ring(n):
 @pytest.mark.parametrize("mode", dyn.MODES)
 def test_batched_states_lead_with_the_rows(mode):
     # B = 5 is neither 3 nor n = 6, so a batch on another axis cannot pass:
-    # stack() puts (delta, omega, s) first, and column b of a batched
+    # Scenario.x0 puts (delta, omega, s) first, and column b of a batched
     # derivatives call is the single-scenario call on scenario b
     net = ring(6)
     rng = np.random.default_rng(5)
@@ -124,7 +125,7 @@ def test_batched_states_lead_with_the_rows(mode):
     params = ctl.transform_params(ctl.init_raw_params(net.n, 3, rng))
     fields = rng.uniform(-0.3, 0.3, (3, 5, net.n))
     p = rng.uniform(-0.3, 0.3, (5, net.n))
-    x = SystemState(*fields).stack()
+    x = Scenario(p=p, T=1.0, h=1e-3, mode=mode, initial=fields).x0
     assert x.shape == (3, 5, net.n) and x.flags.c_contiguous
     assert x.tobytes() == fields.tobytes()
     batch = dyn.derivatives(net, costs, params, x, p, mode)
@@ -143,22 +144,22 @@ def test_euler_matches_hand_rolled_step():
     p = np.array([-0.3, 0.0])
     h = 1e-3
     scen = Scenario(p=p, T=h, h=h)
-    state0 = SystemState.zeros(2).stack()
-    out = SystemState(*dyn.euler_step(net, costs, params, scen, state0))
+    out = dyn.euler_step(net, costs, params, scen, scen.x0)
+    delta, omega, s = out
     # by hand: flows(0) = 0, omega = 0, u = s = 0
     # ds = -2 pi f0 * omega - zeta * L_Q mc = 0 at the origin
     # domega_g = (p - alpha*omega - flow + u)/m
     two_pi_f0 = 2 * np.pi * net.f0
-    assert np.allclose(out.delta, 0.0, atol=1e-15)
-    assert out.omega[0] == pytest.approx(h * p[0] / net.m[0], abs=1e-15)
-    assert np.allclose(out.s, 0.0, atol=1e-15)
+    assert np.allclose(delta, 0.0, atol=1e-15)
+    assert omega[0] == pytest.approx(h * p[0] / net.m[0], abs=1e-15)
+    assert np.allclose(s, 0.0, atol=1e-15)
     # one more step: now omega feeds the angle and integrator clocks
     scen2 = Scenario(p=p, T=2 * h, h=h)
-    out2 = SystemState(*dyn.euler_step(net, costs, params, scen2, out.stack(),
-                                       step_index=1))
-    omega_bar = out.omega - out.omega.mean()
-    assert np.allclose(out2.delta, h * two_pi_f0 * omega_bar, atol=1e-18)
-    assert np.allclose(out2.s, -h * two_pi_f0 * out.omega, atol=1e-18)
+    delta2, _, s2 = dyn.euler_step(net, costs, params, scen2, out,
+                                   step_index=1)
+    omega_bar = omega - omega.mean()
+    assert np.allclose(delta2, h * two_pi_f0 * omega_bar, atol=1e-18)
+    assert np.allclose(s2, -h * two_pi_f0 * omega, atol=1e-18)
 
 
 def test_rk4_converges_at_fourth_order():
@@ -225,12 +226,60 @@ def test_simulate_requires_costs_for_dai():
 
 
 def test_simulate_rejects_wrong_size_initial():
+    # a three-bus state for the two-bus disturbance is refused by the
+    # Scenario; a three-bus disturbance with it, by simulate on two buses
     net = two_bus()
-    scen = Scenario(p=np.zeros(2), T=0.1, h=1e-3,
-                    initial=SystemState.zeros(3))
-    with pytest.raises(DynamicsError, match="does not match network"):
+    with pytest.raises(DynamicsError, match=r"^initial state has shape \(3, 3\), "
+                                            r"expected \(3, 2\)$"):
+        Scenario(p=np.zeros(2), T=0.1, h=1e-3, initial=np.zeros((3, 3)))
+    scen = Scenario(p=np.zeros(3), T=0.1, h=1e-3, initial=np.zeros((3, 3)))
+    with pytest.raises(DynamicsError, match=r"^disturbance p has shape \(3,\), "
+                                            r"expected \(2,\) for the 2-bus network$"):
         dyn.simulate(scen, net, cm.quadratic_costs(np.ones(2)),
                      ctl.identity_params(n=2))
+
+
+@pytest.mark.parametrize("p_shape, bad", [
+    ((3,), (3,)), ((3,), (3, 4)), ((3,), (2, 3)), ((3,), (3, 1, 3)),
+    ((4, 3), (3, 3)), ((4, 3), (3, 3, 4)), ((4, 3), (3, 4, 2)), ((4, 3), (4, 3, 3)),
+])
+def test_scenario_refuses_a_wrong_shape_initial_state(p_shape, bad):
+    # the initial state is (3,) + p.shape at one disturbance (n,) and at a
+    # stack of them (B, n); any other shape is refused, naming both
+    with pytest.raises(DynamicsError, match=re.escape(
+            f"initial state has shape {bad}, expected {(3,) + p_shape}")):
+        Scenario(p=np.zeros(p_shape), T=0.1, h=1e-3, initial=np.zeros(bad))
+    scen = Scenario(p=np.zeros(p_shape), T=0.1, h=1e-3,
+                    initial=np.zeros((3,) + p_shape))
+    assert scen.x0.shape == (3,) + p_shape
+
+
+@pytest.mark.parametrize("p", [np.zeros(5), np.zeros(2), np.zeros((1, 3))],
+                         ids=["5", "2", "1x3"])
+def test_simulate_names_a_wrong_length_disturbance(p):
+    # a 5-entry p on three buses used to fail inside NumPy broadcasting
+    net = three_bus()
+    with pytest.raises(DynamicsError, match=re.escape(
+            f"disturbance p has shape {p.shape}, expected (3,) for the 3-bus network")):
+        dyn.simulate(Scenario(p=p, T=0.01, h=1e-3), net, quad3(),
+                     ctl.identity_params(n=3))
+
+
+@pytest.mark.parametrize("mode", dyn.MODES)
+def test_simulate_leaves_the_callers_initial_state_alone(mode):
+    # the angles are 1e-6 off the gauge, so gauge_initial rewrites them
+    # before step 0; it does so in a copy, and the Scenario's x0 is fresh
+    net = three_bus()
+    initial = np.array([[0.1, -0.1 + 3e-6, 0.0], [0.01, -0.02, 0.03], [0.2, -0.1, 0.05]])
+    kept = initial.copy()
+    scen = Scenario(p=np.array([-0.3, 0.1, 0.1]), T=0.01, h=1e-3, mode=mode,
+                    initial=initial)
+    traj = dyn.simulate(scen, net, None if mode == "primary" else quad3(),
+                        ctl.identity_params(n=3), stepper=dyn.rk4_step)
+    assert abs(traj.delta[0].mean()) < 1e-15
+    assert initial.tobytes() == kept.tobytes()
+    scen.x0[0] = 7.0
+    assert scen.x0.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("stepper", [dyn.euler_step, dyn.rk4_step], ids=["euler", "rk4"])
@@ -242,11 +291,13 @@ def test_simulate_gauges_the_initial_angles_before_step_0(stepper):
     costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
     params = ctl.identity_params(n=3)
     p = np.array([-0.5, 0.2, 0.1])
-    far = SystemState(np.full(3, 1e-2), np.zeros(3), np.zeros(3))
+    far = np.zeros((3, 3))
+    far[0] = 1e-2
     with pytest.raises(DynamicsError, match="initial state: angle gauge drift"):
         dyn.simulate(Scenario(p=p, T=0.01, h=1e-3, initial=far), net, costs,
                      params, stepper=stepper)
-    near = SystemState(np.full(3, 1e-6), np.zeros(3), np.zeros(3))
+    near = np.zeros((3, 3))
+    near[0] = 1e-6
     traj = dyn.simulate(Scenario(p=p, T=0.01, h=1e-3, initial=near), net, costs,
                         params, stepper=stepper)
     assert traj.delta[0].mean() == 0.0
@@ -263,7 +314,7 @@ def test_simulate_names_a_non_finite_initial_state(bad):
     for row, bus, where in ((2, 2, "s at bus 3"), (0, 1, "delta at bus 2")):
         fields = np.zeros((3, 3))
         fields[row, bus] = bad
-        scen = Scenario(p=np.zeros(3), T=0.01, h=1e-3, initial=SystemState(*fields))
+        scen = Scenario(p=np.zeros(3), T=0.01, h=1e-3, initial=fields)
         with pytest.raises(DynamicsError, match=f"^initial state: non-finite {where}$"):
             dyn.simulate(scen, net, costs, params)
 
@@ -326,8 +377,17 @@ def test_csv_header_and_golden_first_rows(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# stacked-state stepping against a frozen copy of the SystemState loop
+# stacked-state stepping against a frozen copy of a per-row state loop
 # --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Rows:
+    """(delta, omega, s) as three separate arrays, the oracle loop's state."""
+
+    delta: np.ndarray
+    omega: np.ndarray
+    s: np.ndarray
+
 
 def _oracle_field(net, costs, controllers, state, p, mode):
     """The closed-loop right-hand side, one state component at a time."""
@@ -359,13 +419,13 @@ def _oracle_field(net, costs, controllers, state, p, mode):
 
 
 def _oracle_simulate(scen, net, costs, controllers, rk4):
-    """(delta, omega, s, u, mc) rows of the SystemState Euler/RK4 loop."""
+    """(delta, omega, s, u, mc) rows of the per-row Euler/RK4 loop."""
     h = scen.h
 
     def f(st):
         return _oracle_field(net, costs, controllers, st, scen.p, scen.mode)
 
-    state = scen.initial or SystemState.zeros(net.n)
+    state = _Rows(*(np.zeros((3, net.n)) if scen.initial is None else scen.initial))
     rows = []
     for l in range(scen.steps + 1):
         k1 = f(state)
@@ -374,8 +434,8 @@ def _oracle_simulate(scen, net, costs, controllers, rk4):
             break
         if rk4:
             def advance(k, fac):
-                return SystemState(state.delta + fac * k[0], k1[3] + fac * k[1],
-                                   state.s + fac * k[2])
+                return _Rows(state.delta + fac * k[0], k1[3] + fac * k[1],
+                             state.s + fac * k[2])
             k2 = f(advance(k1, 0.5 * h))
             k3 = f(advance(k2, 0.5 * h))
             k4 = f(advance(k3, h))
@@ -383,8 +443,8 @@ def _oracle_simulate(scen, net, costs, controllers, rk4):
                    for j in range(3)]
         else:
             inc = [h * k1[j] for j in range(3)]
-        state = SystemState(project_gauge(state.delta + inc[0]),
-                            k1[3] + inc[1], state.s + inc[2])
+        state = _Rows(project_gauge(state.delta + inc[0]),
+                      k1[3] + inc[1], state.s + inc[2])
     return [np.array(col) for col in zip(*rows)]
 
 
@@ -434,8 +494,8 @@ def _stepping_cases():
            net, costs, params, True)
     rng = np.random.default_rng(8)
     delta0 = rng.uniform(-0.1, 0.1, 3)
-    initial = SystemState(delta0 - delta0.mean(), rng.uniform(-0.01, 0.01, 3),
-                          rng.uniform(-0.5, 0.5, 3))
+    initial = np.stack((delta0 - delta0.mean(), rng.uniform(-0.01, 0.01, 3),
+                        rng.uniform(-0.5, 0.5, 3)))
     yield ("three-bus-initial", Scenario(p=p, T=0.3, h=2e-3, initial=initial),
            net, costs, params, True)
 
@@ -574,7 +634,7 @@ def test_step_limit_is_the_edge_of_stability_on_random_networks(net_seed, buses,
     params = ctl.scaled_identity_params(rng.uniform(0.5, 2.0, net.n))
     x0 = rng.uniform(-1e-6, 1e-6, (3, net.n))
     x0[0] -= x0[0].mean()
-    scen = Scenario(p=np.zeros(net.n), T=1.0, h=1e-3, initial=SystemState(*x0))
+    scen = Scenario(p=np.zeros(net.n), T=1.0, h=1e-3, initial=x0)
     limit = dyn.max_stable_step(net, costs, params, scen, method)
     lam, left = _modes_at_origin(net, costs, params)
     growth = np.abs(STABILITY[method](1.05 * limit * lam))

@@ -10,7 +10,7 @@ from gridfreq import costs as cm
 from gridfreq import dynamics as dyn
 from gridfreq import equilibrium as eqm
 from gridfreq import lyapunov as lyap
-from gridfreq.dynamics import Scenario, SystemState
+from gridfreq.dynamics import Scenario
 from gridfreq.equilibrium import Equilibrium
 from gridfreq.lyapunov import LyapunovError
 from gridfreq.network import (angle_differences, edge_angle_spread,
@@ -231,8 +231,8 @@ def test_W_dot_matches_directional_derivative():
         u = ctl.eval_u(params, s)
         omega = omega.copy()
         omega[net.loads] = dyn.load_bus_frequencies(net, delta, u, p)
-        state = SystemState(delta, omega, s)
-        f = dyn.derivatives(net, costs, params, state.stack(), p)[0]
+        state = np.stack((delta, omega, s))
+        f = dyn.derivatives(net, costs, params, state, p)[0]
         wp = lyap.lyap_W(net, params,
                          (delta + eps * f[0], omega + eps * f[1], s + eps * f[2]),
                          eq)
@@ -346,9 +346,8 @@ def test_V_dot_matches_directional_derivative():
     deltas, omegas, _ = lyap.sample_region_states(net, eq, 12, seed=9)
     eps = 1e-6
     for k in range(12):
-        state = SystemState(deltas[k], omegas[k], np.zeros(3))
-        f = dyn.derivatives(net, None, params, state.stack(), p,
-                            mode="primary")[0]
+        state = np.stack((deltas[k], omegas[k], np.zeros(3)))
+        f = dyn.derivatives(net, None, params, state, p, mode="primary")[0]
         vp = lyap.lyap_V(net, (deltas[k] + eps * f[0], omegas[k] + eps * f[1],
                                None), eq, 0.01)
         vm = lyap.lyap_V(net, (deltas[k] - eps * f[0], omegas[k] - eps * f[1],
@@ -679,7 +678,7 @@ def test_certify_flags_nonmonotone_controller_by_positivity():
     delta_star = eqm.newton_power_flow(net, p + u_star)
     eq = Equilibrium(gamma=gamma, u_star=u_star, delta_star=delta_star,
                      s_star=u_star / 3.0, omega_star=0.0)
-    initial = SystemState(delta_star.copy(), np.zeros(3), np.full(3, 1.0))
+    initial = np.stack((delta_star, np.zeros(3), np.full(3, 1.0)))
     scen = Scenario(p=p, T=0.05, h=1e-3, initial=initial)
     traj = dyn.simulate(scen, net, costs, params)
     report = lyap.certify_trajectory(traj, net, costs, params, eq)

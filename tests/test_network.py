@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -323,6 +325,29 @@ def test_incidence_kernels_match_the_transposed_views_bit_for_bit(
     ]
     for got, want in pairs:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_replace_recomputes_the_derived_arrays():
+    # dataclasses.replace builds a new network through __post_init__, so its
+    # line weights, inertia and incidences are those of the new fields: the
+    # flows at doubled B equal a freshly loaded network's with that B
+    path = resources.files("gridfreq") / "data" / "case39.json"
+    doc = json.loads(path.read_text())
+    net = network.network_from_dict(doc)
+    for line in doc["lines"]:
+        line["B"] *= 2.0
+    fresh = network.network_from_dict(doc)
+    doubled = replace(net, line_b=2.0 * net.line_b)
+    delta = network.to_center_of_inertia(
+        np.random.default_rng(3).uniform(-0.3, 0.3, (4, net.n)))
+    assert doubled.line_w.tobytes() == fresh.line_w.tobytes()
+    assert (network.power_flows(doubled, delta).tobytes()
+            == network.power_flows(fresh, delta).tobytes())
+    assert not np.allclose(network.power_flows(net, delta),
+                           network.power_flows(fresh, delta))
+    heavier = replace(net, m=3.0 * net.m)
+    assert np.array_equal(heavier.inertia[net.gens], 3.0 * net.m)
+    assert np.array_equal(heavier.inertia[net.loads], net.inertia[net.loads])
 
 
 def test_edge_angle_spread():

@@ -48,6 +48,14 @@ def test_rollout_matches_simulate_bitwise(masks):
         assert np.any(inside) and np.any(np.abs(tape.s) > cfg.dz)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_train_config_names_a_bad_seed(seed):
+    # NumPy's SeedSequence would refuse it later without naming the field
+    with pytest.raises(ValueError, match=rf"^TrainConfig\.seed must be an integer "
+                                         rf">= 0, got {seed}$"):
+        TrainConfig(seed=seed)
+
+
 def test_loss_is_batch_mean():
     net = two_bus()
     costs = cm.power_costs(4, np.array([1.1, 0.6]))
@@ -160,8 +168,8 @@ def test_backprop_matches_finite_differences_on_random_networks(seed, masked):
     cfg = TrainConfig(d=3, h=1e-3, T=6e-3, batch_size=2, seed=seed,
                       **(dict(u_lo=-0.3, u_hi=0.25, dz=0.05) if masked else {}))
     p = rng.uniform(-2.0, 2.0, (2, net.n))
-    initial = (np.zeros((2, net.n)), np.zeros((2, len(net.gens))),
-               rng.uniform(-1.0, 1.0, (2, net.n)))
+    initial = np.zeros((3, 2, net.n))
+    initial[2] = rng.uniform(-1.0, 1.0, (2, net.n))
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
     assume(not trn.gradient_tie_risk(tape))
     analytic = trn.backprop(tape, net, costs)
@@ -232,10 +240,11 @@ def test_rollout_gauges_the_initial_angles_before_step_0():
     raw = ctl.init_raw_params(3, 3, np.random.default_rng(0))
     cfg = TrainConfig(d=3, h=1e-3, T=0.01, batch_size=2, seed=0)
     p = np.array([[-0.5, 0.2, 0.1], [0.3, -0.1, 0.0]])
-    rest = (np.zeros((2, 2)), np.zeros((2, 3)))
+    far, near = np.zeros((2, 3, 2, 3))
+    far[0], near[0] = 1e-2, 1e-6
     with pytest.raises(DynamicsError, match="initial state: angle gauge drift"):
-        trn.rollout_loss(net, costs, raw, p, cfg, (np.full((2, 3), 1e-2), *rest))
-    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, (np.full((2, 3), 1e-6), *rest))
+        trn.rollout_loss(net, costs, raw, p, cfg, far)
+    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, near)
     assert np.all(tape.theta[0].mean(axis=-1) == 0.0)
     assert np.all(np.abs(tape.theta.mean(axis=-1)) < 1e-15)
 
@@ -250,10 +259,34 @@ def test_rollout_names_a_non_finite_initial_state(bad):
     p = np.zeros((2, 3))
     for row, b, bus, where in ((2, 1, 2, "s at bus 3 of scenario 1"),
                                (1, 0, 1, "omega at bus 2 of scenario 0")):
-        initial = (np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)))
-        initial[row][b, bus] = bad
+        initial = np.zeros((3, 2, 3))
+        initial[row, b, bus] = bad
         with pytest.raises(DynamicsError, match=f"^initial state: non-finite {where}$"):
             trn.rollout_loss(net, costs, raw, p, cfg, initial)
+
+
+def test_rollout_leaves_the_callers_initial_state_alone():
+    # the angles are off the gauge by 1e-6, so gauge_initial rewrites them,
+    # in a copy; the load-bus omega entries are ignored, so a rollout with
+    # them drawn at random gives the bits of one with them at zero
+    net = three_bus()
+    rng = np.random.default_rng(4)
+    costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
+    raw = ctl.init_raw_params(3, 3, rng)
+    cfg = TrainConfig(d=3, h=1e-3, T=0.02, batch_size=2, seed=0)
+    p = rng.uniform(-1.0, 1.0, (2, 3))
+    initial = rng.uniform(-0.5, 0.5, (3, 2, 3))
+    initial[0] += 1e-6 - initial[0].mean(axis=-1, keepdims=True)
+    kept = initial.copy()
+    loss, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
+    assert initial.tobytes() == kept.tobytes()
+    assert np.all(np.abs(tape.theta[0].mean(axis=-1)) < 1e-15)
+    assert tape.omega_g[0].tobytes() == initial[1][:, net.gens].tobytes()
+    initial[1][:, net.loads] = 0.0
+    loss_zero, tape_zero = trn.rollout_loss(net, costs, raw, p, cfg, initial)
+    assert loss_zero == loss
+    for name in ("theta", "omega_g", "s", "count"):
+        assert getattr(tape_zero, name).tobytes() == getattr(tape, name).tobytes()
 
 
 def test_rollout_blow_up_past_limit_while_finite():
@@ -321,8 +354,8 @@ def test_tape_counts_are_the_merged_ranks(masks):
     raw.chi_plus[:, 2] = 0.0
     cfg = TrainConfig(d=6, h=1e-3, T=0.05, batch_size=4, seed=0, **masks)
     p = rng.uniform(-2.0, 2.0, (4, net.n))
-    initial = (np.zeros((4, net.n)), np.zeros((4, len(net.gens))),
-               rng.uniform(-1.5, 1.5, (4, net.n)))
+    initial = np.zeros((3, 4, net.n))
+    initial[2] = rng.uniform(-1.5, 1.5, (4, net.n))
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
     params = tape.params
     s = tape.s[:-1]
@@ -524,8 +557,8 @@ def test_backprop_blocks_bit_identical(seed, masked, permuted):
     cfg = TrainConfig(d=4, h=1e-3, T=0.02, batch_size=3, seed=seed,
                       **(dict(u_lo=-0.3, u_hi=0.25, dz=0.05) if masked else {}))
     p = rng.uniform(-2.0, 2.0, (3, net.n))
-    initial = (np.zeros((3, net.n)), np.zeros((3, len(net.gens))),
-               rng.uniform(-1.0, 1.0, (3, net.n)))
+    initial = np.zeros((3, 3, net.n))
+    initial[2] = rng.uniform(-1.0, 1.0, (3, net.n))
     _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
     if permuted:
         prm = tape.params

@@ -24,7 +24,11 @@ covers, on the packaged 39-bus case with comm weight 50 on every line:
   field and the gradient, and a 4-epoch `train`;
 - `gridfreq certify` in DAI and primary mode (`certify.txt`, `certify.json`);
 - `gridfreq plot --cols omega` and `--cols omega,W` at the sim39 shape (a
-  301-row RK4 trajectory, written with W and without it).
+  301-row RK4 trajectory, written with W and without it);
+- from seeded non-zero initial states: `simulate` for 0.2 s with RK4 and
+  `max_stable_step` for Euler and RK4, in both modes; a B = 8 rollout (every
+  `Tape` field) and its gradient; and the stdout of `gridfreq grad-check
+  --instances 3`, whose audits start from random integral states.
 
 Each array is hashed with its dtype and shape.  `Tape.count` is hashed as
 the signed count c_plus - c_minus of each input, so a tape that stores the
@@ -211,6 +215,40 @@ def plot_cli(net, tmpdir):
                 emit(f"plot/{label}/{cols}", fh.read())
 
 
+def initial_states(net, tmpdir):
+    costs, params, p = closed_loop(net)
+    rng = np.random.default_rng(11)
+    x0 = np.stack([rng.uniform(-0.2, 0.2, net.n), rng.uniform(-0.01, 0.01, net.n),
+                   rng.uniform(-0.5, 0.5, net.n)])
+    x0[0] -= x0[0].mean()
+    for mode in ("dai_general", "primary"):
+        scenario = dynamics.Scenario(p=p, T=0.2, h=5e-4, mode=mode, initial=x0)
+        traj = dynamics.simulate(scenario, net, costs, params, stepper=dynamics.rk4_step)
+        for col in ("delta", "omega", "s", "u", "mc"):
+            emit(f"initial/simulate/{mode}/rk4/{col}", getattr(traj, col))
+        for method in ("euler", "rk4"):
+            limit = dynamics.max_stable_step(net, costs, params, scenario, method)
+            emit(f"initial/max_stable_step/{mode}/{method}", np.float64(limit))
+    cfg = training.TrainConfig(d=20, h=5e-4, T=0.05, batch_size=8, seed=0)
+    raw = controller.init_raw_params(net.n, cfg.d, rng)
+    p = rng.uniform(cfg.p_lo, cfg.p_hi, (cfg.batch_size, net.n))
+    x0 = np.stack([rng.uniform(-0.2, 0.2, p.shape), rng.uniform(-0.01, 0.01, p.shape),
+                   rng.uniform(-0.5, 0.5, p.shape)])
+    x0[0] -= x0[0].mean(axis=-1, keepdims=True)
+    loss, tape = training.rollout_loss(net, costs, raw, p, cfg, x0)
+    emit("initial/rollout/loss", np.float64(loss))
+    for field in ("theta", "omega_g", "s", "nadir_step", "nadir_sign"):
+        emit(f"initial/rollout/tape.{field}", getattr(tape, field))
+    emit("initial/rollout/tape.count", signed_count(tape))
+    for field, value in vars(training.backprop(tape, net, costs)).items():
+        emit(f"initial/rollout/grad.{field}", value)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["grad-check", "--instances", "3", "--outdir", tmpdir])
+    emit("initial/grad-check/exit", np.int64(code))
+    emit("initial/grad-check/stdout", out.getvalue().encode())
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmpdir:
         path, net = case39(tmpdir)
@@ -221,6 +259,7 @@ def main():
         rollouts(net)
         certify_cli(path, tmpdir)
         plot_cli(net, tmpdir)
+        initial_states(net, tmpdir)
 
 
 if __name__ == "__main__":
