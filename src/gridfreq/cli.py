@@ -39,6 +39,11 @@ DOMAIN_ERRORS = (network.NetworkError, costs_mod.CostError,
                  dynamics.DynamicsError, ValueError, OSError)
 GRAD_TOL = 1e-4               # gradient audits: relative error threshold
 GRAD_DIRECTIONS = 3           # seeded unit directions per audited draw
+GRAD_STEPS = 10               # Euler steps of each audited rollout
+GRAD_ATTEMPTS = 10            # draws tried for one without a tie risk
+GRAD_EPS = 1e-6               # central-difference step along a direction
+TRAIN_FLAGS = ("rho", "d", "h", "T", "batch_size", "epochs", "lr", "lr_decay",
+               "p_lo", "p_hi", "seed")   # TrainConfig fields train sets by flag
 
 
 # --------------------------------------------------------------------------
@@ -68,6 +73,16 @@ def _write_manifest(outdir, subcommand, config, seeds, outputs):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
     return path
+
+
+def _write_run_manifest(outdir, args, outputs, *extra):
+    """manifest.json of a run on one network and disturbance (equilibrium,
+    simulate, certify): the flags those share, then the `extra` flags."""
+    config = {"net": args.net, "p": args.p, "mode": args.mode,
+              "checkpoint": args.checkpoint, "costs": _cost_config(args),
+              **{name: getattr(args, name) for name in extra}}
+    return _write_manifest(outdir, args.subcommand, config,
+                           {"cost_seed": args.cost_seed}, outputs)
 
 
 def _load_disturbance(net, path_or_json):
@@ -262,10 +277,7 @@ def _cmd_equilibrium(args):
                 fh.write(f"{bus},{float(eq.u_star[i])!r},"
                          f"{float(eq.delta_star[i])!r},{s_val}\n")
         outputs.append(path)
-    config = {"net": args.net, "p": args.p, "mode": args.mode,
-              "checkpoint": args.checkpoint, "costs": _cost_config(args)}
-    _write_manifest(outdir, "equilibrium", config,
-                    {"cost_seed": args.cost_seed}, outputs)
+    _write_run_manifest(outdir, args, outputs)
     return 0
 
 
@@ -300,15 +312,8 @@ def _simulate_from_args(args):
 def _cmd_simulate(args):
     net, costs, params, scenario, traj = _simulate_from_args(args)
     if args.lyapunov:
-        if args.mode == "primary":
-            eq = eq_mod.solve_equilibrium(net, None, params, scenario.p,
-                                          mode="primary")
-            search = lyapunov.epsilon_and_c_search(net, eq)
-            traj.W = lyapunov.lyap_V(net, (traj.delta, traj.omega, None), eq,
-                                     search.epsilon)
-        else:
-            eq = eq_mod.solve_equilibrium(net, costs, params, scenario.p)
-            traj.W = lyapunov.lyap_W(net, params, (traj.delta, traj.omega, traj.s), eq)
+        eq = eq_mod.solve_equilibrium(net, costs, params, scenario.p, mode=args.mode)
+        traj.W = lyapunov.trajectory_energy(traj, net, params, eq)[0]
 
     outdir = _outdir(args)
     out_path = os.path.join(outdir, args.out)
@@ -316,12 +321,7 @@ def _cmd_simulate(args):
     wmax = float(np.max(np.abs(traj.omega[-1])))
     print(f"simulated {scenario.steps} steps of {args.mode}; "
           f"terminal max|omega| = {wmax:.3e} pu")
-    config = {"net": args.net, "p": args.p, "mode": args.mode, "T": args.T,
-              "h": args.h, "integrator": args.integrator,
-              "lyapunov": bool(args.lyapunov),
-              "checkpoint": args.checkpoint, "costs": _cost_config(args)}
-    _write_manifest(outdir, "simulate", config,
-                    {"cost_seed": args.cost_seed}, [out_path])
+    _write_run_manifest(outdir, args, [out_path], "T", "h", "integrator", "lyapunov")
     return 0
 
 
@@ -352,13 +352,8 @@ def _cmd_certify(args):
             "decay_c")},
             fh, indent=1)
     outputs.append(path)
-    config = {"net": args.net, "p": args.p, "mode": args.mode, "T": args.T,
-              "h": args.h, "integrator": args.integrator,
-              "tol_abs": args.tol_abs, "tol_rel": args.tol_rel,
-              "fd_rtol": args.fd_rtol, "epsilon": args.epsilon,
-              "checkpoint": args.checkpoint, "costs": _cost_config(args)}
-    _write_manifest(outdir, "certify", config,
-                    {"cost_seed": args.cost_seed}, outputs)
+    _write_run_manifest(outdir, args, outputs, "T", "h", "integrator",
+                        "tol_abs", "tol_rel", "fd_rtol", "epsilon")
     return 0 if report.passed else 1
 
 
@@ -367,10 +362,8 @@ def _train_config_from_args(args):
     if args.config:
         with open(args.config) as fh:
             fields.update(json.load(fh))
-    for name in ("rho", "d", "h", "T", "batch_size", "epochs", "lr",
-                 "lr_decay", "p_lo", "p_hi", "seed"):
-        val = getattr(args, name.replace("-", "_"), None)
-        if val is not None:
+    for name in TRAIN_FLAGS:
+        if (val := getattr(args, name)) is not None:
             fields[name] = val
     return training.TrainConfig(**fields)
 
@@ -419,16 +412,16 @@ def _cmd_train(args):
     return 0
 
 
-def _audit_network_gradient(net, costs, cfg, steps=10, attempts=10, eps=1e-6):
+def _audit_network_gradient(net, costs, cfg):
     """Worst relative error of backprop on `net` at cfg's d over
     GRAD_DIRECTIONS seeded unit random directions: a central difference of
     rollout_loss along each, against the analytic gradient, as a share of
-    |grad|.  Batch 2, `steps` steps from rest in angle and frequency and a
-    random integral state (so the policies are evaluated across their
+    |grad|.  Batch 2, GRAD_STEPS steps from rest in angle and frequency
+    and a random integral state (so the policies are evaluated across their
     breakpoints); a draw that gradient_tie_risk flags is drawn again."""
     fields = ("mu_plus", "mu_minus", "chi_plus", "chi_minus")
-    acfg = replace(cfg, T=steps * cfg.h, batch_size=2)
-    for attempt in range(attempts):
+    acfg = replace(cfg, T=GRAD_STEPS * cfg.h, batch_size=2)
+    for attempt in range(GRAD_ATTEMPTS):
         rng = np.random.default_rng([cfg.seed, attempt])
         raw = controller.init_raw_params(net.n, cfg.d, rng)
         p = rng.uniform(cfg.p_lo, cfg.p_hi, (2, net.n))
@@ -441,7 +434,7 @@ def _audit_network_gradient(net, costs, cfg, steps=10, attempts=10, eps=1e-6):
     gnorm = np.sqrt(sum(float(np.sum(getattr(grad, f) ** 2)) for f in fields))
 
     def loss_at(v, sign):
-        moved = controller.RawParams(**{f: getattr(raw, f) + sign * eps * v[f]
+        moved = controller.RawParams(**{f: getattr(raw, f) + sign * GRAD_EPS * v[f]
                                         for f in fields})
         return training.rollout_loss(net, costs, moved, p, acfg, initial)[0]
 
@@ -451,11 +444,11 @@ def _audit_network_gradient(net, costs, cfg, steps=10, attempts=10, eps=1e-6):
         norm = np.sqrt(sum(np.sum(a ** 2) for a in v.values()))
         v = {f: a / norm for f, a in v.items()}
         analytic = sum(float(np.sum(getattr(grad, f) * v[f])) for f in fields)
-        fd = (loss_at(v, 1.0) - loss_at(v, -1.0)) / (2.0 * eps)
+        fd = (loss_at(v, 1.0) - loss_at(v, -1.0)) / (2.0 * GRAD_EPS)
         errors.append(abs(fd - analytic) / max(gnorm, 1e-12))
     err = float(np.max(errors))       # np.max, unlike max, keeps a nan
     print(f"gradient audit {'passed' if err < GRAD_TOL else 'FAILED'} on the "
-          f"{net.n}-bus network (d = {cfg.d}, batch 2, {steps} steps, "
+          f"{net.n}-bus network (d = {cfg.d}, batch 2, {GRAD_STEPS} steps, "
           f"{GRAD_DIRECTIONS} directions): worst directional error {err:.3e} "
           f"of |grad| (threshold 1e-4)")
     return err
@@ -552,11 +545,9 @@ def build_parser():
     tr = sub.add_parser("train", help="train controllers by gradient descent")
     _add_common(tr)
     tr.add_argument("--config", default=None, help="TrainConfig JSON file")
-    for name, typ in (("rho", float), ("d", int), ("h", float), ("T", float),
-                      ("batch-size", int), ("epochs", int), ("lr", float),
-                      ("lr-decay", float), ("p-lo", float), ("p-hi", float),
-                      ("seed", int)):
-        tr.add_argument(f"--{name}", type=typ, default=None)
+    for name in TRAIN_FLAGS:     # each typed as its TrainConfig default
+        tr.add_argument("--" + name.replace("_", "-"), default=None,
+                        type=type(getattr(training.TrainConfig, name)))
     tr.add_argument("--grad-check", action="store_true",
                     help="run the directional gradient audit before training")
     tr.add_argument("--out", default="checkpoint.json")

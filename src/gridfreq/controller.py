@@ -83,10 +83,6 @@ class RawParams:
     def d(self):
         return self.mu_plus.shape[1]
 
-    def copy(self):
-        return RawParams(self.mu_plus.copy(), self.mu_minus.copy(),
-                         self.chi_plus.copy(), self.chi_minus.copy())
-
 
 @dataclass(frozen=True)
 class NetParams:

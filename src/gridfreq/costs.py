@@ -50,10 +50,6 @@ class CostModel:
         if self.family == "shifted_common" and np.any(np.asarray(self.c) != 1.0):
             raise CostError("shifted_common family requires c = 1 on every bus")
 
-    @property
-    def n(self):
-        return len(self.c)
-
     @cached_property
     def zeta(self):
         """Per-bus scaling in C_i'(u) = C_o'(zeta_i u) (ones for

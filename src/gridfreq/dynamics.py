@@ -243,6 +243,20 @@ def rk4_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
 
 STEPPERS = {"euler": euler_step, "rk4": rk4_step}
 
+
+def check_scenario(net: PowerNetwork, costs: CostModel, scenario: Scenario,
+                   batched=False):
+    """Raise DynamicsError unless the scenario runs on `net`: a cost model
+    in DAI modes, and p one (n,) disturbance ((B, n) when `batched`)."""
+    if scenario.mode != "primary" and costs is None:
+        raise DynamicsError("DAI modes need a cost model")
+    shape, n = np.shape(scenario.p), net.n
+    if len(shape) != 1 + batched or shape[-1] != n:
+        want = f"(B, {n})" if batched else f"({n},)"
+        raise DynamicsError(f"disturbance p has shape {shape}, expected {want} "
+                            f"for the {n}-bus network")
+
+
 # stability functions R(z) of the steppers: a step multiplies a mode of
 # the linearized loop with eigenvalue lam by R(h * lam)
 _STABILITY = {"euler": lambda z: 1 + z,
@@ -263,6 +277,7 @@ def max_stable_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     of it (the angle gauge, the algebraic load frequencies) are left out:
     no step size damps them.  Returns inf when no eigenvalue limits h.
     """
+    check_scenario(net, costs, scenario)
     x0 = scenario.x0.ravel()
     N = x0.size
     eps = 1e-7 * np.maximum(1.0, np.abs(x0))
@@ -295,17 +310,12 @@ def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
     the first stage of step l, which the stepper then reuses.
     Deterministic: identical inputs give bit-identical trajectories.
     """
-    if scenario.mode != "primary" and costs is None:
-        raise DynamicsError("DAI modes need a cost model")
-    n = net.n
-    if np.shape(scenario.p) != (n,):
-        raise DynamicsError(f"disturbance p has shape {np.shape(scenario.p)}, "
-                            f"expected ({n},) for the {n}-bus network")
+    check_scenario(net, costs, scenario)
     steps = scenario.steps
     x = gauge_initial(net, scenario.x0)
 
     t = np.arange(steps + 1) * scenario.h
-    delta, omega, s, u, mc = np.empty((5, steps + 1, n))
+    delta, omega, s, u, mc = np.empty((5, steps + 1, net.n))
     for l in range(steps + 1):
         stage = _field(net, costs, controllers, scenario, x)
         delta[l], s[l] = x[0], x[2]

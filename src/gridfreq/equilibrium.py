@@ -66,7 +66,7 @@ def solve_gamma(costs: CostModel, p, method="analytic") -> float:
 
 def steady_injections(costs: CostModel, gamma) -> np.ndarray:
     """Per-bus injections with marginal cost gamma everywhere."""
-    return costs.common_grad_inverse(gamma) / costs.zeta
+    return costs.grad_inverse(gamma)
 
 
 def newton_power_flow(net: PowerNetwork, injections, guess=None) -> np.ndarray:

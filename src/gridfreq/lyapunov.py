@@ -436,43 +436,50 @@ class CertificationReport:
         return "\n".join(lines)
 
 
+def trajectory_energy(traj: Trajectory, net: PowerNetwork, controllers: NetParams,
+                      eq: Equilibrium, epsilon=None):
+    """(W, epsilon, c) along the trajectory: lyap_W in DAI mode (epsilon and
+    c None); lyap_V in primary mode at epsilon, or at the one
+    epsilon_and_c_search finds, with that search's decay constant c.  Other
+    modes raise LyapunovError, read_csv's "unknown" (no angles) among them."""
+    state = (traj.delta, traj.omega, traj.s)
+    if traj.mode == "dai_general":
+        return lyap_W(net, controllers, state, eq), None, None
+    if traj.mode != "primary":
+        why = (": its angles are missing (the CSV does not store them)"
+               if traj.mode == "unknown" else "")
+        raise LyapunovError(f"cannot certify mode {traj.mode!r}{why}")
+    decay_c = None
+    if epsilon is None:
+        found = epsilon_and_c_search(net, eq)
+        epsilon, decay_c = found.epsilon, found.c
+    return lyap_V(net, state, eq, epsilon), epsilon, decay_c
+
+
 def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
                        controllers: NetParams, eq: Equilibrium,
                        tolerances: CertifyTolerances = None,
                        epsilon=None) -> CertificationReport:
     """Check positivity and per-step decrease of the energy along a trajectory.
 
-    DAI trajectories are scored with W and its analytic derivative; primary
-    trajectories with V at the given epsilon (searched automatically when
-    omitted, and the search's decay constant c reported with it).  Other
-    modes raise LyapunovError before scoring, read_csv's "unknown" (no
-    angles) among them.  The per-step decrease allowance is tol_abs +
-    tol_rel*h*|Wdot| (forward Euler overshoots the continuous decrease by
-    O(h)).  A finite difference of the recorded energy is compared against
-    the analytic derivative and gates the verdict only when fd_rtol is set.
+    W (or V), epsilon and the decay constant come from trajectory_energy,
+    and W's derivative from lyap_W_dot (or lyap_V_dot).  The per-step
+    decrease allowance is tol_abs + tol_rel*h*|Wdot| (forward Euler
+    overshoots the continuous decrease by O(h)).  A finite difference of
+    the recorded energy is compared against the analytic derivative and
+    gates the verdict only when fd_rtol is set.
     """
     tol = tolerances or CertifyTolerances()
-    decay_c = None
+    w, epsilon, decay_c = trajectory_energy(traj, net, controllers, eq, epsilon)
+    state = (traj.delta, traj.omega, traj.s)
+    cross_min = None
     if traj.mode == "primary":
-        if epsilon is None:
-            found = epsilon_and_c_search(net, eq)
-            epsilon, decay_c = found.epsilon, found.c
-        w = lyap_V(net, (traj.delta, traj.omega, None), eq, epsilon)
-        wdot = lyap_V_dot(net, controllers, (traj.delta, traj.omega, None),
-                          eq, epsilon)
-        cross_min = None
-    elif traj.mode == "dai_general":
-        w = lyap_W(net, controllers, (traj.delta, traj.omega, traj.s), eq)
-        wdot = lyap_W_dot(net, costs, controllers,
-                          (traj.delta, traj.omega, traj.s), eq)
+        wdot = lyap_V_dot(net, controllers, state, eq, epsilon)
+    else:
+        wdot = lyap_W_dot(net, costs, controllers, state, eq)
         cross = scaled_laplacian_bilinear(net, costs.zeta,
                                           traj.u, costs.grad(traj.u))
         cross_min = float(np.min(cross))
-        epsilon = None
-    else:
-        why = (": its angles are missing (the CSV does not store them)"
-               if traj.mode == "unknown" else "")
-        raise LyapunovError(f"cannot certify mode {traj.mode!r}{why}")
 
     h = float(traj.t[1] - traj.t[0])
     fd = np.gradient(w, h)

@@ -45,8 +45,8 @@ import numpy as np
 from .controller import (NetParams, RawParams, eval_u, init_raw_params,
                          transform_params, validate_params)
 from .costs import CostModel
-from .dynamics import (DynamicsError, Scenario, derivatives, euler_step,
-                       gauge_initial)
+from .dynamics import (DynamicsError, Scenario, check_scenario, derivatives,
+                       euler_step, gauge_initial)
 from .network import (PowerNetwork, comm_laplacian_apply, flow_jacobian_apply,
                       line_weights)
 
@@ -139,11 +139,12 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
+    scenario = Scenario(p=p, T=cfg.T, h=cfg.h, initial=initial)
+    check_scenario(net, costs, scenario, batched=True)
     B = p.shape[0]
     n = net.n
     g = net.gens
     L = cfg.steps
-    scenario = Scenario(p=p, T=cfg.T, h=cfg.h, initial=initial)
 
     theta = np.zeros((L + 1, B, n))
     omega_g = np.zeros((L + 1, B, len(g)))
@@ -372,7 +373,4 @@ def train(net: PowerNetwork, costs: CostModel, cfg: TrainConfig) -> TrainResult:
         if not validate_params(params, warn=False):
             raise AssertionError("monotonicity chain broken during training")
         history[e] = loss
-    return TrainResult(raw=raw,
-                       params=transform_params(raw, u_lo=cfg.u_lo,
-                                               u_hi=cfg.u_hi, dz=cfg.dz),
-                       loss_history=history, seed=cfg.seed)
+    return TrainResult(raw=raw, params=params, loss_history=history, seed=cfg.seed)

@@ -5,6 +5,8 @@ function's return value; one test drives the module through a real
 subprocess to pin down the installed entry point's returncode behaviour.
 """
 
+import argparse
+import dataclasses
 import json
 from importlib import resources
 import hashlib
@@ -16,8 +18,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridfreq import (cli, controller, dynamics, equilibrium, lyapunov,
-                      network, training)
+from gridfreq import (cli, controller, costs as costs_mod, dynamics, equilibrium,
+                      lyapunov, network, training)
 from gridfreq.cli import main
 
 from conftest import three_bus, two_bus
@@ -244,6 +246,28 @@ def test_simulate_lyapunov_flag_fills_w_column(tmp_path, net2_file,
     assert np.all(traj.W >= 0.0)
 
 
+@pytest.mark.parametrize("mode", dynamics.MODES)
+def test_simulate_lyapunov_column_is_certifys_energy(tmp_path, net3_file,
+                                                    quad3_costs_file, capsys, mode):
+    # simulate --lyapunov and certify choose and evaluate the energy through
+    # one function, so on one trajectory their W agree bit for bit
+    p = np.array([-0.3, -0.15, 0.0])
+    assert main(["simulate", "--lyapunov", "--net", net3_file,
+                 "--costs", quad3_costs_file, "--p", json.dumps(p.tolist()),
+                 "--mode", mode, "--T", "0.05", "--h", "1e-3",
+                 "--outdir", str(tmp_path)]) == 0
+    net = network.load_network(net3_file)
+    costs = None if mode == "primary" else costs_mod.CostModel(
+        family="quadratic", r=2, c=np.array([1.0, 2.0, 1.5]), b=np.zeros(3))
+    params = controller.identity_params(net.n)
+    traj = dynamics.simulate(dynamics.Scenario(p=p, T=0.05, h=1e-3, mode=mode),
+                             net, costs, params)
+    eq = equilibrium.solve_equilibrium(net, costs, params, p, mode=mode)
+    report = lyapunov.certify_trajectory(traj, net, costs, params, eq)
+    W = dynamics.read_csv(str(tmp_path / "trajectory.csv")).W
+    assert W.tobytes() == report.W.tobytes()
+
+
 def test_simulate_rejects_a_step_beyond_the_stability_limit(tmp_path, capsys):
     # RK4 at h = 2 ms leaves its stability region on the 39-bus case and
     # would settle into a spurious oscillation of several pu
@@ -366,6 +390,27 @@ def test_manifest_hash_tracks_the_checkpoint(tmp_path, net3_file,
         assert docs[-1]["config"]["checkpoint"] == path
     assert omegas[0] != omegas[1]
     assert docs[0]["config_hash"] != docs[1]["config_hash"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["equilibrium"], {}),
+    (["simulate", "--T", "0.05", "--h", "1e-3"],
+     {"T": 0.05, "h": 1e-3, "integrator": "euler", "lyapunov": False}),
+    (["certify", "--T", "0.05", "--h", "1e-3"],
+     {"T": 0.05, "h": 1e-3, "integrator": "rk4", "tol_abs": 1e-9, "tol_rel": 0.05,
+      "fd_rtol": None, "epsilon": None}),
+], ids=["equilibrium", "simulate", "certify"])
+def test_run_manifests_record_the_shared_keys_and_each_commands_flags(
+        tmp_path, net3_file, quad3_costs_file, capsys, argv, extra):
+    p = "[-0.3, -0.15, 0.0]"
+    assert main(argv + ["--net", net3_file, "--costs", quad3_costs_file, "--p", p,
+                        "--outdir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "manifest.json").read_text())
+    config = {"net": net3_file, "p": p, "mode": "dai_general", "checkpoint": None,
+              "costs": {"file": quad3_costs_file}, **extra}
+    assert doc["config"] == config
+    assert doc["config_hash"] == cli._config_hash(config)
+    assert doc["subcommand"] == argv[0] and doc["seeds"] == {"cost_seed": 0}
 
 
 # --------------------------------------------------------------------------
@@ -570,6 +615,24 @@ def test_train_config_file_with_flag_override(tmp_path, net2_file,
     doc = json.loads((tmp_path / "manifest.json").read_text())
     assert doc["config"]["train"]["epochs"] == 1       # flag wins
     assert doc["config"]["train"]["d"] == 2            # file fills the rest
+
+
+def test_train_flags_are_typed_as_their_config_defaults(tmp_path):
+    flags = {"--rho": float, "--d": int, "--h": float, "--T": float,
+             "--batch-size": int, "--epochs": int, "--lr": float, "--lr-decay": float,
+             "--p-lo": float, "--p-hi": float, "--seed": int}
+    train = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["train"]
+    fields = {f.name for f in dataclasses.fields(training.TrainConfig)}
+    assert {a.option_strings[0]: a.type for a in train._actions
+            if a.dest in fields} == flags
+    # every flag reaches its TrainConfig field with its type
+    args = train.parse_args(["--net", "x"] + [tok for flag in flags
+                                              for tok in (flag, "3")])
+    cfg = cli._train_config_from_args(args)
+    for flag, typ in flags.items():
+        value = getattr(cfg, flag[2:].replace("-", "_"))
+        assert type(value) is typ and value == 3
 
 
 # --------------------------------------------------------------------------

@@ -265,6 +265,25 @@ def test_simulate_names_a_wrong_length_disturbance(p):
                      ctl.identity_params(n=3))
 
 
+def _no_derivatives(*args, **kwargs):
+    raise AssertionError("derivatives evaluated")
+
+
+@pytest.mark.parametrize("p, costs, message", [
+    (np.zeros(5), quad3(), "disturbance p has shape (5,), expected (3,) for the 3-bus network"),
+    (np.zeros((2, 3)), quad3(),
+     "disturbance p has shape (2, 3), expected (3,) for the 3-bus network"),
+    (np.zeros(3), None, "DAI modes need a cost model"),
+], ids=["5", "2x3", "no-costs"])
+def test_max_stable_step_names_a_bad_scenario(p, costs, message, monkeypatch):
+    # each used to fail inside NumPy, or on costs.grad, mid-evaluation;
+    # now it is refused as simulate refuses it, before the field is evaluated
+    monkeypatch.setattr(dyn, "derivatives", _no_derivatives)
+    with pytest.raises(DynamicsError, match=re.escape(message)):
+        dyn.max_stable_step(three_bus(), costs, ctl.identity_params(n=3),
+                            Scenario(p=p, T=0.01, h=1e-3))
+
+
 @pytest.mark.parametrize("mode", dyn.MODES)
 def test_simulate_leaves_the_callers_initial_state_alone(mode):
     # the angles are 1e-6 off the gauge, so gauge_initial rewrites them

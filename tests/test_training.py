@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from importlib import resources
@@ -263,6 +264,24 @@ def test_rollout_names_a_non_finite_initial_state(bad):
         initial[row, b, bus] = bad
         with pytest.raises(DynamicsError, match=f"^initial state: non-finite {where}$"):
             trn.rollout_loss(net, costs, raw, p, cfg, initial)
+
+
+@pytest.mark.parametrize("p, message", [
+    (np.zeros((2, 5)), "disturbance p has shape (2, 5), expected (B, 3) for the 3-bus network"),
+    (np.zeros(3), "disturbance p has shape (3,), expected (B, 3) for the 3-bus network"),
+], ids=["2x5", "3"])
+def test_rollout_names_a_wrong_shape_disturbance(p, message, monkeypatch):
+    # these used to fail in NumPy broadcasting or indexing; now they are
+    # refused by name before any field evaluation
+    def no_derivatives(*args, **kwargs):
+        raise AssertionError("derivatives evaluated")
+    monkeypatch.setattr(trn, "derivatives", no_derivatives)
+    monkeypatch.setattr(dyn, "derivatives", no_derivatives)
+    raw = ctl.init_raw_params(3, 3, np.random.default_rng(0))
+    cfg = TrainConfig(d=3, h=1e-3, T=0.01, batch_size=2, seed=0)
+    with pytest.raises(DynamicsError, match=re.escape(message)):
+        trn.rollout_loss(three_bus(), cm.quadratic_costs(np.array([1.0, 2.0, 1.5])),
+                         raw, p, cfg)
 
 
 def test_rollout_leaves_the_callers_initial_state_alone():

@@ -28,12 +28,18 @@ covers, on the packaged 39-bus case with comm weight 50 on every line:
 - from seeded non-zero initial states: `simulate` for 0.2 s with RK4 and
   `max_stable_step` for Euler and RK4, in both modes; a B = 8 rollout (every
   `Tape` field) and its gradient; and the stdout of `gridfreq grad-check
-  --instances 3`, whose audits start from random integral states.
+  --instances 3`, whose audits start from random integral states;
+- through `cli.main`, in the order here: `train` (1 epoch, B = 4, 0.05 s),
+  then `equilibrium`, `simulate --lyapunov` (Euler, 0.05 s, both modes) and
+  `certify` (RK4, 0.05 s) with that checkpoint: each run's exit code, stdout
+  and `manifest.json`, the `--lyapunov` trajectory CSVs and the `certify`
+  report.  The runs use paths relative to one directory, so the manifests
+  name no temporary path.
 
 Each array is hashed with its dtype and shape.  `Tape.count` is hashed as
 the signed count c_plus - c_minus of each input, so a tape that stores the
 merged rank r = c_plus - c_minus + d (unsigned) and one that stores the
-signed count print alike.  Takes about half a minute on one core.
+signed count print alike.  Takes about 7 s on a 2-vCPU Xeon VM.
 """
 
 from __future__ import annotations
@@ -249,6 +255,37 @@ def initial_states(net, tmpdir):
     emit("initial/grad-check/stdout", out.getvalue().encode())
 
 
+def cli_runs(path, tmpdir):
+    p = json.dumps({"p": {str(b): LOSS_PU for b in LOSS_BUSES}})
+    net = ["--net", os.path.basename(path)]
+    checkpoint = os.path.join("train", "checkpoint.json")
+    scenario = net + ["--p", p, "--checkpoint", checkpoint, "--T", "0.05"]
+    runs = (("train", ["train"] + net + ["--epochs", "1", "--batch-size", "4",
+                                         "--T", "0.05"], ()),
+            ("equilibrium", ["equilibrium"] + scenario[:-2] + ["--csv", "eq.csv"],
+             ("eq.csv",)),
+            ("simulate/dai_general", ["simulate", "--lyapunov"] + scenario,
+             ("trajectory.csv",)),
+            ("simulate/primary",
+             ["simulate", "--lyapunov", "--mode", "primary"] + scenario,
+             ("trajectory.csv",)),
+            ("certify", ["certify"] + scenario, ("certify.txt", "certify.json")))
+    home = os.getcwd()
+    os.chdir(tmpdir)             # contextlib.chdir needs Python 3.11
+    try:
+        for name, argv, files in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv + ["--outdir", name])
+            emit(f"cli/{name}/exit", np.int64(code))
+            emit(f"cli/{name}/stdout", out.getvalue().encode())
+            for file in ("manifest.json",) + files:
+                with open(os.path.join(name, file), "rb") as fh:
+                    emit(f"cli/{name}/{file}", fh.read())
+    finally:
+        os.chdir(home)
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmpdir:
         path, net = case39(tmpdir)
@@ -260,6 +297,7 @@ def main():
         certify_cli(path, tmpdir)
         plot_cli(net, tmpdir)
         initial_states(net, tmpdir)
+        cli_runs(path, tmpdir)
 
 
 if __name__ == "__main__":
