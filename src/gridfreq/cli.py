@@ -78,11 +78,13 @@ def _write_manifest(outdir, subcommand, config, seeds, outputs):
 def _write_run_manifest(outdir, args, outputs, *extra):
     """manifest.json of a run on one network and disturbance (equilibrium,
     simulate, certify): the flags those share, then the `extra` flags."""
+    costs = _cost_config(args)
     config = {"net": args.net, "p": args.p, "mode": args.mode,
-              "checkpoint": args.checkpoint, "costs": _cost_config(args),
+              "checkpoint": args.checkpoint, "costs": costs,
               **{name: getattr(args, name) for name in extra}}
     return _write_manifest(outdir, args.subcommand, config,
-                           {"cost_seed": args.cost_seed}, outputs)
+                           {} if costs is None else {"cost_seed": args.cost_seed},
+                           outputs)
 
 
 def _load_disturbance(net, path_or_json):
@@ -115,15 +117,25 @@ def _load_disturbance(net, path_or_json):
 
 
 def _load_costs(net, args):
-    if args.costs:
-        with open(args.costs) as fh:
-            doc = json.load(fh)
-        return costs_mod.CostModel(
-            family=doc.get("family", "power"), r=int(doc.get("r", 2)),
-            c=np.asarray(doc["c"], dtype=float),
-            b=np.asarray(doc.get("b", np.zeros(net.n)), dtype=float))
-    rng = np.random.default_rng(args.cost_seed)
-    return costs_mod.random_power_costs(net.n, rng, r=args.cost_r)
+    """The run's cost model from --costs or --cost-seed; None when
+    _cost_config gives none (primary mode)."""
+    if _cost_config(args) is None:
+        return None
+    if not args.costs:
+        rng = np.random.default_rng(args.cost_seed)
+        return costs_mod.random_power_costs(net.n, rng, r=args.cost_r)
+    with open(args.costs) as fh:
+        doc = json.load(fh)
+    if "c" not in doc:
+        raise ValueError(f"--costs {args.costs}: missing field 'c'")
+    vectors = {k: np.asarray(doc.get(k, np.zeros(net.n)), dtype=float)
+               for k in ("c", "b")}
+    for k, v in vectors.items():
+        if v.shape != (net.n,):
+            raise ValueError(f"--costs {args.costs}: field {k!r} has shape "
+                             f"{v.shape}, expected ({net.n},), one per bus")
+    return costs_mod.CostModel(family=doc.get("family", "power"),
+                               r=int(doc.get("r", 2)), **vectors)
 
 
 def _load_controllers(net, args):
@@ -136,6 +148,10 @@ def _load_controllers(net, args):
 
 
 def _cost_config(args):
+    """The cost flags a run reads, as its manifest records them; None in
+    primary mode, which has no cost model."""
+    if getattr(args, "mode", None) == "primary":
+        return None
     if args.costs:
         return {"file": args.costs}
     return {"cost_seed": args.cost_seed, "cost_r": args.cost_r}
@@ -255,7 +271,7 @@ def _cmd_equilibrium(args):
     print(f"mode           : {args.mode}")
     if eq.gamma is not None:
         print(f"gamma          : {eq.gamma:.10g}")
-    print(f"omega*         : {eq.omega_star if eq.omega_star is not None else 0.0:.6g}")
+    print(f"omega*         : {eq.omega_star:.6g}")
     print(f"{'bus':>6} {'u*':>12} {'delta*':>12}" +
           ("" if eq.s_star is None else f" {'s*':>12}"))
     for i, bus in enumerate(net.ids):

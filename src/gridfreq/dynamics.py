@@ -72,8 +72,9 @@ class Scenario:
             raise DynamicsError(f"unknown mode {self.mode!r}")
         if not (self.h > 0):
             raise DynamicsError("step h must be positive")
-        if self.T < self.h:
-            raise DynamicsError("horizon T must cover at least one step")
+        if not (np.isfinite(self.T) and self.T >= self.h):
+            raise DynamicsError(f"horizon T must cover at least one step and "
+                                f"be finite, got {self.T!r}")
         if not np.all(np.isfinite(self.p)):
             raise DynamicsError("disturbance p must be finite")
         want = (3,) + np.shape(self.p)

@@ -18,11 +18,11 @@ Two closed loops, two energy functions:
 
 Everything here is numeric: positivity and decrease are checked on sampled
 states and along simulated trajectories, the epsilon in V comes from a grid
-search with a positive-definiteness test at sampled angles, and the decay
-constant is assembled from sampled extremal ratios.  The matrices of all
-sampled angles are stacked and handed to LAPACK in one call: numpy.linalg
-Cholesky tests definiteness, and the singular values of the factor give the
-smallest eigenvalue.
+search with a positive-definiteness test of Q at sampled angles (states
+from one Generator.uniform draw), and the decay constant is assembled from
+sampled extremal ratios.  The Q matrices of all sampled angles are stacked
+and handed to LAPACK in one call: numpy.linalg Cholesky of Q tests
+definiteness, and its factor's singular values give the smallest eigenvalue.
 """
 
 from __future__ import annotations
@@ -115,11 +115,12 @@ def _unpack(state):
     return tuple(None if a is None else np.asarray(a, dtype=float) for a in state)
 
 
-def _potential_bregman(net, delta, eq, flows_star):
-    """Bregman divergence of the network potential at delta against delta*;
-    flows_star, the equilibrium flows, is the potential's gradient there."""
+def _potential_bregman(net, delta, eq):
+    """Bregman divergence of the network potential at delta against delta*,
+    where the potential's gradient is the equilibrium flows."""
     return (potential_energy(net, delta) - potential_energy(net, eq.delta_star)
-            - np.sum(flows_star * (delta - eq.delta_star), axis=-1))
+            - np.sum(power_flows(net, eq.delta_star) * (delta - eq.delta_star),
+                     axis=-1))
 
 
 def lyap_W(net: PowerNetwork, controllers: NetParams, state, eq: Equilibrium):
@@ -132,7 +133,7 @@ def lyap_W(net: PowerNetwork, controllers: NetParams, state, eq: Equilibrium):
     """
     delta, omega, s = _unpack(state)
     kinetic = np.pi * net.f0 * np.sum(net.m * omega[..., net.gens] ** 2, axis=-1)
-    breg_u = _potential_bregman(net, delta, eq, power_flows(net, eq.delta_star))
+    breg_u = _potential_bregman(net, delta, eq)
     breg_l = (integral_L(controllers, s) - integral_L(controllers, eq.s_star)
               - np.sum(eq.u_star * (s - eq.s_star), axis=-1))
     return kinetic + breg_u + breg_l
@@ -183,22 +184,19 @@ def cross_term(net: PowerNetwork, costs: CostModel, controllers: NetParams, s):
 # primary-mode energy function
 # --------------------------------------------------------------------------
 
-def _primary_mismatch(net, delta, omega, eq, flows_star=None):
-    """x = flow mismatch, y = frequency mismatch, both batched; flows_star,
-    the equilibrium flows, is computed unless given."""
-    if flows_star is None:
-        flows_star = power_flows(net, eq.delta_star)
-    return power_flows(net, delta) - flows_star, omega - eq.omega_star
+def _primary_mismatch(net, delta, omega, eq):
+    """x = flow mismatch, y = frequency mismatch, both batched."""
+    return (power_flows(net, delta) - power_flows(net, eq.delta_star),
+            omega - eq.omega_star)
 
 
 def lyap_V(net: PowerNetwork, state, eq: Equilibrium, epsilon):
     """Primary-mode energy: kinetic + potential Bregman + epsilon cross term."""
     delta, omega, _ = _unpack(state)
     m = net.inertia
-    flows_star = power_flows(net, eq.delta_star)
-    x, y = _primary_mismatch(net, delta, omega, eq, flows_star)
+    x, y = _primary_mismatch(net, delta, omega, eq)
     kinetic = 0.5 * np.sum(m * y ** 2, axis=-1)
-    return (kinetic + _potential_bregman(net, delta, eq, flows_star)
+    return (kinetic + _potential_bregman(net, delta, eq)
             + epsilon * np.sum(x * m * y, axis=-1))
 
 
@@ -245,17 +243,6 @@ def assemble_Q(net: PowerNetwork, delta, epsilon):
     return q
 
 
-def schur_block(net: PowerNetwork, delta, epsilon):
-    """Schur complement of the epsilon*I block of Q: the PD test matrix.
-
-    Batch dims allowed: delta of shape (..., n) gives (..., n, n).
-    """
-    hm = flow_jacobian(net, delta) * net.inertia
-    d = net.alpha
-    return (np.diag(d) - 0.5 * epsilon * (hm + np.swapaxes(hm, -1, -2))
-            - 0.25 * epsilon * np.diag(d * d))
-
-
 def cholesky_factor(a):
     """Lower Cholesky factor of a stack of symmetric matrices, or None when
     some matrix of the stack is not positive definite."""
@@ -269,24 +256,18 @@ def cholesky_factor(a):
 # region sampling
 # --------------------------------------------------------------------------
 
-def _box(r, half):
-    """Generator.uniform(-half, half) from its raw doubles r, bit for bit:
-    numpy computes low + (high - low) * r."""
-    return -half + (half - -half) * r
-
-
 def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
                          omega_range=OMEGA_RANGE, s_range=S_RANGE,
                          base_spread=0.4):
     """Random states around the equilibrium, inside the security region.
 
-    Sample k maps row k of np.random.default_rng(seed).random((count, 3n)):
-    its angle, frequency and integral offsets, n doubles each.  A shorter run
-    is therefore a prefix of a longer one, and any sample can be reproduced
-    alone: Generator.random takes one 64-bit PCG64 output per double, so
-    np.random.PCG64(seed).advance(3n k) draws sample k bit for bit (PCG's
-    jump-ahead takes O(log k) steps; O'Neill, HMC-CS-2014-0905).  count and
-    seed must be non-negative integers, count at most 2**32.
+    Sample k is row k of np.random.default_rng(seed).uniform(-half, half,
+    (count, 3n)), half holding base_spread, omega_range and s_range n times
+    each: its angle, frequency and integral offsets.  A shorter run is thus a
+    prefix of a longer one, and any sample can be reproduced alone: each
+    double takes one 64-bit PCG64 output, so PCG64(seed).advance(3n k) draws
+    sample k bit for bit (PCG's jump-ahead takes O(log k) steps; O'Neill,
+    HMC-CS-2014-0905).  count and seed must be non-negative integers.
 
     Angle perturbations are halved until every edge difference stays in
     (-pi/2 + REGION_MARGIN, pi/2 - REGION_MARGIN), falling back to delta*
@@ -297,14 +278,16 @@ def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
         if not isinstance(value, (int, np.integer)) or value < 0:
             raise LyapunovError(f"{name} must be a non-negative integer, "
                                 f"got {value!r}")
-    if count > 2 ** 32:
-        raise LyapunovError(f"count must be at most 2**32, got {count}")
     n = net.n
     limit = np.pi / 2 - REGION_MARGIN
     if edge_angle_spread(net, eq.delta_star) >= limit:
         raise LyapunovError("equilibrium itself violates the sampling margin")
+    half = np.repeat([base_spread, omega_range, s_range], n)
+    # uniform(-half, half) bit for bit, skipping its slow per-element broadcast
     r = np.random.default_rng(int(seed)).random((count, 3 * n))
-    step = to_center_of_inertia(_box(r[:, :n], base_spread))
+    r *= 2.0 * half
+    r -= half
+    step = to_center_of_inertia(r[:, :n])
     # filled in place so it stays C-ordered: its row means then round exactly
     # as those of a single row do
     deltas = np.empty_like(step)
@@ -318,8 +301,8 @@ def sample_region_states(net: PowerNetwork, eq: Equilibrium, count, seed=0,
         if not len(pending):
             break
         step[pending] *= 0.5
-    omegas = (eq.omega_star or 0.0) + _box(r[:, n:2 * n], omega_range)
-    ss = (eq.s_star if eq.s_star is not None else 0.0) + _box(r[:, 2 * n:], s_range)
+    omegas = eq.omega_star + r[:, n:2 * n]
+    ss = (eq.s_star if eq.s_star is not None else 0.0) + r[:, 2 * n:]
     return to_center_of_inertia(deltas), omegas, ss
 
 
@@ -341,10 +324,10 @@ def epsilon_and_c_search(net: PowerNetwork, eq: Equilibrium, grid=None,
                          samples=200, seed=0) -> EpsilonSearchResult:
     """Largest epsilon from a geometric grid certifying Q(delta) > 0.
 
-    For each epsilon (largest first) the Schur-complement block is tested
-    for positive definiteness (Cholesky) at the equilibrium and at sampled
-    security-region angles; the first epsilon passing everywhere wins.  The
-    decay constant follows the sampled-estimator recipe:
+    For each epsilon (largest first) Q itself is tested for positive
+    definiteness (Cholesky) at the equilibrium and at sampled security-region
+    angles; the first epsilon passing everywhere wins.  The decay constant
+    follows the sampled-estimator recipe:
 
         c = min_delta lambda_min(Q(delta)) * min(1, gamma1_hat) / alpha2_hat
 
@@ -358,14 +341,11 @@ def epsilon_and_c_search(net: PowerNetwork, eq: Equilibrium, grid=None,
     deltas, omegas, _ = sample_region_states(net, eq, samples, seed=seed)
     test_deltas = np.vstack([eq.delta_star[None, :], deltas])
     for chosen in sorted(grid, reverse=True):
-        if cholesky_factor(schur_block(net, test_deltas, chosen)) is not None:
+        low = cholesky_factor(assemble_Q(net, test_deltas, chosen))
+        if low is not None:
             break
     else:
         raise LyapunovError("no certifying epsilon found in the grid")
-
-    low = cholesky_factor(assemble_Q(net, test_deltas, chosen))
-    if low is None:
-        raise LyapunovError("Q lost positive definiteness at the chosen epsilon")
     min_pivot = float(np.min(np.diagonal(low, axis1=-2, axis2=-1) ** 2))
     # lambda_min(Q) = sigma_min(L)^2: eigvalsh of Q itself is off by about
     # eps |Q| in absolute terms (7e-11 relative on the 39-bus case), the

@@ -36,7 +36,7 @@ differences along seeded random directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,9 +83,9 @@ class TrainConfig:
                                  f"got {value!r}")
         if not self.h > 0:
             raise ValueError(f"TrainConfig.h must be positive, got {self.h!r}")
-        if not self.T >= self.h:
-            raise ValueError(f"TrainConfig.T must cover at least one step h = "
-                             f"{self.h!r}, got {self.T!r}")
+        if not (np.isfinite(self.T) and self.T >= self.h):
+            raise ValueError(f"TrainConfig.T must be finite and cover at least "
+                             f"one step h = {self.h!r}, got {self.T!r}")
 
     @property
     def steps(self):
@@ -139,8 +139,9 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
-    scenario = Scenario(p=p, T=cfg.T, h=cfg.h, initial=initial)
+    scenario = Scenario(p=p, T=cfg.T, h=cfg.h)
     check_scenario(net, costs, scenario, batched=True)
+    scenario = replace(scenario, initial=initial)   # after p, so a bad p is named
     B = p.shape[0]
     n = net.n
     g = net.gens

@@ -413,6 +413,61 @@ def test_run_manifests_record_the_shared_keys_and_each_commands_flags(
     assert doc["subcommand"] == argv[0] and doc["seeds"] == {"cost_seed": 0}
 
 
+@pytest.mark.parametrize("mode", ["primary", "dai_general"])
+def test_cost_seed_counts_in_a_run_only_outside_primary_mode(tmp_path, capsys,
+                                                             mode):
+    # primary mode has no cost model: --cost-seed changes neither its stdout
+    # nor its config_hash, and its manifest records no costs and no seed
+    net = str(resources.files("gridfreq") / "data" / "case39.json")
+    runs = []
+    for seed in ("0", "1"):
+        outdir = tmp_path / seed
+        assert main(["equilibrium", "--net", net, "--mode", mode,
+                     "--p", '{"13":-3,"21":-3,"27":-3}', "--cost-seed", seed,
+                     "--outdir", str(outdir)]) == 0
+        runs.append((capsys.readouterr().out,
+                     json.loads((outdir / "manifest.json").read_text())))
+    (out_a, doc_a), (out_b, doc_b) = runs
+    same = mode == "primary"
+    assert (out_a == out_b) is same
+    assert (doc_a["config_hash"] == doc_b["config_hash"]) is same
+    if same:
+        assert doc_a["config"]["costs"] is None and doc_a["seeds"] == {}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"family": "quadratic", "r": 2}, "missing field 'c'"),
+    ({"family": "quadratic", "r": 2, "c": [1.0, 2.0]}, "field 'c' has shape (2,)"),
+    ({"family": "quadratic", "r": 2, "c": [1.0, 2.0, 1.5], "b": [0.0, 0.0]},
+     "field 'b' has shape (2,)"),
+], ids=["no-c", "short-c", "short-b"])
+def test_a_bad_costs_file_is_refused_naming_the_file_and_field(
+        tmp_path, net3_file, capsys, doc, field):
+    costs = write_json(tmp_path / "bad_costs.json", doc)
+    code = main(["equilibrium", "--net", net3_file, "--costs", costs,
+                 "--p", "[-0.3, -0.15, 0.0]", "--outdir", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --costs {costs}: {field}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "train"])
+def test_a_non_finite_horizon_is_refused_by_name(tmp_path, net2_file,
+                                                 quad2_costs_file, capsys,
+                                                 command, value):
+    argv = [command, "--net", net2_file, "--costs", quad2_costs_file,
+            "--T", value, "--outdir", str(tmp_path)]
+    assert main(argv + (["--p", "[0.2, -0.2]"] if command == "simulate"
+                        else ["--epochs", "1"])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("TrainConfig.T" if command == "train" else "horizon T") in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 # --------------------------------------------------------------------------
 # certify subcommand
 # --------------------------------------------------------------------------

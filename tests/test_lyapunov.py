@@ -371,18 +371,6 @@ def test_V_dot_quadratic_form_matches_assembled_Q():
         assert vdot == pytest.approx(-z @ q @ z, abs=1e-12)
 
 
-def test_schur_block_agrees_with_full_Q_definiteness():
-    net, params, p, eq = primary_setup()
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        delta = rng.uniform(-0.4, 0.4, 3)
-        delta = delta - delta.mean()
-        epsilon = float(rng.choice([1e-3, 1e-2, 1e-1, 1.0, 10.0]))
-        q_pd = bool(np.linalg.eigvalsh(lyap.assemble_Q(net, delta, epsilon)).min() > 0)
-        s_pd = lyap.cholesky_factor(lyap.schur_block(net, delta, epsilon)) is not None
-        assert q_pd == s_pd
-
-
 def random_primary_setup(seed, buses=6):
     net = random_connected_net(seed, buses=buses, all_gens=True)
     params = ctl.identity_params(n=net.n)
@@ -397,11 +385,9 @@ def test_batched_Q_and_schur_block_equal_per_state(seed):
     deltas, _, _ = lyap.sample_region_states(net, eq, 7, seed=seed)
     for eps in (1e-1, 1e-3):
         q = lyap.assemble_Q(net, deltas, eps)
-        sb = lyap.schur_block(net, deltas, eps)
-        assert q.shape == (7, 2 * net.n, 2 * net.n) and sb.shape == (7, net.n, net.n)
+        assert q.shape == (7, 2 * net.n, 2 * net.n)
         for k in range(7):
             assert np.array_equal(q[k], lyap.assemble_Q(net, deltas[k], eps))
-            assert np.array_equal(sb[k], lyap.schur_block(net, deltas[k], eps))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -422,7 +408,7 @@ def test_epsilon_search_matches_per_state_loop(seed):
         return True
 
     expected = next(eps for eps in sorted(grid, reverse=True)
-                    if all(pd(lyap.schur_block(net, dl, eps)) for dl in test_deltas))
+                    if all(pd(lyap.assemble_Q(net, dl, eps)) for dl in test_deltas))
     assert res.epsilon == expected
     lam = min(np.linalg.eigvalsh(lyap.assemble_Q(net, dl, expected))[0]
               for dl in test_deltas)
@@ -556,7 +542,6 @@ def test_sample_region_states_rejects_marginal_equilibrium():
     (-1, 0, "count must be a non-negative integer"),
     (2.0, 0, "count must be a non-negative integer"),
     (np.float64(3), 0, "count must be a non-negative integer"),
-    (2 ** 32 + 1, 0, "count must be at most 2\\*\\*32"),
     (1, -1, "seed must be a non-negative integer"),
     (1, 1.0, "seed must be a non-negative integer"),
     (1, "7", "seed must be a non-negative integer"),

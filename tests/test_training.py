@@ -284,6 +284,17 @@ def test_rollout_names_a_wrong_shape_disturbance(p, message, monkeypatch):
                          raw, p, cfg)
 
 
+def test_rollout_names_a_wrong_disturbance_before_a_batch_shaped_state():
+    # the (3, 2, 3) state fits a batch of two; the (3,) p is what is wrong,
+    # so p is named, not the state whose expected shape p would set
+    raw = ctl.init_raw_params(3, 3, np.random.default_rng(0))
+    cfg = TrainConfig(d=3, h=1e-3, T=0.01, batch_size=2, seed=0)
+    message = "disturbance p has shape (3,), expected (B, 3) for the 3-bus network"
+    with pytest.raises(DynamicsError, match=re.escape(message)):
+        trn.rollout_loss(three_bus(), cm.quadratic_costs(np.array([1.0, 2.0, 1.5])),
+                         raw, np.zeros(3), cfg, np.zeros((3, 2, 3)))
+
+
 def test_rollout_leaves_the_callers_initial_state_alone():
     # the angles are off the gauge by 1e-6, so gauge_initial rewrites them,
     # in a copy; the load-bus omega entries are ignored, so a rollout with
