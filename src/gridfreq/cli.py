@@ -107,9 +107,15 @@ def _load_disturbance(net, path_or_json):
     p = np.zeros(net.n)
     if isinstance(doc, dict):
         for key, val in doc.items():
-            p[net.index_of(type(net.ids[0])(key))] = float(val)
+            try:
+                p[net.index_of(type(net.ids[0])(key))] = float(val)
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"--p: bus {key}: {exc}") from None
     else:
-        arr = np.asarray(doc, dtype=float)
+        try:
+            arr = np.asarray(doc, dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"--p: {exc}") from None
         if arr.shape != (net.n,):
             raise ValueError(f"--p: expected {net.n} values, got {arr.shape}")
         p = arr
@@ -124,18 +130,25 @@ def _load_costs(net, args):
     if not args.costs:
         rng = np.random.default_rng(args.cost_seed)
         return costs_mod.random_power_costs(net.n, rng, r=args.cost_r)
+    where = f"--costs {args.costs}"
     with open(args.costs) as fh:
         doc = json.load(fh)
     if "c" not in doc:
-        raise ValueError(f"--costs {args.costs}: missing field 'c'")
+        raise ValueError(f"{where}: missing field 'c'")
     vectors = {k: np.asarray(doc.get(k, np.zeros(net.n)), dtype=float)
                for k in ("c", "b")}
     for k, v in vectors.items():
         if v.shape != (net.n,):
-            raise ValueError(f"--costs {args.costs}: field {k!r} has shape "
-                             f"{v.shape}, expected ({net.n},), one per bus")
-    return costs_mod.CostModel(family=doc.get("family", "power"),
-                               r=int(doc.get("r", 2)), **vectors)
+            raise ValueError(f"{where}: field {k!r} has shape {v.shape}, "
+                             f"expected ({net.n},), one per bus")
+    r = doc.get("r", 2)
+    if not (isinstance(r, (int, float)) and float(r).is_integer()):
+        raise ValueError(f"{where}: field 'r' must be an integer, got {r!r}")
+    try:
+        return costs_mod.CostModel(family=doc.get("family", "power"),
+                                   r=int(r), **vectors)
+    except costs_mod.CostError as exc:
+        raise costs_mod.CostError(f"{where}: {exc}") from None
 
 
 def _load_controllers(net, args):
@@ -314,7 +327,7 @@ def _simulate_from_args(args):
     step would read as a blow-up or, in certify, as a failed energy-decrease
     check."""
     net = network.load_network(args.net)
-    costs = _load_costs(net, args) if args.mode != "primary" else None
+    costs = _load_costs(net, args)
     params = _load_controllers(net, args)
     scenario = dynamics.Scenario(p=_load_disturbance(net, args.p), T=args.T,
                                  h=args.h, mode=args.mode)
@@ -344,11 +357,8 @@ def _cmd_simulate(args):
 def _cmd_certify(args):
     net, costs, params, scenario, traj = _simulate_from_args(args)
     eq = eq_mod.solve_equilibrium(net, costs, params, scenario.p, mode=args.mode)
-    tol = lyapunov.CertifyTolerances(tol_abs=args.tol_abs, tol_rel=args.tol_rel,
-                                     fd_rtol=args.fd_rtol)
-    report = lyapunov.certify_trajectory(
-        traj, net, costs, params, eq, tolerances=tol,
-        epsilon=args.epsilon)
+    report = lyapunov.certify_trajectory(traj, net, costs, params, eq,
+                                         epsilon=args.epsilon, fd_rtol=args.fd_rtol)
     outdir = _outdir(args)
     text = report.summary()
     print(text)
@@ -369,7 +379,7 @@ def _cmd_certify(args):
             fh, indent=1)
     outputs.append(path)
     _write_run_manifest(outdir, args, outputs, "T", "h", "integrator",
-                        "tol_abs", "tol_rel", "fd_rtol", "epsilon")
+                        "fd_rtol", "epsilon")
     return 0 if report.passed else 1
 
 
@@ -550,8 +560,6 @@ def build_parser():
     cert = sub.add_parser("certify", help="energy-decrease certification")
     _add_scenario(cert, "rk4",
                   help="rk4 keeps discretization error inside the slack")
-    cert.add_argument("--tol-abs", type=float, default=1e-9)
-    cert.add_argument("--tol-rel", type=float, default=0.05)
     cert.add_argument("--fd-rtol", type=float, default=None)
     cert.add_argument("--epsilon", type=float, default=None,
                       help="primary mode: skip the epsilon search")

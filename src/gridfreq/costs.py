@@ -44,9 +44,11 @@ class CostModel:
             raise CostError("cost exponent r must be an even integer >= 2")
         if self.family == "quadratic" and self.r != 2:
             raise CostError("quadratic family requires r = 2")
-        if np.any(np.asarray(self.c) <= 0):
+        if not np.all(np.asarray(self.c) > 0):       # NaN fails too
             raise CostError("cost coefficients must be strictly positive "
                             "(strict convexity)")
+        if not np.all(np.isfinite(self.b)):
+            raise CostError("cost offsets b must be finite")
         if self.family == "shifted_common" and np.any(np.asarray(self.c) != 1.0):
             raise CostError("shifted_common family requires c = 1 on every bus")
 

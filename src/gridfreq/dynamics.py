@@ -114,21 +114,6 @@ class Trajectory:
         return self.delta.shape[1]
 
 
-def _balance_omega(net: PowerNetwork, flows, u, p):
-    """Power balance solved for omega on every bus, (-flow_i + p_i + u_i)/alpha_i;
-    the load buses' algebraic frequencies are its load entries."""
-    return (-flows + p + u) / net.alpha
-
-
-def load_bus_frequencies(net: PowerNetwork, delta, u, p):
-    """Algebraic load-bus frequencies: omega_i = (-flow_i + p_i + u_i)/alpha_i.
-
-    No implicit solve is needed: the load-bus power balance couples omega_i
-    only through the diagonal alpha, so given (delta, u) it is a division.
-    """
-    return _balance_omega(net, power_flows(net, delta), u, p)[..., net.loads]
-
-
 def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
                 x, p, mode="dai_general", u=None):
     """The closed-loop right-hand side on stacked (3, ..., n) states.
@@ -136,10 +121,11 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     x holds (delta, omega, s) along axis 0.  Returns (k, omega, u, mc): k is
     the time derivative in the layout of x, and omega, u, mc are the
     algebraic quantities at the state.  In DAI mode the load-bus entries of
-    x's omega are ignored; omega carries their power-balance values and k's
-    omega row is zero there.  In primary mode k's s row is zero.  mc is zero
-    without a cost model.  `u` is the policies' output at x's controller
-    input (the integral row in DAI mode) when the caller already has it.
+    x's omega are ignored; omega carries their power-balance values
+    (-flow_i + p_i + u_i)/alpha_i, and k's omega row is zero there.  In
+    primary mode k's s row is zero.  mc is zero without a cost model.  `u`
+    is the policies' output at x's controller input (the integral row in
+    DAI mode) when the caller already has it.
     """
     omega = x[1]
     flows = power_flows(net, x[0])
@@ -158,7 +144,7 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     two_pi_f0 = 2.0 * np.pi * net.f0
     if u is None:
         u = eval_u(controllers, x[2])
-    omega = np.where(net._is_gen, omega, _balance_omega(net, flows, u, p))
+    omega = np.where(net._is_gen, omega, (-flows + p + u) / net.alpha)
     mc = costs.grad(u)
     np.multiply(two_pi_f0,
                 omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n,

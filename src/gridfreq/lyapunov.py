@@ -45,6 +45,8 @@ REGION_MARGIN = 0.05          # rad, kept away from the pi/2 edge limit
 OMEGA_RANGE = 0.05            # pu, sampling box for frequency deviations
 S_RANGE = 2.0                 # sampling box for integral states
 POSITIVITY_FLOOR = -1e-12     # certified energies may dip this far below 0
+DECREASE_TOL_ABS = 1e-9       # absolute decrease slack per step
+DECREASE_TOL_REL = 0.05       # relative slack factor on h*|Wdot|
 
 
 class LyapunovError(ValueError):
@@ -372,13 +374,6 @@ def epsilon_and_c_search(net: PowerNetwork, eq: Equilibrium, grid=None,
 # trajectory certification
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertifyTolerances:
-    tol_abs: float = 1e-9       # absolute decrease slack per step
-    tol_rel: float = 0.05       # relative slack factor on h*|Wdot|
-    fd_rtol: float = None       # gate analytic-vs-FD agreement when set
-
-
 @dataclass
 class CertificationReport:
     """Outcome of checking one trajectory against its energy function."""
@@ -438,18 +433,16 @@ def trajectory_energy(traj: Trajectory, net: PowerNetwork, controllers: NetParam
 
 def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
                        controllers: NetParams, eq: Equilibrium,
-                       tolerances: CertifyTolerances = None,
-                       epsilon=None) -> CertificationReport:
+                       epsilon=None, fd_rtol=None) -> CertificationReport:
     """Check positivity and per-step decrease of the energy along a trajectory.
 
     W (or V), epsilon and the decay constant come from trajectory_energy,
     and W's derivative from lyap_W_dot (or lyap_V_dot).  The per-step
-    decrease allowance is tol_abs + tol_rel*h*|Wdot| (forward Euler
-    overshoots the continuous decrease by O(h)).  A finite difference of
-    the recorded energy is compared against the analytic derivative and
-    gates the verdict only when fd_rtol is set.
+    decrease allowance is DECREASE_TOL_ABS + DECREASE_TOL_REL*h*|Wdot|
+    (forward Euler overshoots the continuous decrease by O(h)).  A finite
+    difference of the recorded energy is compared against the analytic
+    derivative and gates the verdict only when fd_rtol is set.
     """
-    tol = tolerances or CertifyTolerances()
     w, epsilon, decay_c = trajectory_energy(traj, net, controllers, eq, epsilon)
     state = (traj.delta, traj.omega, traj.s)
     cross_min = None
@@ -464,7 +457,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
     h = float(traj.t[1] - traj.t[0])
     fd = np.gradient(w, h)
 
-    slack = tol.tol_abs + tol.tol_rel * h * np.abs(wdot[:-1])
+    slack = DECREASE_TOL_ABS + DECREASE_TOL_REL * h * np.abs(wdot[:-1])
     rise = np.diff(w)
     margins = slack - rise
     decrease_ok = margins >= 0.0
@@ -490,7 +483,7 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
     if cross_min is not None and cross_min < -1e-12:
         failures.append("cross-term sign")
         first = 0
-    if tol.fd_rtol is not None and fd_rel_err_max > tol.fd_rtol:
+    if fd_rtol is not None and fd_rel_err_max > fd_rtol:
         failures.append("fd-mismatch")
 
     passed = not failures

@@ -118,10 +118,15 @@ def _collect_edges(records, index, what, weight_key, allow_zero=False):
     seen = {}
     for rec in records:
         try:
-            a, b = index[rec["i"]], index[rec["j"]]
+            ends = rec["i"], rec["j"]
             w = float(rec[weight_key])
         except KeyError as exc:
             raise NetworkError(f"{what} entry {rec!r}: missing field {exc}") from None
+        for end, bus in zip("ij", ends):
+            if bus not in index:
+                raise NetworkError(f"{what} entry {rec!r}: unknown bus id "
+                                   f"{bus!r} in field {end!r}")
+        a, b = index[ends[0]], index[ends[1]]
         if a == b:
             raise NetworkError(f"{what} entry connects bus {rec['i']} to itself")
         key = (min(a, b), max(a, b))

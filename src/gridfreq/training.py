@@ -54,6 +54,8 @@ from .network import (PowerNetwork, comm_laplacian_apply, flow_jacobian_apply,
 # steps per block of the backward sweep: BLOCK_ELEMENTS // (B * n), at least
 # one; a block's state-only terms are about a dozen (steps, B, n) arrays
 BLOCK_ELEMENTS = 1 << 15
+# gradient_tie_risk: how near a kink or a nadir tie counts as a tie
+TIE_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -291,10 +293,10 @@ def backprop(tape: Tape, net: PowerNetwork, costs: CostModel) -> RawParams:
                      chi_plus=g_chi_p, chi_minus=g_chi_m)
 
 
-def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
+def gradient_tie_risk(tape: Tape) -> bool:
     """Detect nondifferentiable-point proximity that would corrupt FD checks.
 
-    Flags trajectories where some controller input sits within tol of a
+    Flags trajectories where some controller input sits within TIE_TOL of a
     breakpoint, deadband edge, or saturation crossing, or where a bus's
     nadir is nearly tied between two steps.  Inputs that are exactly zero are
     exempt from the origin-breakpoint check: every policy passes through the
@@ -309,7 +311,7 @@ def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
     r = t.off + tape.count
     g_unc = t.value(xe, r)
     moving = xe != 0.0
-    if np.any(moving & (np.abs(xe) < tol)):          # near the origin breakpoint
+    if np.any(moving & (np.abs(xe) < TIE_TOL)):      # near the origin breakpoint
         return True
     # the rank splits the sorted breakpoints of both sides at x' (inf pads
     # where none), so the nearest one is next to the split, equal ones
@@ -319,18 +321,18 @@ def gradient_tie_risk(tape: Tape, tol=1e-5) -> bool:
     at = r + np.arange(params.n)
     near = np.minimum(np.abs(xe - pad.take(at)), np.abs(xe - pad.take(at + 1)))
     gap = np.abs(np.where(bp == 0.0, np.inf, bp)).min(axis=-1, initial=np.inf)
-    if np.any(np.where(moving, near, gap) < tol):
+    if np.any(np.where(moving, near, gap) < TIE_TOL):
         return True
     if np.any(params.dz > 0) and np.any(
-            (np.abs(np.abs(s) - params.dz) < tol) & (s != 0.0)):
+            (np.abs(np.abs(s) - params.dz) < TIE_TOL) & (s != 0.0)):
         return True
     for bound in (params.u_hi, params.u_lo):         # saturation crossings
-        if np.any(np.isfinite(bound) & (np.abs(g_unc - bound) < tol) & moving):
+        if np.any(np.isfinite(bound) & (np.abs(g_unc - bound) < TIE_TOL) & moving):
             return True
     abs_om = np.abs(tape.omega_g[1:])
     if abs_om.shape[0] >= 2:
         top2 = np.sort(abs_om, axis=0)[-2:]
-        if np.any(top2[1] - top2[0] < tol):
+        if np.any(top2[1] - top2[0] < TIE_TOL):
             return True
     return False
 

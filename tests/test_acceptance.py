@@ -167,23 +167,21 @@ def test_criterion_03_synchronous_frequency(capsys):
 
 def test_criterion_04_energy_certification(restoration_cases, capsys):
     cases, _ = restoration_cases
-    slack = lyapunov.CertifyTolerances(tol_abs=1e-9, tol_rel=0.05)
+    # the certificate's fixed per-step decrease slack: 1e-9 + 0.05 h |Wdot|
+    assert (lyapunov.DECREASE_TOL_ABS, lyapunov.DECREASE_TOL_REL) == (1e-9, 0.05)
 
     reports = {}
     for name, (net, costs, par, p, eq, traj) in cases.items():
-        reports[name] = lyapunov.certify_trajectory(traj, net, costs, par,
-                                                    eq, tolerances=slack)
+        reports[name] = lyapunov.certify_trajectory(traj, net, costs, par, eq)
 
     # analytic decrease rate vs centered differences at a 0.1 ms step
-    fd_slack = lyapunov.CertifyTolerances(tol_abs=1e-9, tol_rel=0.05,
-                                          fd_rtol=1e-3)
     fd_err = 0.0
     for name, (net, costs, par, p, eq, traj) in cases.items():
         short = dynamics.simulate(dynamics.Scenario(p=p, T=2.0, h=1e-4),
                                   net, costs, par,
                                   stepper=dynamics.rk4_step)
         rep = lyapunov.certify_trajectory(short, net, costs, par, eq,
-                                          tolerances=fd_slack)
+                                          fd_rtol=1e-3)
         reports[name + "-fd"] = rep
         fd_err = max(fd_err, rep.fd_rel_err_max)
 
@@ -209,8 +207,7 @@ def test_criterion_04_energy_certification(restoration_cases, capsys):
     traj_bad = dynamics.simulate(
         dynamics.Scenario(p=p_bad, T=0.05, h=1e-3, initial=start),
         net, costs, bad, stepper=dynamics.rk4_step)
-    rep_bad = lyapunov.certify_trajectory(traj_bad, net, costs, bad, eq_bad,
-                                          tolerances=slack)
+    rep_bad = lyapunov.certify_trajectory(traj_bad, net, costs, bad, eq_bad)
 
     ok = (all_passed and positivity > 0.0 and fd_err < 1e-3
           and not rep_bad.passed and "positivity" in rep_bad.failures)
@@ -365,9 +362,7 @@ def test_criterion_07_training_descent(capsys):
     traj = dynamics.simulate(dynamics.Scenario(p=p_eval, T=40.0, h=2e-3),
                              net, costs, result.params,
                              stepper=dynamics.rk4_step)
-    rep = lyapunov.certify_trajectory(
-        traj, net, costs, result.params, eq,
-        tolerances=lyapunov.CertifyTolerances(tol_abs=1e-9, tol_rel=0.05))
+    rep = lyapunov.certify_trajectory(traj, net, costs, result.params, eq)
     elapsed = time.perf_counter() - t0
 
     ok = (descent and valid_every_epoch and rep.passed and elapsed < 300.0)

@@ -185,6 +185,21 @@ def test_disturbance_rejects_wrong_length():
         cli._load_disturbance(net, "[1.0]")
 
 
+@pytest.mark.parametrize("p, message", [
+    ('{"2": "x"}', "--p: bus 2: could not convert string to float: 'x'"),
+    ('{"9999": -1.0}', "--p: bus 9999: unknown bus id 9999"),
+    ('[0.1, "x", 0.0]', "--p: could not convert string to float: 'x'"),
+], ids=["non-numeric-value", "unknown-bus", "non-numeric-list-entry"])
+def test_a_bad_disturbance_entry_is_refused_naming_p_and_the_bus(
+        tmp_path, net3_file, quad3_costs_file, capsys, p, message):
+    code = main(["equilibrium", "--net", net3_file, "--costs", quad3_costs_file,
+                 "--p", p, "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
 # --------------------------------------------------------------------------
 # equilibrium subcommand
 # --------------------------------------------------------------------------
@@ -397,8 +412,7 @@ def test_manifest_hash_tracks_the_checkpoint(tmp_path, net3_file,
     (["simulate", "--T", "0.05", "--h", "1e-3"],
      {"T": 0.05, "h": 1e-3, "integrator": "euler", "lyapunov": False}),
     (["certify", "--T", "0.05", "--h", "1e-3"],
-     {"T": 0.05, "h": 1e-3, "integrator": "rk4", "tol_abs": 1e-9, "tol_rel": 0.05,
-      "fd_rtol": None, "epsilon": None}),
+     {"T": 0.05, "h": 1e-3, "integrator": "rk4", "fd_rtol": None, "epsilon": None}),
 ], ids=["equilibrium", "simulate", "certify"])
 def test_run_manifests_record_the_shared_keys_and_each_commands_flags(
         tmp_path, net3_file, quad3_costs_file, capsys, argv, extra):
@@ -440,7 +454,13 @@ def test_cost_seed_counts_in_a_run_only_outside_primary_mode(tmp_path, capsys,
     ({"family": "quadratic", "r": 2, "c": [1.0, 2.0]}, "field 'c' has shape (2,)"),
     ({"family": "quadratic", "r": 2, "c": [1.0, 2.0, 1.5], "b": [0.0, 0.0]},
      "field 'b' has shape (2,)"),
-], ids=["no-c", "short-c", "short-b"])
+    ({"family": "power", "r": 2.7, "c": [1.0, 2.0, 1.5]},
+     "field 'r' must be an integer, got 2.7"),
+    ({"family": "quadratic", "r": 2, "c": [1.0, float("nan"), 1.5]},
+     "cost coefficients must be strictly positive"),
+    ({"family": "quadratic", "r": 2, "c": [1.0, 2.0, 1.5],
+      "b": [0.0, float("inf"), 0.0]}, "cost offsets b must be finite"),
+], ids=["no-c", "short-c", "short-b", "fractional-r", "nan-c", "inf-b"])
 def test_a_bad_costs_file_is_refused_naming_the_file_and_field(
         tmp_path, net3_file, capsys, doc, field):
     costs = write_json(tmp_path / "bad_costs.json", doc)
@@ -533,9 +553,17 @@ def test_certify_writes_json_report_outside_the_hashed_config(
                                      str(tmp_path / "certify.json")])
     # the JSON report adds no config field, so it leaves config_hash alone
     assert set(doc["config"]) == {"net", "p", "mode", "T", "h", "integrator",
-                                  "tol_abs", "tol_rel", "fd_rtol", "epsilon",
-                                  "checkpoint", "costs"}
+                                  "fd_rtol", "epsilon", "checkpoint", "costs"}
     assert doc["config_hash"] == cli._config_hash(doc["config"])
+
+
+@pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+def test_certify_has_no_decrease_slack_flags(tmp_path, net3_file,
+                                             quad3_costs_file, capsys, flag):
+    # the decrease slack is fixed in lyapunov; a flag could only loosen it
+    argv = certify_args(net3_file, quad3_costs_file, tmp_path) + [flag, "1e9"]
+    assert main(argv) == 2
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_certify_primary_json_reports_the_searched_decay_constant(

@@ -39,6 +39,7 @@ def test_shifted_common_has_unit_zeta():
     ("power", 4, [1.0, 0.0], "strictly positive"),
     ("power", 4, [-1.0], "strictly positive"),
     ("shifted_common", 4, [1.0, 1.1], "requires c = 1"),
+    ("power", 4, [1.0, np.nan], "strictly positive"),
 ])
 def test_invalid_models_rejected(family, r, c, message):
     with pytest.raises(CostError, match=message):

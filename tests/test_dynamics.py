@@ -53,11 +53,12 @@ def test_load_bus_frequency_is_power_balance():
     delta -= delta.mean()
     u = rng.uniform(-0.5, 0.5, 3)
     p = rng.uniform(-0.5, 0.5, 3)
-    omega_l = dyn.load_bus_frequencies(net, delta, u, p)
+    x = np.stack((delta, np.zeros(3), np.zeros(3)))
+    omega = dyn.derivatives(net, quad3(), ctl.identity_params(n=3), x, p, u=u)[1]
     # the algebraic bus must satisfy its own balance exactly
     flows = power_flows(net, delta)
     i = net.loads[0]
-    assert net.alpha[i] * omega_l[0] == pytest.approx(
+    assert net.alpha[i] * omega[i] == pytest.approx(
         -flows[i] + p[i] + u[i], abs=1e-14)
 
 
@@ -199,9 +200,11 @@ def test_simulate_records_consistent_rows():
     assert np.allclose(traj.u, ctl.eval_u(params, traj.s), atol=0)
     assert np.allclose(traj.mc, costs.grad(traj.u), atol=0)
     # load-bus omega rows satisfy the algebraic balance
+    ll = net.loads
     for l in (0, 57, 200):
-        omega_l = dyn.load_bus_frequencies(net, traj.delta[l], traj.u[l], scen.p)
-        assert np.allclose(traj.omega[l][net.loads], omega_l, atol=1e-14)
+        flows = power_flows(net, traj.delta[l])
+        assert np.allclose(net.alpha[ll] * traj.omega[l][ll],
+                           -flows[ll] + scen.p[ll] + traj.u[l][ll], atol=1e-14)
 
 
 def test_simulate_deterministic_bit_identity():

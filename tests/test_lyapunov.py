@@ -227,12 +227,11 @@ def test_W_dot_matches_directional_derivative():
     deltas, omegas, ss = lyap.sample_region_states(net, eq, 12, seed=5)
     eps = 1e-6
     for k in range(12):
-        delta, omega, s = deltas[k], omegas[k], ss[k]
-        u = ctl.eval_u(params, s)
-        omega = omega.copy()
-        omega[net.loads] = dyn.load_bus_frequencies(net, delta, u, p)
+        delta, s = deltas[k], ss[k]
+        # derivatives fills the load-bus omega entries from the power balance
+        f, omega = dyn.derivatives(net, costs, params,
+                                   np.stack((delta, omegas[k], s)), p)[:2]
         state = np.stack((delta, omega, s))
-        f = dyn.derivatives(net, costs, params, state, p)[0]
         wp = lyap.lyap_W(net, params,
                          (delta + eps * f[0], omega + eps * f[1], s + eps * f[2]),
                          eq)
@@ -247,9 +246,7 @@ def test_W_dot_matches_directional_derivative():
 def test_W_dot_nonpositive_on_region():
     net, costs, params, p, eq = dai_setup()
     delta, omega, s = lyap.sample_region_states(net, eq, 300, seed=21)
-    omega = omega.copy()
-    u = ctl.eval_u(params, s)
-    omega[:, net.loads] = dyn.load_bus_frequencies(net, delta, u, p)
+    omega = dyn.derivatives(net, costs, params, np.stack((delta, omega, s)), p)[1]
     wdot = lyap.lyap_W_dot(net, costs, params, (delta, omega, s), eq)
     assert np.all(wdot <= 1e-12)
 
@@ -271,8 +268,7 @@ def test_W_nonnegative_and_W_dot_nonpositive_on_random_networks(
     assume(edge_angle_spread(net, eq.delta_star) < np.pi / 2 - lyap.REGION_MARGIN)
     delta, omega, s = lyap.sample_region_states(net, eq, count, seed=seed,
                                                 base_spread=spread)
-    omega[:, net.loads] = dyn.load_bus_frequencies(net, delta,
-                                                   ctl.eval_u(params, s), p)
+    omega = dyn.derivatives(net, costs, params, np.stack((delta, omega, s)), p)[1]
     state = (delta, omega, s)
     # W and W_dot sum differences of O(1) terms, so rounding may cross zero
     # by a few ulps: the floor is the certifier's positivity floor, both ways
@@ -632,9 +628,7 @@ def test_certify_dai_trajectory_passes():
     eq = eqm.solve_equilibrium(net, costs, params, p)
     scen = Scenario(p=p, T=10.0, h=2e-3)
     traj = dyn.simulate(scen, net, costs, params, stepper=dyn.rk4_step)
-    report = lyap.certify_trajectory(
-        traj, net, costs, params, eq,
-        tolerances=lyap.CertifyTolerances(fd_rtol=1e-3))
+    report = lyap.certify_trajectory(traj, net, costs, params, eq, fd_rtol=1e-3)
     assert report.passed, report.summary()
     assert report.decrease_margin_min >= 0.0
     assert report.positivity_min >= 0.0
@@ -712,8 +706,6 @@ def test_certify_primary_trajectory_passes(make_net):
     eq = eqm.solve_equilibrium(net, None, params, p, mode="primary")
     scen = Scenario(p=p, T=10.0, h=1e-3, mode="primary")
     traj = dyn.simulate(scen, net, None, params, stepper=dyn.rk4_step)
-    report = lyap.certify_trajectory(traj, net, None, params, eq,
-                                     tolerances=lyap.CertifyTolerances(
-                                         fd_rtol=1e-3))
+    report = lyap.certify_trajectory(traj, net, None, params, eq, fd_rtol=1e-3)
     assert report.passed, report.summary()
     assert report.epsilon is not None

@@ -67,6 +67,23 @@ def test_validation_errors(mutate, message):
         network.network_from_dict(doc)
 
 
+@pytest.mark.parametrize("section, field", [("lines", "i"), ("comm", "j")])
+def test_an_edge_naming_an_unknown_bus_is_refused_naming_the_id_and_field(
+        section, field):
+    edge = {"i": 1, "j": 2, "B" if section == "lines" else "Q": 1.0}
+    edge[field] = 9999
+    doc = {
+        "buses": [
+            {"id": 1, "kind": "gen", "m": 4.0, "alpha": 1.2},
+            {"id": 2, "kind": "load", "alpha": 1.5},
+        ],
+        "lines": [{"i": 1, "j": 2, "B": 2.0}],
+    }
+    doc.setdefault(section, []).append(edge)
+    with pytest.raises(NetworkError, match=f"unknown bus id 9999 in field '{field}'"):
+        network.network_from_dict(doc)
+
+
 def test_asymmetric_duplicate_line_rejected():
     doc = {
         "buses": [
