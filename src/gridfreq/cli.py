@@ -355,6 +355,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_certify(args):
+    if args.fd_rtol is not None and not 0 <= args.fd_rtol < np.inf:
+        raise ValueError(f"--fd-rtol must be finite and >= 0, got {args.fd_rtol!r}")
+    if args.epsilon is not None and not 0 < args.epsilon < np.inf:
+        raise ValueError(f"--epsilon must be finite and > 0, got {args.epsilon!r}")
     net, costs, params, scenario, traj = _simulate_from_args(args)
     eq = eq_mod.solve_equilibrium(net, costs, params, scenario.p, mode=args.mode)
     report = lyapunov.certify_trajectory(traj, net, costs, params, eq,

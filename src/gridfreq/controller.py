@@ -147,11 +147,15 @@ def transform_params(raw: RawParams, u_lo=None, u_hi=None, dz=None) -> NetParams
 def validate_params(params: NetParams, warn=True):
     """Check the ordered-bias and positive-partial-sum chains.
 
-    Returns True when every bus satisfies both chains with all plus partial
-    sums > 0 and minus partial sums < 0 (strict monotonicity).  The all-zero
-    controller and any bus whose slope dips below SLOPE_WARN_FLOOR trigger a
-    warning; actually negative partial sums return False.
+    Returns True when every k and b is finite and every bus satisfies both
+    chains with all plus partial sums > 0 and minus partial sums < 0 (strict
+    monotonicity).  The all-zero controller and any bus whose slope dips
+    below SLOPE_WARN_FLOOR trigger a warning; actually negative partial sums
+    return False.
     """
+    if not all(np.isfinite(a).all() for a in (params.k_plus, params.b_plus,
+                                               params.k_minus, params.b_minus)):
+        return False
     ps_plus = np.cumsum(params.k_plus, axis=-1)
     ps_minus = np.cumsum(params.k_minus, axis=-1)
     # allowance for roundoff in the telescoping sums (exactly-zero slopes can

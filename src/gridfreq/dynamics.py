@@ -17,8 +17,9 @@ angle/integrator clocks carry the 2*pi*f0 factor explicitly; the primary
 mode follows the companion convention d(delta)/dt = omega - mean(omega).
 
 `derivatives` is the one closed-loop right-hand side and `_advance` the one
-state update: the steppers here evaluate the one and end in the other, and
-the training rollout takes `euler_step` on a batch of states.
+state update: the steppers here evaluate the one and end in the other, the
+training rollout takes `euler_step` on a batch of states, and
+`max_stable_step` differentiates the field through its linear part `_assemble`.
 States travel as one (3, ..., n) array of (delta, omega, s), so a stage
 advance or the RK4 combination is a single array operation; the rows lead
 so that each is a C-contiguous (..., n) block at any batch size, which the
@@ -40,7 +41,7 @@ import numpy as np
 from .controller import NetParams, eval_u
 from .costs import CostModel
 from .network import (DEFAULT_LOAD_INERTIA, NetworkError, PowerNetwork,  # noqa: F401
-                      comm_laplacian_apply, power_flows, project_gauge)
+                      comm_laplacian_apply, flow_jacobian_apply, power_flows, project_gauge)
 
 MODES = ("dai_general", "primary")
 BLOWUP_LIMIT = 1e9           # all states are per-unit scale; beyond this the
@@ -70,8 +71,8 @@ class Scenario:
     def __post_init__(self):
         if self.mode not in MODES:
             raise DynamicsError(f"unknown mode {self.mode!r}")
-        if not (self.h > 0):
-            raise DynamicsError("step h must be positive")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise DynamicsError(f"step h must be positive and finite, got {self.h!r}")
         if not (np.isfinite(self.T) and self.T >= self.h):
             raise DynamicsError(f"horizon T must cover at least one step and "
                                 f"be finite, got {self.T!r}")
@@ -123,29 +124,31 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     algebraic quantities at the state.  In DAI mode the load-bus entries of
     x's omega are ignored; omega carries their power-balance values
     (-flow_i + p_i + u_i)/alpha_i, and k's omega row is zero there.  In
-    primary mode k's s row is zero.  mc is zero without a cost model.  `u`
-    is the policies' output at x's controller input (the integral row in
-    DAI mode) when the caller already has it.
+    primary mode k's s row is zero.  u is zero without controllers and mc
+    without a cost model.  `u` is the policies' output at x's controller
+    input (the integral row in DAI mode) when the caller already has it.
     """
-    omega = x[1]
-    flows = power_flows(net, x[0])
-    k = np.zeros(x.shape)
+    if u is None:
+        u = (eval_u(controllers, x[1 if mode == "primary" else 2])
+             if controllers is not None else np.zeros(x.shape[1:]))
+    mc = costs.grad(u) if costs is not None else np.zeros_like(u)
+    return (*_assemble(net, costs, x, power_flows(net, x[0]), p, u, mc, mode), u, mc)
 
+
+def _assemble(net, costs, x, flows, p, u, mc, mode):
+    """(k, omega) of `derivatives` from the state and its nonlinear maps:
+    the flows, u and mc.  Linear in (x, flows, p, u, mc), so on tangents of
+    them it gives the field's directional derivative."""
+    omega = x[1]
+    k = np.zeros(x.shape)
     if mode == "primary":
-        if u is None:
-            u = eval_u(controllers, omega) if controllers is not None \
-                else np.zeros(omega.shape)
-        mc = costs.grad(u) if costs is not None else np.zeros_like(u)
         np.subtract(omega, np.add.reduce(omega, axis=-1, keepdims=True) / net.n,
                     out=k[0])
         np.divide(p - net.alpha * omega - u - flows, net.inertia, out=k[1])
-        return k, omega, u, mc
+        return k, omega
 
     two_pi_f0 = 2.0 * np.pi * net.f0
-    if u is None:
-        u = eval_u(controllers, x[2])
     omega = np.where(net._is_gen, omega, (-flows + p + u) / net.alpha)
-    mc = costs.grad(u)
     np.multiply(two_pi_f0,
                 omega - np.add.reduce(omega, axis=-1, keepdims=True) / net.n,
                 out=k[0])
@@ -153,11 +156,7 @@ def derivatives(net: PowerNetwork, costs: CostModel, controllers: NetParams,
               out=k[1], where=net._is_gen)
     np.subtract(-two_pi_f0 * omega, costs.zeta * comm_laplacian_apply(net, mc),
                 out=k[2])
-    return k, omega, u, mc
-
-
-def _field(net, costs, controllers, scenario, x):
-    return derivatives(net, costs, controllers, x, scenario.p, scenario.mode)
+    return k, omega
 
 
 def _locate(net, x):
@@ -212,7 +211,8 @@ def euler_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
     row, bus and scenario, once the state is non-finite or beyond
     BLOWUP_LIMIT.
     """
-    k, omega = (stage or _field(net, costs, controllers, scenario, x))[:2]
+    k, omega = (stage or derivatives(net, costs, controllers, x, scenario.p,
+                                     scenario.mode))[:2]
     return _advance(net, step_index, x, omega, scenario.h * k)
 
 
@@ -220,23 +220,26 @@ def rk4_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
              scenario: Scenario, x, step_index=0, stage=None):
     """Classical 4th-order step over the same derivative field; `stage` as
     in euler_step."""
-    h = scenario.h
-    k1, omega = (stage or _field(net, costs, controllers, scenario, x))[:2]
-    k2 = _field(net, costs, controllers, scenario, x + (0.5 * h) * k1)[0]
-    k3 = _field(net, costs, controllers, scenario, x + (0.5 * h) * k2)[0]
-    k4 = _field(net, costs, controllers, scenario, x + h * k3)[0]
+    h, p, mode = scenario.h, scenario.p, scenario.mode
+    k1, omega = (stage or derivatives(net, costs, controllers, x, p, mode))[:2]
+    k2 = derivatives(net, costs, controllers, x + (0.5 * h) * k1, p, mode)[0]
+    k3 = derivatives(net, costs, controllers, x + (0.5 * h) * k2, p, mode)[0]
+    k4 = derivatives(net, costs, controllers, x + h * k3, p, mode)[0]
     return _advance(net, step_index, x, omega, (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 STEPPERS = {"euler": euler_step, "rk4": rk4_step}
 
 
-def check_scenario(net: PowerNetwork, costs: CostModel, scenario: Scenario,
-                   batched=False):
+def check_scenario(net: PowerNetwork, costs: CostModel, controllers: NetParams,
+                   scenario: Scenario, batched=False):
     """Raise DynamicsError unless the scenario runs on `net`: a cost model
-    in DAI modes, and p one (n,) disturbance ((B, n) when `batched`)."""
+    and controllers in DAI modes (primary mode runs uncontrolled without
+    them), and p one (n,) disturbance ((B, n) when `batched`)."""
     if scenario.mode != "primary" and costs is None:
         raise DynamicsError("DAI modes need a cost model")
+    if scenario.mode != "primary" and controllers is None:
+        raise DynamicsError("DAI modes need controllers")
     shape, n = np.shape(scenario.p), net.n
     if len(shape) != 1 + batched or shape[-1] != n:
         want = f"(B, {n})" if batched else f"({n},)"
@@ -250,33 +253,40 @@ _STABILITY = {"euler": lambda z: 1 + z,
               "rk4": lambda z: 1 + z * (1 + z / 2 * (1 + z / 3 * (1 + z / 4)))}
 
 
+def _jacobians(net, costs, controllers, scenario):
+    """The field's one-sided Jacobians at the scenario's initial state (gauged
+    and checked as simulate's is), with the policies' right- and left-limit
+    slopes: `_assemble` on the 3n unit tangents, with p' = 0, u' the slope
+    masked where saturated (as in training.backprop) and mc' = C''(u) u'."""
+    x0 = gauge_initial(net, scenario.x0)
+    row = 1 if scenario.mode == "primary" else 2      # the controller input
+    x = np.stack([x0[row], np.nextafter(x0[row], -np.inf)])
+    slopes, curv = np.zeros(x.shape), 0.0
+    if controllers is not None:
+        t = controllers._tables
+        xe = t.shift(x)
+        r = t.index(xe)
+        g = t.value(xe, r)
+        slopes = np.where(t.unsaturated(g), t.slope(x, xe, r), 0.0)
+        curv = costs.curvature(t.clamp(g[0])) if costs is not None else 0.0
+    E = np.eye(x0.size).reshape(-1, 3, net.n).swapaxes(0, 1)    # (3, 3n, n)
+    flows = flow_jacobian_apply(net, x0[0], E[0])
+    for du in slopes[:, None] * E[row]:
+        k = _assemble(net, costs, E, flows, 0.0, du, curv * du, scenario.mode)[0]
+        yield k.transpose(0, 2, 1).reshape(x0.size, x0.size)
+
+
 def max_stable_step(net: PowerNetwork, costs: CostModel, controllers: NetParams,
                     scenario: Scenario, method="rk4"):
     """Largest step h at which `method` ("euler" or "rk4") is stable on the
-    closed loop linearized at the scenario's initial state.
-
-    One batched derivatives call evaluates the field at the initial state
-    and at every state coordinate moved up and down by 1e-7 times
-    max(1, |coordinate|); the one-sided differences give two Jacobians, as
-    the policies have a kink at the origin, where the integral states start.
-    h is stable when |R(h lam)| <= 1 for every eigenvalue lam of either
-    with a negative real part.  Eigenvalues on the imaginary axis or right
-    of it (the angle gauge, the algebraic load frequencies) are left out:
-    no step size damps them.  Returns inf when no eigenvalue limits h.
+    closed loop linearized at the scenario's initial state: |R(h lam)| <= 1
+    for every eigenvalue lam with a negative real part of either one-sided
+    Jacobian.  Eigenvalues on the imaginary axis or right of it (the angle
+    gauge, the algebraic load frequencies) are left out: no step size damps
+    them.  Returns inf when no eigenvalue limits h.
     """
-    check_scenario(net, costs, scenario)
-    x0 = scenario.x0.ravel()
-    N = x0.size
-    eps = 1e-7 * np.maximum(1.0, np.abs(x0))
-    x = np.tile(x0, (2 * N + 1, 1))
-    i = np.arange(N)
-    x[1 + i, i] += eps
-    x[1 + N + i, i] -= eps
-    k = _field(net, costs, controllers, scenario,    # x as (3, 2N+1, n)
-               x.reshape(-1, 3, net.n).swapaxes(0, 1))[0]
-    k = k.swapaxes(0, 1).reshape(2 * N + 1, N)
-    lam = np.concatenate([np.linalg.eigvals((k[1:N + 1] - k[0]) / eps[:, None]),
-                          np.linalg.eigvals((k[0] - k[N + 1:]) / eps[:, None])])
+    check_scenario(net, costs, controllers, scenario)
+    lam = np.linalg.eigvals([*_jacobians(net, costs, controllers, scenario)]).ravel()
     lam = lam[lam.real < -1e-9 * np.abs(lam).max(initial=0.0)]
     if lam.size == 0:
         return np.inf
@@ -297,14 +307,14 @@ def simulate(scenario: Scenario, net: PowerNetwork, costs: CostModel = None,
     the first stage of step l, which the stepper then reuses.
     Deterministic: identical inputs give bit-identical trajectories.
     """
-    check_scenario(net, costs, scenario)
+    check_scenario(net, costs, controllers, scenario)
     steps = scenario.steps
     x = gauge_initial(net, scenario.x0)
 
     t = np.arange(steps + 1) * scenario.h
     delta, omega, s, u, mc = np.empty((5, steps + 1, net.n))
     for l in range(steps + 1):
-        stage = _field(net, costs, controllers, scenario, x)
+        stage = derivatives(net, costs, controllers, x, scenario.p, scenario.mode)
         delta[l], s[l] = x[0], x[2]
         omega[l], u[l], mc[l] = stage[1:]
         if l < steps:
@@ -369,17 +379,10 @@ def _load_csv(path, keep=None):
 
 def read_csv(path):
     """Inverse of write_csv; returns a Trajectory without angles (not stored)."""
-    header, arr = _load_csv(path)
-    n = (len(header) - 2) // 4
-    t = arr[:, 0]
-    omega = arr[:, 1:1 + n]
-    s = arr[:, 1 + n:1 + 2 * n]
-    u = arr[:, 1 + 2 * n:1 + 3 * n]
-    mc = arr[:, 1 + 3 * n:1 + 4 * n]
-    W = arr[:, -1]
-    if np.all(np.isnan(W)):
-        W = None
-    return Trajectory(mode="unknown", t=t, delta=np.full((len(t), n), np.nan),
+    arr = _load_csv(path)[1]
+    omega, s, u, mc = np.split(arr[:, 1:-1], 4, axis=1)
+    W = None if np.all(np.isnan(arr[:, -1])) else arr[:, -1]
+    return Trajectory(mode="unknown", t=arr[:, 0], delta=np.full(omega.shape, np.nan),
                       omega=omega, s=s, u=u, mc=mc, W=W)
 
 

@@ -467,10 +467,8 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
     # ratios blow up wherever the decrease rate passes through zero, so the
     # defect is measured against the largest rate seen on the trajectory.
     scale = float(np.max(np.abs(wdot))) if len(wdot) else 0.0
-    if len(w) >= 3 and scale > 0.0:
-        fd_rel_err_max = float(np.max(np.abs(fd[1:-1] - wdot[1:-1]))) / scale
-    else:
-        fd_rel_err_max = 0.0
+    fd_err = np.abs(fd[1:-1] - wdot[1:-1])
+    fd_rel_err_max = float(np.max(fd_err)) / scale if fd_err.size and scale > 0 else 0.0
 
     failures = []
     first = len(w)
@@ -484,7 +482,8 @@ def certify_trajectory(traj: Trajectory, net: PowerNetwork, costs: CostModel,
         failures.append("cross-term sign")
         first = 0
     if fd_rtol is not None and fd_rel_err_max > fd_rtol:
-        failures.append("fd-mismatch")
+        failures.append("fd-mismatch")      # at the interior step of the worst error
+        first = min(first, 1 + int(np.argmax(fd_err)))
 
     passed = not failures
     return CertificationReport(

@@ -83,11 +83,19 @@ class TrainConfig:
             if not (isinstance(value, (int, np.integer)) and value >= least):
                 raise ValueError(f"TrainConfig.{name} must be an integer >= {least}, "
                                  f"got {value!r}")
+        for name in ("rho", "h", "T", "lr", "lr_decay", "p_lo", "p_hi"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, float, np.number)) and np.isfinite(value)):
+                raise ValueError(f"TrainConfig.{name} must be a finite number, "
+                                 f"got {value!r}")
         if not self.h > 0:
             raise ValueError(f"TrainConfig.h must be positive, got {self.h!r}")
-        if not (np.isfinite(self.T) and self.T >= self.h):
+        if not self.T >= self.h:
             raise ValueError(f"TrainConfig.T must be finite and cover at least "
                              f"one step h = {self.h!r}, got {self.T!r}")
+        if self.p_lo > self.p_hi:
+            raise ValueError(f"TrainConfig.p_lo = {self.p_lo!r} exceeds "
+                             f"TrainConfig.p_hi = {self.p_hi!r}")
 
     @property
     def steps(self):
@@ -142,7 +150,7 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)
     scenario = Scenario(p=p, T=cfg.T, h=cfg.h)
-    check_scenario(net, costs, scenario, batched=True)
+    check_scenario(net, costs, params, scenario, batched=True)
     scenario = replace(scenario, initial=initial)   # after p, so a bad p is named
     B = p.shape[0]
     n = net.n

@@ -557,6 +557,33 @@ def test_certify_writes_json_report_outside_the_hashed_config(
     assert doc["config_hash"] == cli._config_hash(doc["config"])
 
 
+def _no_simulate(*args, **kwargs):
+    raise AssertionError("simulate called")
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--fd-rtol", "nan", ">= 0"), ("--fd-rtol", "inf", ">= 0"), ("--fd-rtol", "-1", ">= 0"),
+    ("--epsilon", "nan", "> 0"), ("--epsilon", "inf", "> 0"), ("--epsilon", "-1", "> 0"),
+    ("--epsilon", "0", "> 0")])
+def test_certify_refuses_a_bad_gate_flag_before_integrating(
+        tmp_path, net3_file, quad3_costs_file, capsys, monkeypatch, flag, value, rule):
+    # a NaN --fd-rtol used to switch its gate off, and a bad --epsilon to run
+    # the whole simulation before failing the certificate
+    monkeypatch.setattr(dynamics, "simulate", _no_simulate)
+    assert main(certify_args(net3_file, quad3_costs_file, tmp_path, **{flag: value})) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be finite and {rule}, got {float(value)!r}\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_simulate_names_an_infinite_step(tmp_path, net2_file, quad2_costs_file, capsys):
+    # it used to be blamed on the horizon T
+    assert main(["simulate", "--net", net2_file, "--costs", quad2_costs_file,
+                 "--p", "[0.2, -0.2]", "--h", "inf", "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: step h must be positive and finite, got inf\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
 def test_certify_has_no_decrease_slack_flags(tmp_path, net3_file,
                                              quad3_costs_file, capsys, flag):
@@ -627,6 +654,31 @@ def test_train_rejects_nonpositive_sizes_before_training(tmp_path, net2_file,
     assert code == 1
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+    assert not (tmp_path / "ck.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "nan", "TrainConfig.lr must be a finite number, got nan"),
+    ("--lr", "inf", "TrainConfig.lr must be a finite number, got inf"),
+    ("--rho", "nan", "TrainConfig.rho must be a finite number, got nan"),
+    ("--lr-decay", "inf", "TrainConfig.lr_decay must be a finite number, got inf"),
+    ("--p-lo", "nan", "TrainConfig.p_lo must be a finite number, got nan"),
+    ("--p-hi", "inf", "TrainConfig.p_hi must be a finite number, got inf"),
+    ("--h", "inf", "TrainConfig.h must be a finite number, got inf"),
+    ("--p-lo", "5", "TrainConfig.p_lo = 5.0 exceeds TrainConfig.p_hi = 1.0"),
+])
+def test_train_refuses_a_non_finite_setting_by_name(tmp_path, net2_file,
+                                                    quad2_costs_file, capsys,
+                                                    flag, value, message):
+    # a NaN or infinite --lr or --rho used to exit 0 with a checkpoint of
+    # NaNs, a NaN --p-lo to end in an OverflowError traceback, and an empty
+    # disturbance range in NumPy's "high - low < 0"
+    code = main(["train", "--net", net2_file, "--costs", quad2_costs_file,
+                 "--outdir", str(tmp_path), "--out", "ck.json"]
+                + TRAIN_FLAGS + [flag, value])      # the last one counts
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "ck.json").exists()
     assert not (tmp_path / "manifest.json").exists()
 

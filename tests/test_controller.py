@@ -86,6 +86,17 @@ def test_validate_rejects_disordered_breakpoints():
     assert not ctl.validate_params(params, warn=False)
 
 
+@pytest.mark.parametrize("field", ["k_plus", "b_plus", "k_minus", "b_minus"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite_parameters(field, bad):
+    # every chain comparison is False on NaN, so a NaN used to validate
+    arrays = dict(k_plus=np.array([[1.0, 1.0]]), b_plus=np.array([[0.0, 0.2]]),
+                  k_minus=np.array([[-1.0, -1.0]]), b_minus=np.array([[0.0, -0.2]]))
+    assert ctl.validate_params(NetParams(**arrays), warn=False)
+    arrays[field][0, 1] = bad
+    assert not ctl.validate_params(NetParams(**arrays), warn=False)
+
+
 def test_validate_warns_on_vanishing_slope():
     raw = RawParams(mu_plus=np.zeros((1, 1)), mu_minus=np.zeros((1, 1)),
                     chi_plus=np.zeros((1, 0)), chi_minus=np.zeros((1, 0)))

@@ -7,7 +7,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from gridfreq import controller as ctl
@@ -33,6 +33,9 @@ def quad3():
     (dict(T=1e-4), "horizon T must cover"),
     (dict(p=np.array([np.inf, 0.0, 0.0])), "must be finite"),
     (dict(mode="dai_linear"), "unknown mode"),
+    # last, so the cases above keep their ids; an infinite h used to pass
+    # and be blamed on T
+    (dict(h=np.inf), r"step h must be positive and finite, got inf"),
 ])
 def test_scenario_validation(kwargs, message):
     base = dict(p=np.zeros(3), T=1.0, h=1e-3)
@@ -281,10 +284,34 @@ def _no_derivatives(*args, **kwargs):
 def test_max_stable_step_names_a_bad_scenario(p, costs, message, monkeypatch):
     # each used to fail inside NumPy, or on costs.grad, mid-evaluation;
     # now it is refused as simulate refuses it, before the field is evaluated
+    # (the step limit evaluates it through _assemble)
     monkeypatch.setattr(dyn, "derivatives", _no_derivatives)
+    monkeypatch.setattr(dyn, "_assemble", _no_derivatives)
     with pytest.raises(DynamicsError, match=re.escape(message)):
         dyn.max_stable_step(three_bus(), costs, ctl.identity_params(n=3),
                             Scenario(p=p, T=0.01, h=1e-3))
+
+
+@pytest.mark.parametrize("row, name", [(0, "delta"), (1, "omega"), (2, "s")])
+def test_max_stable_step_names_a_non_finite_initial_state(row, name):
+    # each used to end in a LinAlgError from the eigenvalue solver; from the
+    # exact Jacobians a NaN omega or s would give a finite limit
+    x0 = np.zeros((3, 3))
+    x0[row, 1] = np.nan
+    with pytest.raises(DynamicsError, match=f"^initial state: non-finite {name} at bus 2$"):
+        dyn.max_stable_step(three_bus(), quad3(), ctl.identity_params(n=3),
+                            Scenario(p=np.zeros(3), T=0.01, h=1e-3, initial=x0))
+
+
+def test_a_dai_scenario_without_controllers_is_refused_by_name(monkeypatch):
+    # both used to end in AttributeError on None._tables mid-evaluation
+    monkeypatch.setattr(dyn, "derivatives", _no_derivatives)
+    monkeypatch.setattr(dyn, "_assemble", _no_derivatives)
+    scen = Scenario(p=np.array([-0.3, 0.1, 0.1]), T=0.01, h=1e-3)
+    for run in (lambda: dyn.simulate(scen, three_bus(), quad3()),
+                lambda: dyn.max_stable_step(three_bus(), quad3(), None, scen)):
+        with pytest.raises(DynamicsError, match="DAI modes need controllers"):
+            run()
 
 
 @pytest.mark.parametrize("mode", dyn.MODES)
@@ -627,50 +654,125 @@ STABILITY = {"euler": lambda z: 1 + z,
              "rk4": lambda z: 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24}
 
 
-def _modes_at_origin(net, costs, params):
-    """Eigenvalues with a negative real part of the closed loop linearized
-    at the origin, and their left eigenvectors as rows, from central
-    differences of `derivatives` on the flat (3n) state."""
-    N, eps = 3 * net.n, 1e-7
-    x = np.concatenate([np.eye(N), -np.eye(N)]) * eps
+def _difference_jacobians(net, costs, params, x0, p, mode="dai_general", eps=1e-7):
+    """Right, central and left differences of `derivatives` at the (3, n)
+    state x0, each coordinate of the flat (3n) state moved by eps (the
+    steps as rounded), as (3n, 3n) Jacobians."""
+    N, flat = x0.size, x0.ravel()
+    x = flat + np.concatenate([np.eye(N), -np.eye(N)]) * eps
+    up_step, down_step = (flat + eps) - flat, flat - (flat - eps)
     k = dyn.derivatives(net, costs, params, x.reshape(2 * N, 3, net.n).swapaxes(0, 1),
-                        np.zeros(net.n))[0]
-    k = k.swapaxes(0, 1).reshape(2 * N, N)
-    lam, right = np.linalg.eig(((k[:N] - k[N:]) / (2 * eps)).T)
+                        p, mode)[0]
+    up, down = np.split(k.swapaxes(0, 1).reshape(2 * N, N), 2)
+    mid = dyn.derivatives(net, costs, params, x0, p, mode)[0].ravel()
+    return (((up - mid) / up_step[:, None]).T,
+            ((up - down) / (up_step + down_step)[:, None]).T,
+            ((mid - down) / down_step[:, None]).T)
+
+
+def _modes_at(net, costs, params, x0, p):
+    """Eigenvalues with a negative real part of the DAI loop linearized at
+    the state x0 by central differences, and their left eigenvectors as
+    rows."""
+    lam, right = np.linalg.eig(_difference_jacobians(net, costs, params, x0, p)[1])
     keep = lam.real < -1e-9 * np.abs(lam).max()
     return lam[keep], np.linalg.inv(right)[keep]
 
 
+# central differences at step 1e-7 carry roundoff of about 1e-9 of max|J|
+# (1.3e-9 at worst over 300 random draws); at the origin, where the field
+# vanishes and bends only at the kink, the one-sided ones carry about 1e-15
+JACOBIAN_RTOL = 1e-7
+
+
 @settings(max_examples=30)
-@given(st.integers(0, 10 ** 6), st.integers(2, 10), st.sampled_from(["euler", "rk4"]))
-def test_step_limit_is_the_edge_of_stability_on_random_networks(net_seed, buses, method):
-    # with p = 0 the origin is an equilibrium, and the linear policies put no
-    # kink there, so near it each step multiplies a mode's amplitude by
-    # R(h lam): at 0.98 of the limit no mode grows, and at 1.05 the limiting
-    # one grows by |R|^steps >= 1e3.  A limit set by a weakly damped mode
-    # grows too slowly to see (|R| < 1.01); those draws are counted as a
+@given(st.integers(0, 10 ** 6), st.integers(2, 8), st.sampled_from(dyn.MODES))
+def test_exact_jacobians_equal_differences_of_the_field(net_seed, buses, mode):
+    # the step limit's one-sided Jacobians, with kinked policies, saturation
+    # bounds and a deadband: at a state away from every kink both equal the
+    # central differences; at the origin kink (from rest, no deadband) the
+    # right and left ones equal the right and left differences
+    net = random_connected_net(net_seed, buses=buses)
+    rng = np.random.default_rng(net_seed)
+    costs = cm.random_power_costs(net.n, rng, r=4)
+    raw = ctl.init_raw_params(net.n, 3, rng)
+    free = ctl.transform_params(raw)
+    dz = rng.uniform(0.0, 0.1, net.n)
+    edges = rng.uniform(0.3, 0.8, (2, net.n)) * np.array([[-1.0], [1.0]])
+    u_lo, u_hi = ctl.eval_u(free, edges)        # saturated beyond the edges
+    x0 = np.stack([rng.uniform(-0.3, 0.3, net.n), rng.uniform(-1.0, 1.0, net.n),
+                   rng.uniform(-1.0, 1.0, net.n)])
+    x0[0] -= x0[0].mean()
+    p = rng.uniform(-0.3, 0.3, net.n)
+    # kinks of u in its input: the deadband edges, and the breakpoints and
+    # saturation edges of the unshifted policy moved out by dz
+    bends = np.concatenate([free.b_plus, free.b_minus, edges.T], axis=1)
+    kinks = np.concatenate([bends + np.sign(bends) * dz[:, None],
+                            np.stack([dz, -dz], axis=1)], axis=1)
+    inputs = x0[1 if mode == "primary" else 2]
+    assume(np.abs(inputs[:, None] - kinks).min() > 1e-5)
+    assume(np.abs(bends[bends != 0.0]).min() > 1e-5)
+
+    params = ctl.transform_params(raw, u_lo, u_hi, dz)
+    scen = Scenario(p=p, T=1.0, h=1e-3, mode=mode, initial=x0)
+    right, left = dyn._jacobians(net, costs, params, scen)
+    central = _difference_jacobians(net, costs, params, x0, p, mode)[1]
+    assert np.array_equal(right, left)
+    assert np.abs(right - central).max() <= JACOBIAN_RTOL * np.abs(right).max()
+
+    params = ctl.transform_params(raw, u_lo, u_hi)
+    scen = Scenario(p=np.zeros(net.n), T=1.0, h=1e-3, mode=mode)
+    exact = list(dyn._jacobians(net, costs, params, scen))
+    diffs = _difference_jacobians(net, costs, params, scen.x0, scen.p, mode)[::2]
+    for J, fd in zip(exact, diffs):
+        assert np.abs(J - fd).max() <= JACOBIAN_RTOL * np.abs(J).max()
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["linear", "kinked"]), st.integers(0, 10 ** 6),
+       st.integers(2, 10), st.sampled_from(["euler", "rk4"]))
+def test_step_limit_is_the_edge_of_stability_on_random_networks(policy, net_seed,
+                                                                 buses, method):
+    # near an equilibrium inside one linear piece of the policies, each step
+    # multiplies a mode's amplitude by R(h lam): at 0.98 of the limit no mode
+    # grows, and at 1.05 the limiting one grows by |R|^steps >= 1e3.  With
+    # p = 0 the origin is such an equilibrium for linear policies.  Kinked
+    # (init_raw_params) policies bend at the origin, where the loop switches
+    # between the two one-sided linearizations and no one set of modes
+    # describes it; they run about (0, 0, s*) with s* past every breakpoint
+    # (at most 0.18 here), balanced by p = -u(s*) and by costs c = 1 / u(s*),
+    # under which every marginal cost is 1.  A limit set by a weakly damped
+    # mode grows too slowly to see (|R| < 1.01); those draws are counted as a
     # Hypothesis event (`--hypothesis-show-statistics`) and not checked
     net = random_connected_net(net_seed, buses=buses)
     rng = np.random.default_rng(net_seed)
-    costs = cm.quadratic_costs(rng.uniform(0.5, 2.0, net.n))
-    params = ctl.scaled_identity_params(rng.uniform(0.5, 2.0, net.n))
-    x0 = rng.uniform(-1e-6, 1e-6, (3, net.n))
+    eq, p, size = np.zeros((3, net.n)), np.zeros(net.n), 1e-6
+    if policy == "linear":
+        costs = cm.quadratic_costs(rng.uniform(0.5, 2.0, net.n))
+        params = ctl.scaled_identity_params(rng.uniform(0.5, 2.0, net.n))
+    else:
+        params = ctl.transform_params(ctl.init_raw_params(net.n, 3, rng))
+        eq[2] = rng.uniform(0.25, 1.0, net.n)
+        p = -ctl.eval_u(params, eq[2])
+        costs = cm.quadratic_costs(-1.0 / p)
+        size = 1e-5      # above the roundoff of the s* offsets
+    x0 = eq + rng.uniform(-size, size, (3, net.n))
     x0[0] -= x0[0].mean()
-    scen = Scenario(p=np.zeros(net.n), T=1.0, h=1e-3, initial=x0)
+    scen = Scenario(p=p, T=1.0, h=1e-3, initial=x0)
     limit = dyn.max_stable_step(net, costs, params, scen, method)
-    lam, left = _modes_at_origin(net, costs, params)
+    lam, left = _modes_at(net, costs, params, eq, p)
     growth = np.abs(STABILITY[method](1.05 * limit * lam))
     worst = np.argmax(growth)
     if growth[worst] < 1.01:
-        event("skipped: |R(1.05 h lam)| < 1.01")
+        event(f"{policy}: skipped, |R(1.05 h lam)| < 1.01")
         return
-    event("checked")
+    event(f"{policy}: checked")
     steps = int(np.ceil(np.log(1e3) / np.log(growth[worst])))
     for factor in (0.98, 1.05):
         h = factor * limit
         traj = dyn.simulate(Scenario(p=scen.p, T=steps * h, h=h, initial=scen.initial),
                             net, costs, params, stepper=dyn.STEPPERS[method])
-        x = np.concatenate([traj.delta, traj.omega, traj.s], axis=1)
+        x = np.concatenate([traj.delta, traj.omega, traj.s], axis=1) - eq.ravel()
         amp = np.abs(x @ left.T)          # (steps + 1, modes)
         if factor < 1:
             assert np.all(amp <= amp[0] * (1 + 1e-6) + 1e-9 * amp[0].max())

@@ -637,6 +637,23 @@ def test_certify_dai_trajectory_passes():
     assert "PASS" in report.summary()
 
 
+def test_an_fd_mismatch_names_the_step_of_its_worst_error():
+    # the gate compares the centered stencil on the interior steps; it used
+    # to report step len(W), one past the last recorded step
+    net = three_bus()
+    costs = quad3()
+    params = ctl.identity_params(n=3)
+    p = np.array([-0.3, -0.15, 0.0])
+    eq = eqm.solve_equilibrium(net, costs, params, p)
+    traj = dyn.simulate(Scenario(p=p, T=0.05, h=2e-3), net, costs, params,
+                        stepper=dyn.rk4_step)
+    report = lyap.certify_trajectory(traj, net, costs, params, eq, fd_rtol=1e-15)
+    assert report.failures == ("fd-mismatch",)
+    err = np.abs(report.fd - report.W_dot)[1:-1]
+    assert report.first_violation == 1 + np.argmax(err)
+    assert 1 <= report.first_violation <= len(report.W) - 2
+
+
 def test_certify_flags_nonmonotone_controller_by_positivity():
     # slope partial sums go negative past s = 0.3: u rises to 0.9 then folds
     # down; the controller integral is non-convex and the energy loses

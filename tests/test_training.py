@@ -57,6 +57,24 @@ def test_train_config_names_a_bad_seed(seed):
         TrainConfig(seed=seed)
 
 
+@pytest.mark.parametrize("field", ["rho", "h", "T", "lr", "lr_decay", "p_lo", "p_hi"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "0.1", None])
+def test_train_config_names_a_non_finite_setting(field, bad):
+    # a NaN or infinite lr or rho used to train to a checkpoint of NaNs, a
+    # NaN p_lo to end in NumPy's OverflowError, an infinite h to be blamed
+    # on T, and a string lr from a --config file to fail mid-training
+    with pytest.raises(ValueError, match=rf"^TrainConfig\.{field} must be a finite "
+                                         rf"number, got {re.escape(repr(bad))}$"):
+        TrainConfig(**{field: bad})
+
+
+def test_train_config_names_an_empty_disturbance_range():
+    with pytest.raises(ValueError, match=r"^TrainConfig\.p_lo = 5\.0 exceeds "
+                                         r"TrainConfig\.p_hi = -5\.0$"):
+        TrainConfig(p_lo=5.0, p_hi=-5.0)
+    assert TrainConfig(p_lo=1.0, p_hi=1.0).p_lo == 1.0
+
+
 def test_loss_is_batch_mean():
     net = two_bus()
     costs = cm.power_costs(4, np.array([1.1, 0.6]))
@@ -356,6 +374,17 @@ def test_train_blow_up_reports_epoch_and_seed():
                                                 r"(delta|omega|s) at bus [12] of "
                                                 r"scenario [01] \(epoch \d+, seed 9\)$"):
             trn.train(net, costs, cfg)
+
+
+def test_train_stops_on_a_step_past_the_floats():
+    # a finite lr of 1e300 squares mu past the floats, so the next policy
+    # has NaN slopes; validate_params used to pass them and train finished
+    net = two_bus()
+    costs = cm.power_costs(4, np.array([1.0, 1.0]))
+    cfg = TrainConfig(d=2, h=1e-3, T=0.01, batch_size=2, epochs=1, lr=1e300, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(AssertionError, match="monotonicity chain broken"):
+        trn.train(net, costs, cfg)
 
 
 def test_train_deterministic():
