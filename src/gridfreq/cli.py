@@ -92,6 +92,7 @@ def _load_disturbance(net, path_or_json):
 
     Accepts {"p": {"13": -3.0, ...}} (sparse, keyed by bus id), {"p": [..n
     values..]} (dense), or the bare mapping/list without the "p" wrapper.
+    A NaN or infinite entry is refused, naming the lowest such bus.
     """
     text = path_or_json
     if os.path.exists(text):
@@ -119,6 +120,9 @@ def _load_disturbance(net, path_or_json):
         if arr.shape != (net.n,):
             raise ValueError(f"--p: expected {net.n} values, got {arr.shape}")
         p = arr
+    if not np.all(np.isfinite(p)):
+        i = int(np.argmin(np.isfinite(p)))
+        raise ValueError(f"--p: bus {net.ids[i]}: must be finite, got {float(p[i])!r}")
     return p
 
 
@@ -180,12 +184,18 @@ def _add_common(sub):
     sub.add_argument("--cost-r", type=int, default=4)
 
 
-def _add_scenario(sub, integrator_default, help=None):
-    """The flags that _simulate_from_args reads."""
+def _add_operating_point(sub):
+    """The flags of a run on one network and disturbance (equilibrium,
+    simulate, certify), which _write_run_manifest records."""
     _add_common(sub)
-    sub.add_argument("--p", required=True)
+    sub.add_argument("--p", required=True, help="disturbance JSON file or inline JSON")
     sub.add_argument("--mode", default="dai_general", choices=dynamics.MODES)
     sub.add_argument("--checkpoint", default=None)
+
+
+def _add_scenario(sub, integrator_default, help=None):
+    """The flags that _simulate_from_args reads."""
+    _add_operating_point(sub)
     sub.add_argument("--T", type=float, default=40.0)
     sub.add_argument("--h", type=float, default=5e-4)
     sub.add_argument("--integrator", default=integrator_default,
@@ -547,10 +557,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     eq = sub.add_parser("equilibrium", help="solve the optimal steady state")
-    _add_common(eq)
-    eq.add_argument("--p", required=True, help="disturbance JSON file or inline JSON")
-    eq.add_argument("--mode", default="dai_general", choices=dynamics.MODES)
-    eq.add_argument("--checkpoint", default=None)
+    _add_operating_point(eq)
     eq.add_argument("--csv", default=None, help="also write a CSV table")
     eq.set_defaults(func=_cmd_equilibrium)
 

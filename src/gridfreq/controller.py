@@ -122,7 +122,7 @@ class NetParams:
     def _tables(self):
         """Evaluation tables, built on first use; the table arrays are
         read-only from then on (only the tiled breakpoint copy grows, and
-        `nodes` is built on first use)."""
+        `nodes` and `crossings` are built on first use)."""
         return _Tables(self)
 
 
@@ -323,6 +323,17 @@ class _Tables:
         k, c = self.rows(self.index(0.5 * (x0 + x[j, bus])))
         # flatter: the crossing may lie past the floats
         return np.divide(y - c, k, out=x0, where=k >= 1e-300)
+
+    @cached_property
+    def crossings(self):
+        """(x_lo, x_hi), (2, n): the x' where g meets u_lo and u_hi.  On a
+        clamped bus `inverse` solves each bound on the line of the segment
+        that meets it, which stays exact on the near-flat end segments where
+        node differences of g are all roundoff (an infinite bound met on a
+        rising end segment is its own crossing); on an unclamped bus both
+        bounds are."""
+        bounds = np.stack([self.u_lo, self.u_hi])
+        return np.where(np.isfinite(bounds).any(axis=0), self.inverse(bounds), bounds)
 
     def clamp(self, g):
         return np.clip(g, self.u_lo, self.u_hi) if self.clamped else g

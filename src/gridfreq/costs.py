@@ -9,8 +9,7 @@ marginal cost satisfies  C_i'(u) = C_o'(zeta_i * u).  The supported families:
 - shifted_common: C_i(u) = (1 / r) u^r + b_i        (zeta_i = 1 for all i)
 
 The common marginal y -> y^(r-1) is strictly increasing and has the analytic
-inverse y -> sign(y) |y|^(1/(r-1)); a bracketing bisection fallback covers
-the general monotone case and doubles as an oracle for the analytic path.
+inverse y -> sign(y) |y|^(1/(r-1)).
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from functools import cached_property
 import numpy as np
 
 _FAMILIES = ("power", "quadratic", "shifted_common")
-
-BISECT_TOL = 1e-12
-BRACKET_LIMIT = 1e6
 
 
 class CostError(ValueError):
@@ -83,19 +79,10 @@ class CostModel:
         y = np.asarray(y, dtype=float)
         return y ** (self.r - 1)
 
-    def common_grad_inverse(self, y, method="analytic"):
-        """Invert the common marginal: find x with x^(r-1) = y.
-
-        method="analytic" uses the closed form; method="bisection" brackets
-        the root by doubling and halves to |residual| < 1e-12, available as a
-        cross-check and for marginals without a closed-form inverse.
-        """
+    def common_grad_inverse(self, y):
+        """Invert the common marginal: x with x^(r-1) = y, in closed form."""
         y = np.asarray(y, dtype=float)
-        if method == "analytic":
-            return np.sign(y) * np.abs(y) ** (1.0 / (self.r - 1))
-        if method != "bisection":
-            raise CostError(f"unknown inversion method {method!r}")
-        return _bisect_increasing(self.common_grad, y if y.shape else float(y))
+        return np.sign(y) * np.abs(y) ** (1.0 / (self.r - 1))
 
 
 def _power(u, k):
@@ -105,42 +92,6 @@ def _power(u, k):
     for _ in range(k - 1):
         out = out * u
     return out
-
-
-def _bisect_increasing(f, target, tol=BISECT_TOL, limit=BRACKET_LIMIT,
-                       exhausted_msg="gradient range exhausted while bracketing inverse"):
-    """Root of f(x) = target for increasing f, by doubling bracket + bisection.
-
-    Stops on |f(x) - target| < tol, falling back to float-resolution stall
-    (the midpoint stops moving) when the local slope makes that unreachable.
-    An array of targets is solved one element at a time.
-    """
-    if np.ndim(target) > 0:
-        return np.array([_bisect_increasing(f, t, tol, limit, exhausted_msg)
-                         for t in np.ravel(target).tolist()]).reshape(np.shape(target))
-    lo, hi = -1.0, 1.0
-    while f(hi) < target:
-        hi *= 2.0
-        if hi > limit:
-            raise CostError(exhausted_msg)
-    while f(lo) > target:
-        lo *= 2.0
-        if lo < -limit:
-            raise CostError(exhausted_msg)
-    mid = 0.5 * (lo + hi)
-    for _ in range(400):
-        res = f(mid) - target
-        if abs(res) < tol:
-            return mid
-        if res < 0:
-            lo = mid
-        else:
-            hi = mid
-        nxt = 0.5 * (lo + hi)
-        if nxt == lo or nxt == hi:   # interval is two adjacent floats: done
-            return nxt
-        mid = nxt
-    return mid
 
 
 def power_costs(r, c, b=None) -> CostModel:

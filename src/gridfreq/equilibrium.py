@@ -6,8 +6,9 @@ marginal-cost level gamma splits the burden -sum(p) across buses in inverse
 proportion to their cost scalings, the network angles then solve a lossless
 power flow for those injections, and each integral state is read off the
 controller's inverse, in closed form from its tables.  The open-loop (or
-droop-controlled) counterpart is a single scalar balance, solved by
-bisection, giving the synchronous frequency deviation.
+droop-controlled) counterpart is a single scalar balance, piecewise linear
+in the synchronous frequency deviation, solved in closed form from the
+same tables.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .controller import NetParams, eval_u, lipschitz_constant
-from .costs import CostModel, _bisect_increasing
+from .costs import CostModel
 from .network import (PowerNetwork, edge_angle_spread, flow_jacobian,
                       power_flows, to_center_of_inertia)
 
@@ -41,32 +42,14 @@ class Equilibrium:
     omega_star: float
 
 
-def solve_gamma(costs: CostModel, p, method="analytic") -> float:
+def solve_gamma(costs: CostModel, p) -> float:
     """Common marginal-cost level balancing the total disturbance.
 
     Power balance with equal marginals forces the common inverse at gamma to
-    equal -sum(p) / sum(1/zeta).  The analytic path inverts in closed form;
-    the bisection path solves the same scalar equation numerically end to
-    end (outer search over gamma, inner numeric marginal inverses) as an
-    independent cross-check.
+    equal -sum(p) / sum(1/zeta), inverted in closed form.
     """
-    p = np.asarray(p, dtype=float)
     inv_zeta_sum = float(np.sum(1.0 / costs.zeta))
-    target = -float(np.sum(p))
-    if method == "analytic":
-        return float(costs.common_grad(target / inv_zeta_sum))
-    if method != "bisection":
-        raise EquilibriumError(f"unknown solve_gamma method {method!r}")
-
-    def total_injection(gamma):
-        return float(costs.common_grad_inverse(gamma, method="bisection")) * inv_zeta_sum
-
-    return _bisect_increasing(total_injection, target)
-
-
-def steady_injections(costs: CostModel, gamma) -> np.ndarray:
-    """Per-bus injections with marginal cost gamma everywhere."""
-    return costs.grad_inverse(gamma)
+    return float(costs.common_grad(-float(np.sum(p)) / inv_zeta_sum))
 
 
 def newton_power_flow(net: PowerNetwork, injections, guess=None) -> np.ndarray:
@@ -148,21 +131,32 @@ def solve_s_star(params: NetParams, u_star, bus_ids=None) -> np.ndarray:
 def synchronous_frequency(net: PowerNetwork, p, params: NetParams = None) -> float:
     """Steady frequency deviation of the all-machine (primary/open-loop) model.
 
-    Solves sum_i u_i(omega) + omega * sum(alpha) = sum(p) for the scalar
-    omega; with no controllers this is the classic sum(p)/sum(alpha).
+    The root of F(omega) = sum_i u_i(omega) + omega * sum(alpha) = sum(p);
+    with no controllers this is the classic sum(p)/sum(alpha).  F is
+    increasing and linear between its nodes: each bus's breakpoints and
+    saturation crossings x' moved out of the deadband (x' + dz above zero,
+    x' - dz below it), and both deadband edges.  One eval_u on all nodes,
+    padded by one point beyond each end, gives F there; omega is the root
+    of the line through the first node with F >= sum(p) and the one before
+    it (the end segments extend to infinity), taken from the node nearer
+    the root, since the far one loses digits to cancellation.
     """
     p = np.asarray(p, dtype=float)
     alpha_sum = float(net.alpha.sum())
     p_sum = float(p.sum())
     if params is None:
         return p_sum / alpha_sum
-
-    def balance(omega):
-        u = eval_u(params, np.full(net.n, omega))
-        return float(u.sum()) + omega * alpha_sum
-
-    return _bisect_increasing(balance, p_sum, limit=1e9,
-                              exhausted_msg="synchronous frequency bracket exhausted")
+    t = params._tables
+    xe = np.concatenate([t.breakpoints, t.crossings.T], axis=1)
+    x = np.concatenate([xe + np.sign(xe) * params.dz[:, None],
+                        np.stack([-params.dz, params.dz], axis=1)], axis=1)
+    x = np.sort(x[np.isfinite(x)])       # a repeated node brackets no root
+    x = np.concatenate([x[:1] - 1.0, x, x[-1:] + 1.0])
+    F = eval_u(params, x[:, None]).sum(axis=1) + x * alpha_sum
+    above = np.flatnonzero(F >= p_sum)
+    j = int(np.clip(above[0] if above.size else len(x), 1, len(x) - 1))
+    a = j if F[j] - p_sum < p_sum - F[j - 1] else j - 1
+    return float(x[a] + (p_sum - F[a]) * (x[j] - x[j - 1]) / (F[j] - F[j - 1]))
 
 
 def solve_equilibrium(net: PowerNetwork, costs: CostModel, params: NetParams,
@@ -183,7 +177,7 @@ def solve_equilibrium(net: PowerNetwork, costs: CostModel, params: NetParams,
         return Equilibrium(gamma=None, u_star=u, delta_star=delta,
                            s_star=None, omega_star=omega)
     gamma = solve_gamma(costs, p)
-    u_star = steady_injections(costs, gamma)
+    u_star = costs.grad_inverse(gamma)
     delta_star = newton_power_flow(net, p + u_star)
     s_star = solve_s_star(params, u_star, bus_ids=list(net.ids))
     return Equilibrium(gamma=gamma, u_star=u_star, delta_star=delta_star,

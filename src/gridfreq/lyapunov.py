@@ -58,23 +58,18 @@ class LyapunovError(ValueError):
 # --------------------------------------------------------------------------
 
 def _crossings(params: NetParams):
-    """(x_lo, x_hi): where each bus's unclamped policy g meets u_lo and u_hi.
-
-    The tables' inverse solves each bound on the line k x' + c of the
-    segment of g that meets it, which stays exact on the near-flat end
-    segments where node differences of g are all roundoff; an infinite bound
-    met on a rising end segment is its own crossing, and so are both on
-    unclamped buses.  A clamped bus whose g falls raises, unless
-    validate_params accepts the policy within its roundoff allowance.
+    """(x_lo, x_hi): where each bus's unclamped policy g meets u_lo and u_hi,
+    the tables' `crossings`.  Their inverse needs a nondecreasing g, so a
+    clamped bus whose g falls raises, unless validate_params accepts the
+    policy within its roundoff allowance.
     """
     t = params._tables
-    bounds = np.stack([params.u_lo, params.u_hi])
-    clamped = np.isfinite(bounds).any(axis=0)
+    clamped = np.isfinite(params.u_lo) | np.isfinite(params.u_hi)
     bad = clamped & (np.diff(t.nodes[1], axis=0).min(axis=0) < 0.0)
     if bad.any() and not validate_params(params, warn=False):
         raise LyapunovError(f"bus {int(np.argmax(bad))}: clamped policy is not "
                             f"monotone, so L(s) has no closed form")
-    return np.where(clamped, t.inverse(bounds), bounds)
+    return t.crossings
 
 
 def integral_per_bus(params: NetParams, s):

@@ -96,6 +96,16 @@ class TrainConfig:
         if self.p_lo > self.p_hi:
             raise ValueError(f"TrainConfig.p_lo = {self.p_lo!r} exceeds "
                              f"TrainConfig.p_hi = {self.p_hi!r}")
+        # the policies pass through 0, so the bounds must straddle it
+        for name, sign in (("u_lo", -1), ("u_hi", 1)):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, float, np.number))
+                                          and sign * value >= 0):
+                raise ValueError(f"TrainConfig.{name} must be None or a number "
+                                 f"{'<=' if sign < 0 else '>='} 0, got {value!r}")
+        if not (isinstance(self.dz, (int, float, np.number)) and 0 <= self.dz < np.inf):
+            raise ValueError(f"TrainConfig.dz must be a finite number >= 0, "
+                             f"got {self.dz!r}")
 
     @property
     def steps(self):
@@ -359,7 +369,9 @@ def train(net: PowerNetwork, costs: CostModel, cfg: TrainConfig) -> TrainResult:
     Initializes raw parameters from the standard distribution, then per
     epoch: draw a fresh batch of uniform disturbances, roll out, backprop,
     and take a plain gradient step with geometrically decaying rate.  The
-    monotonicity chains hold at every epoch by construction (asserted).
+    monotonicity chains hold at every epoch by construction; a step that
+    breaks them anyway (one past the floats) raises ValueError naming the
+    epoch, the seed and the rate.
     """
     rng = np.random.default_rng(cfg.seed)
     raw = init_raw_params(net.n, cfg.d, rng)
@@ -374,14 +386,18 @@ def train(net: PowerNetwork, costs: CostModel, cfg: TrainConfig) -> TrainResult:
         grads = backprop(tape, net, costs)
         del tape                # so the next rollout's tape replaces it
         lr = cfg.lr * cfg.lr_decay ** e
-        raw = RawParams(
-            mu_plus=raw.mu_plus - lr * grads.mu_plus,
-            mu_minus=raw.mu_minus - lr * grads.mu_minus,
-            chi_plus=raw.chi_plus - lr * grads.chi_plus,
-            chi_minus=raw.chi_minus - lr * grads.chi_minus,
-        )
-        params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
+        # no overflow warnings: a step past the floats fails validate_params
+        # below, which names the epoch
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = RawParams(
+                mu_plus=raw.mu_plus - lr * grads.mu_plus,
+                mu_minus=raw.mu_minus - lr * grads.mu_minus,
+                chi_plus=raw.chi_plus - lr * grads.chi_plus,
+                chi_minus=raw.chi_minus - lr * grads.chi_minus,
+            )
+            params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
         if not validate_params(params, warn=False):
-            raise AssertionError("monotonicity chain broken during training")
+            raise ValueError(f"training epoch {e} (seed {cfg.seed}, lr {cfg.lr!r}): "
+                             f"the gradient step broke the policies' monotonicity chains")
         history[e] = loss
     return TrainResult(raw=raw, params=params, loss_history=history, seed=cfg.seed)

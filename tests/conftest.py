@@ -10,7 +10,8 @@ import pytest
 from hypothesis import settings
 
 from gridfreq import network, training
-from gridfreq.controller import RawParams
+from gridfreq.controller import RawParams, eval_u
+from gridfreq.costs import CostError
 
 # property tests draw the same examples on every run, so tier-1 reruns stay
 # deterministic; no example database is written
@@ -100,6 +101,67 @@ def eval_slope(params, x):
     xe = t.shift(x)
     r = t.index(xe)
     return np.where(t.unsaturated(t.value(xe, r)), t.slope(x, xe, r), 0.0)
+
+
+def bisect_increasing(f, target, tol=1e-12, limit=1e6,
+                      exhausted_msg="gradient range exhausted while bracketing inverse"):
+    """Root of f(x) = target for increasing f, by doubling bracket + bisection,
+    the scalar oracle for the closed-form equilibrium solves.
+
+    Stops on |f(x) - target| < tol, falling back to float-resolution stall
+    (the midpoint stops moving) when the local slope makes that unreachable.
+    An array of targets is solved one element at a time.
+    """
+    if np.ndim(target) > 0:
+        return np.array([bisect_increasing(f, t, tol, limit, exhausted_msg)
+                         for t in np.ravel(target).tolist()]).reshape(np.shape(target))
+    lo, hi = -1.0, 1.0
+    while f(hi) < target:
+        hi *= 2.0
+        if hi > limit:
+            raise CostError(exhausted_msg)
+    while f(lo) > target:
+        lo *= 2.0
+        if lo < -limit:
+            raise CostError(exhausted_msg)
+    mid = 0.5 * (lo + hi)
+    for _ in range(400):
+        res = f(mid) - target
+        if abs(res) < tol:
+            return mid
+        if res < 0:
+            lo = mid
+        else:
+            hi = mid
+        nxt = 0.5 * (lo + hi)
+        if nxt == lo or nxt == hi:   # interval is two adjacent floats: done
+            return nxt
+        mid = nxt
+    return mid
+
+
+def bisection_gamma(costs, p):
+    """equilibrium.solve_gamma by bisection end to end: an outer search over
+    gamma, with numeric inverses of the common marginal inside."""
+    inv_zeta_sum = float(np.sum(1.0 / costs.zeta))
+
+    def total_injection(gamma):
+        return bisect_increasing(costs.common_grad, gamma) * inv_zeta_sum
+
+    return bisect_increasing(total_injection, -float(np.sum(p)))
+
+
+def bisection_synchronous_frequency(net, p, params):
+    """equilibrium.synchronous_frequency by bisection of the balance
+    sum_i u_i(omega) + omega * sum(alpha) = sum(p)."""
+    alpha_sum = float(net.alpha.sum())
+
+    def balance(omega):
+        u = eval_u(params, np.full(net.n, omega))
+        return float(u.sum()) + omega * alpha_sum
+
+    return bisect_increasing(balance, float(np.sum(p)), limit=1e9,
+                             exhausted_msg="synchronous frequency bracket exhausted")
 
 
 def finite_difference_gradients(net, costs, raw, p, cfg, eps=1e-6,

@@ -189,7 +189,11 @@ def test_disturbance_rejects_wrong_length():
     ('{"2": "x"}', "--p: bus 2: could not convert string to float: 'x'"),
     ('{"9999": -1.0}', "--p: bus 9999: unknown bus id 9999"),
     ('[0.1, "x", 0.0]', "--p: could not convert string to float: 'x'"),
-], ids=["non-numeric-value", "unknown-bus", "non-numeric-list-entry"])
+    ('{"3": 0.5, "2": NaN}', "--p: bus 2: must be finite, got nan"),
+    ('{"p": {"1": -Infinity}}', "--p: bus 1: must be finite, got -inf"),
+    ('[0.1, Infinity, NaN]', "--p: bus 2: must be finite, got inf"),
+], ids=["non-numeric-value", "unknown-bus", "non-numeric-list-entry",
+        "nan-value", "infinite-value", "non-finite-list-entry"])
 def test_a_bad_disturbance_entry_is_refused_naming_p_and_the_bus(
         tmp_path, net3_file, quad3_costs_file, capsys, p, message):
     code = main(["equilibrium", "--net", net3_file, "--costs", quad3_costs_file,
@@ -710,6 +714,35 @@ def test_train_rejects_a_step_beyond_the_stability_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--h 0.001 exceeds the euler stability limit h <= 0.000617 s" in err
     assert not any(tmp_path.iterdir())
+
+
+def test_train_names_the_epoch_whose_step_breaks_the_policies(tmp_path, capsys):
+    # a finite lr of 1e300 squares mu past the floats; this used to end in
+    # an AssertionError traceback after NumPy's overflow warnings
+    net = str(resources.files("gridfreq") / "data" / "case39.json")
+    code = main(["train", "--net", net, "--epochs", "1", "--batch-size", "2",
+                 "--T", "0.01", "--lr", "1e300", "--outdir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: training epoch 0 (seed 0, lr 1e+300): the gradient step broke "
+        "the policies' monotonicity chains\n")
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"u_lo": 1.0, "u_hi": -1.0}, "TrainConfig.u_lo must be None or a number <= 0, got 1.0"),
+    ({"dz": -1.0}, "TrainConfig.dz must be a finite number >= 0, got -1.0"),
+], ids=["bounds-miss-the-origin", "negative-deadband"])
+def test_train_refuses_a_config_policy_range_by_name(tmp_path, net2_file,
+                                                     quad2_costs_file, capsys,
+                                                     config, message):
+    path = write_json(tmp_path / "cfg.json", config)
+    code = main(["train", "--net", net2_file, "--costs", quad2_costs_file,
+                 "--config", path, "--outdir", str(tmp_path / "run")]
+                + TRAIN_FLAGS)
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_trained_checkpoint_drives_simulation(tmp_path, net2_file,

@@ -4,6 +4,8 @@ import pytest
 from gridfreq import costs as cm
 from gridfreq.costs import CostError
 
+from conftest import bisect_increasing
+
 
 def test_power_family_values_and_derivatives():
     model = cm.power_costs(4, np.array([2.0, 0.5]), b=np.array([0.1, 0.0]))
@@ -94,26 +96,20 @@ def test_common_grad_inverse_bisection_matches_analytic():
         rng = np.random.default_rng(seed)
         y = rng.uniform(-5.0, 5.0)
         analytic = model.common_grad_inverse(y)
-        bisected = model.common_grad_inverse(y, method="bisection")
+        bisected = bisect_increasing(model.common_grad, y)
         assert bisected == pytest.approx(analytic, abs=1e-9)
 
 
 def test_common_grad_inverse_bisection_array():
     model = cm.power_costs(6, np.ones(3))
     y = np.array([-2.0, 0.5, 8.0])
-    assert np.allclose(model.common_grad_inverse(y, method="bisection"),
+    assert np.allclose(bisect_increasing(model.common_grad, y),
                        model.common_grad_inverse(y), atol=1e-9)
-
-
-def test_common_grad_inverse_unknown_method():
-    model = cm.power_costs(4, np.ones(2))
-    with pytest.raises(CostError, match="unknown inversion method"):
-        model.common_grad_inverse(1.0, method="newton")
 
 
 def test_bisection_bracket_exhaustion():
     with pytest.raises(CostError, match="gradient range exhausted"):
-        cm._bisect_increasing(np.tanh, 2.0)
+        bisect_increasing(np.tanh, 2.0)
 
 
 def test_common_grad_is_odd_and_increasing():

@@ -11,7 +11,9 @@ from gridfreq import equilibrium as eqm
 from gridfreq.equilibrium import EquilibriumError
 from gridfreq.network import power_flows
 
-from conftest import three_bus, two_bus, random_connected_net
+from conftest import (bisect_increasing, bisection_gamma,
+                      bisection_synchronous_frequency, three_bus, two_bus,
+                      random_connected_net)
 from test_lyapunov import monotone_policies
 
 
@@ -21,7 +23,7 @@ def test_gamma_closed_form_quartic():
     costs = cm.power_costs(4, np.array([1.0, 8.0, 1.0]))
     gamma = eqm.solve_gamma(costs, np.array([-1.0, -0.5, -0.5]))
     assert gamma == pytest.approx(0.512, abs=1e-12)
-    u_star = eqm.steady_injections(costs, gamma)
+    u_star = costs.grad_inverse(gamma)
     assert np.allclose(u_star, [0.8, 0.4, 0.8], atol=1e-12)
 
 
@@ -42,14 +44,8 @@ def test_gamma_bisection_agrees_with_analytic():
         if abs(p.sum()) < 0.5:
             p = p - (np.sign(p.sum()) or 1.0) * 0.5 / 4
         analytic = eqm.solve_gamma(costs, p)
-        bisected = eqm.solve_gamma(costs, p, method="bisection")
+        bisected = bisection_gamma(costs, p)
         assert bisected == pytest.approx(analytic, abs=1e-9)
-
-
-def test_gamma_unknown_method():
-    costs = cm.quadratic_costs(np.ones(2))
-    with pytest.raises(EquilibriumError, match="unknown solve_gamma method"):
-        eqm.solve_gamma(costs, np.zeros(2), method="newton")
 
 
 def test_steady_injections_equalize_marginals_and_balance():
@@ -59,7 +55,7 @@ def test_steady_injections_equalize_marginals_and_balance():
         costs = cm.power_costs(r, rng.uniform(0.2, 2.0, 5))
         p = rng.uniform(-1.0, 0.0, 5)
         gamma = eqm.solve_gamma(costs, p)
-        u = eqm.steady_injections(costs, gamma)
+        u = costs.grad_inverse(gamma)
         mc = costs.grad(u)
         assert np.max(np.abs(mc - gamma)) < 1e-10
         assert p.sum() + u.sum() == pytest.approx(0.0, abs=1e-10)
@@ -166,6 +162,31 @@ def test_synchronous_frequency_with_droop():
     assert omega == pytest.approx(p.sum() / (net.alpha.sum() + 3), abs=1e-9)
 
 
+@given(st.integers(0, 2 ** 16), st.integers(2, 8), st.integers(1, 6),
+       st.booleans(), st.booleans(), st.floats(-30.0, 30.0))
+def test_synchronous_frequency_is_the_exact_root_of_the_balance(
+        seed, buses, d, saturated, deadband, p_sum):
+    # kinked policies, with saturation bounds small enough for a large
+    # disturbance to drive some buses onto them, and with a deadband; the
+    # bisection stops at a residual below 1e-12, the closed form near
+    # rounding of the balance itself
+    rng = np.random.default_rng(seed)
+    net = random_connected_net(seed, buses=buses, all_gens=True)
+    masks = {}
+    if saturated:
+        masks.update(u_lo=-rng.uniform(0.05, 1.0, net.n),
+                     u_hi=rng.uniform(0.05, 1.0, net.n))
+    if deadband:
+        masks.update(dz=rng.uniform(0.0, 0.3, net.n))
+    params = ctl.transform_params(ctl.init_raw_params(net.n, d, rng), **masks)
+    p = p_sum * rng.dirichlet(np.ones(net.n))
+    omega = eqm.synchronous_frequency(net, p, params)
+    assert abs(omega - bisection_synchronous_frequency(net, p, params)) <= 1e-11
+    balance = float(ctl.eval_u(params, np.full(net.n, omega)).sum()) \
+        + omega * float(net.alpha.sum())
+    assert abs(balance - float(p.sum())) <= 1e-13 * max(1.0, abs(float(p.sum())))
+
+
 def test_solve_equilibrium_dai_fixed_point():
     net = three_bus()
     costs = cm.power_costs(4, np.array([1.0, 8.0, 1.0]))
@@ -208,7 +229,7 @@ def test_equilibrium_residuals_stay_under_tolerance_on_random_networks(
     p = rng.uniform(-0.05, 0.05, net.n)
     masks = {}
     if masked:
-        bound = 1.5 * np.max(np.abs(eqm.steady_injections(costs, eqm.solve_gamma(costs, p))))
+        bound = 1.5 * np.max(np.abs(costs.grad_inverse(eqm.solve_gamma(costs, p))))
         masks = dict(u_lo=-bound, u_hi=bound, dz=float(rng.uniform(0.0, 0.1)))
     params = ctl.transform_params(ctl.init_raw_params(net.n, 5, rng), **masks)
     eq = eqm.solve_equilibrium(net, costs, params, p, mode=mode)
@@ -237,7 +258,7 @@ def _oracle_s_star(params, u_star):
             x[_i] = s
             return float(ctl.eval_u(params, x)[_i])
 
-        s_star[i] = cm._bisect_increasing(u_of_s, float(u_star[i]), limit=1e9)
+        s_star[i] = bisect_increasing(u_of_s, float(u_star[i]), limit=1e9)
     return s_star
 
 
@@ -325,6 +346,6 @@ def test_elementwise_bisection_freezes_each_element():
     # targets that converge at very different iteration counts, and one
     # that stalls on float resolution, each equal the scalar solve
     targets = np.array([0.0, 1e-3, 7.25, -3.5e5, 123.456, 2.0 ** -40])
-    got = cm._bisect_increasing(lambda x: x ** 3, targets)
+    got = bisect_increasing(lambda x: x ** 3, targets)
     for g, t in zip(got, targets):
-        assert g == cm._bisect_increasing(lambda x: x ** 3, float(t))
+        assert g == bisect_increasing(lambda x: x ** 3, float(t))

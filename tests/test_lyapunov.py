@@ -669,7 +669,7 @@ def test_certify_flags_nonmonotone_controller_by_positivity():
     assert not ctl.validate_params(params, warn=False)
     p = np.array([-0.5, -0.3, -0.1])
     gamma = eqm.solve_gamma(costs, p)
-    u_star = eqm.steady_injections(costs, gamma)
+    u_star = costs.grad_inverse(gamma)
     assert np.all(u_star < 0.9)  # reachable on the increasing branch
     delta_star = eqm.newton_power_flow(net, p + u_star)
     eq = Equilibrium(gamma=gamma, u_star=u_star, delta_star=delta_star,

@@ -75,6 +75,31 @@ def test_train_config_names_an_empty_disturbance_range():
     assert TrainConfig(p_lo=1.0, p_hi=1.0).p_lo == 1.0
 
 
+@pytest.mark.parametrize("field, bad, rule", [
+    ("u_lo", 1.0, "None or a number <= 0"),
+    ("u_lo", np.inf, "None or a number <= 0"),
+    ("u_lo", np.nan, "None or a number <= 0"),
+    ("u_lo", "-1", "None or a number <= 0"),
+    ("u_hi", -1.0, "None or a number >= 0"),
+    ("u_hi", -np.inf, "None or a number >= 0"),
+    ("u_hi", np.nan, "None or a number >= 0"),
+    ("u_hi", [1.0], "None or a number >= 0"),
+    ("dz", -1.0, "a finite number >= 0"),
+    ("dz", np.inf, "a finite number >= 0"),
+    ("dz", np.nan, "a finite number >= 0"),
+    ("dz", None, "a finite number >= 0"),
+])
+def test_train_config_names_a_policy_range_that_misses_the_origin(field, bad, rule):
+    # the policies pass through 0: a u_lo above it or a u_hi below it used
+    # to train with exit 0 on policies that no longer did, and a negative
+    # dz to drop the deadband without a word
+    with pytest.raises(ValueError, match=rf"^TrainConfig\.{field} must be {rule}, "
+                                         rf"got {re.escape(repr(bad))}$"):
+        TrainConfig(**{field: bad})
+    bounds = TrainConfig(u_lo=-np.inf, u_hi=0.0, dz=0.0)
+    assert (bounds.u_lo, bounds.u_hi, bounds.dz) == (-np.inf, 0.0, 0.0)
+
+
 def test_loss_is_batch_mean():
     net = two_bus()
     costs = cm.power_costs(4, np.array([1.1, 0.6]))
@@ -382,8 +407,9 @@ def test_train_stops_on_a_step_past_the_floats():
     net = two_bus()
     costs = cm.power_costs(4, np.array([1.0, 1.0]))
     cfg = TrainConfig(d=2, h=1e-3, T=0.01, batch_size=2, epochs=1, lr=1e300, seed=0)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(AssertionError, match="monotonicity chain broken"):
+    with pytest.raises(ValueError, match=r"^training epoch 0 \(seed 0, lr 1e\+300\): "
+                                         r"the gradient step broke the policies' "
+                                         r"monotonicity chains$"):
         trn.train(net, costs, cfg)
 
 

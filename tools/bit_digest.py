@@ -16,6 +16,9 @@ covers, on the packaged 39-bus case with comm weight 50 on every line:
 - the primary-mode `epsilon_and_c_search` (every result field) and
   `lyap_V_dot` on the states it samples; `sample_region_states`, `lyap_V`
   and `lyap_V_dot` on 1,500 fresh states (cert39's count at 30 s);
+- the primary-mode `solve_equilibrium` omega* of those d = 20 policies with
+  saturation bounds +-5e-5 and a deadband 1e-4, which hold 25 of the 39
+  buses at a bound;
 - `power_flows`, `line_weights`, `flow_jacobian_apply` and
   `comm_laplacian_apply` on seeded inputs of one scenario (a vector), of
   64 and of 1,500: the batch shapes of the three benchmark workloads;
@@ -88,11 +91,13 @@ def case39(tmpdir):
     return path, network.network_from_dict(doc)
 
 
-def closed_loop(net):
-    """(costs, params, p) of the simulated loop."""
+def closed_loop(net, **masks):
+    """(costs, params, p) of the simulated loop; `masks` are the policies'
+    saturation bounds and deadband."""
     rng = np.random.default_rng(1)
     costs = costs_mod.random_power_costs(net.n, rng, r=4)
-    params = controller.transform_params(controller.init_raw_params(net.n, 20, rng))
+    params = controller.transform_params(controller.init_raw_params(net.n, 20, rng),
+                                         **masks)
     p = np.zeros(net.n)
     for b in LOSS_BUSES:
         p[net.index_of(b)] = LOSS_PU
@@ -146,6 +151,12 @@ def primary_certificate(net):
     emit("fresh/lyap_V", lyapunov.lyap_V(net, states, eq, found.epsilon))
     emit("fresh/lyap_V_dot",
          lyapunov.lyap_V_dot(net, params, states, eq, found.epsilon))
+
+
+def primary_equilibrium(net):
+    _, params, p = closed_loop(net, u_lo=-5e-5, u_hi=5e-5, dz=1e-4)
+    eq = equilibrium.solve_equilibrium(net, None, params, p, mode="primary")
+    emit("solve_equilibrium/primary/masked/omega_star", np.float64(eq.omega_star))
 
 
 def network_kernels(net):
@@ -292,6 +303,7 @@ def main():
         simulations(net, tmpdir)
         step_limits(net)
         primary_certificate(net)
+        primary_equilibrium(net)
         network_kernels(net)
         rollouts(net)
         certify_cli(path, tmpdir)
