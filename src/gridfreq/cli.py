@@ -23,11 +23,11 @@ when set, else the current directory; --outdir overrides both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -87,6 +87,21 @@ def _write_run_manifest(outdir, args, outputs, *extra):
                            outputs)
 
 
+def _read_json(flag, path, an_object=False):
+    """The JSON document in the file `flag` names; ValueError naming the
+    flag and the file when it does not parse, or, with `an_object`, when it
+    is not a JSON object."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{flag} {path}: not valid JSON: {exc}") from None
+    if an_object and not isinstance(doc, dict):
+        raise ValueError(f"{flag} {path}: must hold a JSON object, "
+                         f"got {type(doc).__name__}")
+    return doc
+
+
 def _load_disturbance(net, path_or_json):
     """Disturbance vector from a JSON file or inline JSON string.
 
@@ -96,8 +111,7 @@ def _load_disturbance(net, path_or_json):
     """
     text = path_or_json
     if os.path.exists(text):
-        with open(text) as fh:
-            doc = json.load(fh)
+        doc = _read_json("--p", text)
     else:
         try:
             doc = json.loads(text)
@@ -135,8 +149,7 @@ def _load_costs(net, args):
         rng = np.random.default_rng(args.cost_seed)
         return costs_mod.random_power_costs(net.n, rng, r=args.cost_r)
     where = f"--costs {args.costs}"
-    with open(args.costs) as fh:
-        doc = json.load(fh)
+    doc = _read_json("--costs", args.costs, an_object=True)
     if "c" not in doc:
         raise ValueError(f"{where}: missing field 'c'")
     vectors = {k: np.asarray(doc.get(k, np.zeros(net.n)), dtype=float)
@@ -157,7 +170,10 @@ def _load_costs(net, args):
 
 def _load_controllers(net, args):
     if getattr(args, "checkpoint", None):
-        _, params, _ = controller.load_checkpoint(args.checkpoint)
+        try:
+            _, params, _ = controller.load_checkpoint(args.checkpoint)
+        except ValueError as exc:        # each message starts with the file
+            raise ValueError(f"--checkpoint {exc}") from None
         if params.n != net.n:
             raise ValueError("checkpoint bus count does not match network")
         return params
@@ -400,8 +416,10 @@ def _cmd_certify(args):
 def _train_config_from_args(args):
     fields = {}
     if args.config:
-        with open(args.config) as fh:
-            fields.update(json.load(fh))
+        fields = _read_json("--config", args.config, an_object=True)
+        known = {f.name for f in dataclasses.fields(training.TrainConfig)}
+        if unknown := sorted(set(fields) - known):
+            raise ValueError(f"--config {args.config}: unknown field {unknown[0]!r}")
     for name in TRAIN_FLAGS:
         if (val := getattr(args, name)) is not None:
             fields[name] = val
@@ -460,7 +478,7 @@ def _audit_network_gradient(net, costs, cfg):
     and a random integral state (so the policies are evaluated across their
     breakpoints); a draw that gradient_tie_risk flags is drawn again."""
     fields = ("mu_plus", "mu_minus", "chi_plus", "chi_minus")
-    acfg = replace(cfg, T=GRAD_STEPS * cfg.h, batch_size=2)
+    acfg = dataclasses.replace(cfg, T=GRAD_STEPS * cfg.h, batch_size=2)
     for attempt in range(GRAD_ATTEMPTS):
         rng = np.random.default_rng([cfg.seed, attempt])
         raw = controller.init_raw_params(net.n, cfg.d, rng)

@@ -422,6 +422,24 @@ def construct_from_samples(target, d, domain) -> NetParams:
 
 # --- checkpoint serialization -------------------------------------------------
 
+_CHECKPOINT_FIELDS = ("n", "d", "mu_plus", "mu_minus", "chi_plus", "chi_minus",
+                      "u_lo", "u_hi", "dz")
+
+
+def check_policy_range(u_lo, u_hi, dz, name):
+    """Raise ValueError unless u_lo <= 0 <= u_hi (None for no bound) and the
+    deadband dz is a finite number >= 0: the policies pass through 0, so a
+    range without it cannot hold the equilibrium.  `name(field)` names the
+    field in the message."""
+    for field, value, sign in (("u_lo", u_lo, -1), ("u_hi", u_hi, 1)):
+        if value is not None and not (isinstance(value, (int, float, np.number))
+                                      and sign * value >= 0):
+            raise ValueError(f"{name(field)} must be None or a number "
+                             f"{'<=' if sign < 0 else '>='} 0, got {value!r}")
+    if not (isinstance(dz, (int, float, np.number)) and 0 <= dz < np.inf):
+        raise ValueError(f"{name('dz')} must be a finite number >= 0, got {dz!r}")
+
+
 def save_checkpoint(path, raw: RawParams, u_lo=None, u_hi=None, dz=None,
                     seed=None, meta=None):
     """Write raw params plus evaluation settings as a JSON checkpoint.
@@ -452,19 +470,41 @@ def save_checkpoint(path, raw: RawParams, u_lo=None, u_hi=None, dz=None,
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (RawParams, NetParams, doc)."""
+    """Read a checkpoint; returns (RawParams, NetParams, doc).  A file that
+    is not JSON, and a field that is missing, of the wrong shape or not
+    finite, or a policy range that check_policy_range refuses, raise
+    ValueError naming the file and the field."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "gridfreq-controller-v1":
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != "gridfreq-controller-v1":
         raise ValueError(f"{path}: not a controller checkpoint")
-    raw = RawParams(
-        mu_plus=np.array(doc["mu_plus"], dtype=float),
-        mu_minus=np.array(doc["mu_minus"], dtype=float),
-        chi_plus=np.array(doc["chi_plus"], dtype=float).reshape(doc["n"], doc["d"] - 1),
-        chi_minus=np.array(doc["chi_minus"], dtype=float).reshape(doc["n"], doc["d"] - 1),
-    )
-    u_lo = np.array([-np.inf if v is None else v for v in doc["u_lo"]])
-    u_hi = np.array([np.inf if v is None else v for v in doc["u_hi"]])
-    dz = np.array(doc["dz"], dtype=float)
-    params = transform_params(raw, u_lo=u_lo, u_hi=u_hi, dz=dz)
+    if missing := [k for k in _CHECKPOINT_FIELDS if k not in doc]:
+        raise ValueError(f"{path}: missing field {missing[0]!r}")
+    for name in ("n", "d"):
+        if isinstance(doc[name], bool) or not isinstance(doc[name], int) or doc[name] < 1:
+            raise ValueError(f"{path}: field {name!r} must be an integer >= 1, "
+                             f"got {doc[name]!r}")
+    n, d = doc["n"], doc["d"]
+    arrays = {}
+    for name in ("mu_plus", "mu_minus", "chi_plus", "chi_minus"):
+        shape = (n, d - 1 if name.startswith("chi") else d)
+        try:
+            arrays[name] = a = np.array(doc[name], dtype=float)
+        except (TypeError, ValueError):
+            a = None
+        if a is None or a.shape != shape or not np.isfinite(a).all():
+            raise ValueError(f"{path}: field {name!r} must be a {shape} array of "
+                             f"finite numbers (n = {n}, d = {d})")
+    for name in ("u_lo", "u_hi", "dz"):
+        if not (isinstance(doc[name], list) and len(doc[name]) == n):
+            raise ValueError(f"{path}: field {name!r} must be a list of {n} entries")
+    for i, bounds in enumerate(zip(doc["u_lo"], doc["u_hi"], doc["dz"])):
+        check_policy_range(*bounds, lambda name: f"{path}: field {name!r} entry {i}")
+    raw = RawParams(**arrays)
+    u_lo = [-np.inf if v is None else v for v in doc["u_lo"]]
+    u_hi = [np.inf if v is None else v for v in doc["u_hi"]]
+    params = transform_params(raw, u_lo=u_lo, u_hi=u_hi, dz=doc["dz"])
     return raw, params, doc

@@ -12,7 +12,9 @@ Two closed loops share one integrator:
   synthetic network.DEFAULT_LOAD_INERTIA, re-exported here), the controller
   input is the local frequency deviation, and there is no integral state.
 
-Angles are integrated in center-of-inertia gauge.  In the DAI mode the
+Angles are integrated in center-of-inertia gauge: gauge_initial centers
+the initial angles once, and the field's angle row is mean-free, so the
+steps keep the gauge without re-projecting it.  In the DAI mode the
 angle/integrator clocks carry the 2*pi*f0 factor explicitly; the primary
 mode follows the companion convention d(delta)/dt = omega - mean(omega).
 
@@ -40,8 +42,9 @@ import numpy as np
 
 from .controller import NetParams, eval_u
 from .costs import CostModel
-from .network import (DEFAULT_LOAD_INERTIA, NetworkError, PowerNetwork,  # noqa: F401
-                      comm_laplacian_apply, flow_jacobian_apply, power_flows, project_gauge)
+from .network import (DEFAULT_LOAD_INERTIA, PowerNetwork,  # noqa: F401
+                      comm_laplacian_apply, flow_jacobian_apply, power_flows,
+                      to_center_of_inertia)
 
 MODES = ("dai_general", "primary")
 BLOWUP_LIMIT = 1e9           # all states are per-unit scale; beyond this the
@@ -172,31 +175,24 @@ def _locate(net, x):
 def _advance(net, step_index, x, omega, dx):
     """x + dx, written over dx, with the omega row advanced from the
     algebraic omega of the step's first stage; raises on non-finite or
-    absurdly large states (divergence, not drift), then re-projects the
-    angle gauge."""
+    absurdly large states (divergence)."""
     omega = omega + dx[1]
     out = np.add(x, dx, out=dx)
     out[1] = omega
     if not -BLOWUP_LIMIT <= out.min() <= out.max() <= BLOWUP_LIMIT:
         raise DynamicsError(f"integration blow-up at step {step_index} in "
                             f"{_locate(net, out)}")
-    delta = out[0]
-    if (fixed := project_gauge(delta)) is not delta:
-        delta[...] = fixed
     return out
 
 
 def gauge_initial(net, x):
-    """The (3, ..., n) initial state x with its angles put in the
-    center-of-inertia gauge in place before step 0, by `_advance`'s rule.
-    A non-finite entry, or a drift past GAUGE_ERROR, raises DynamicsError
-    naming the initial state."""
+    """The (3, ..., n) initial state x with its angles moved to the
+    center-of-inertia gauge in place before step 0; the field's angle row
+    is mean-free, so the steps keep them there.  A non-finite entry raises
+    DynamicsError naming the initial state's row and bus."""
     if not np.isfinite(x).all():
         raise DynamicsError(f"initial state: non-finite {_locate(net, x)}")
-    try:
-        x[0] = project_gauge(x[0])
-    except NetworkError as exc:
-        raise DynamicsError(f"initial state: {exc}") from None
+    x[0] = to_center_of_inertia(x[0])
     return x
 
 

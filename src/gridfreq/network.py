@@ -1,10 +1,11 @@
 """Lossless power-network model: buses, lines, communication graph.
 
 Everything downstream (dynamics, equilibrium, certification, training) works
-on the immutable :class:`PowerNetwork` built here.  Angles are handled in
-center-of-inertia gauge (sum zero); per-unit throughout, with the nominal
-frequency f0 stored in Hz and the 2*pi*f0 factor applied explicitly in the
-dynamics module.
+on the immutable :class:`PowerNetwork` built here.  The flows depend on
+the angles only through their differences; to_center_of_inertia puts
+angles in the center-of-inertia gauge (sum zero).  Per-unit throughout,
+with the nominal frequency f0 stored in Hz and the 2*pi*f0 factor applied
+explicitly in the dynamics module.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Gauge handling: drift below CORRECT is left alone, up to ERROR it is
-# silently re-projected, above ERROR the caller gets an exception.
-GAUGE_CORRECT = 1e-9
-GAUGE_ERROR = 1e-3
 DEFAULT_LOAD_INERTIA = 0.1   # synthetic inertia of load buses (s), primary mode
 
 
@@ -113,15 +110,40 @@ def _unreachable(n, ei, ej):
     return None if seen.all() else int(np.argmin(seen))
 
 
+def _entries(doc, section):
+    """The list of objects under `section` of the network document."""
+    records = doc[section]
+    if not isinstance(records, list):
+        raise NetworkError(f"section {section!r} must be a list of entries, "
+                           f"got {records!r}")
+    for rec in records:
+        if not isinstance(rec, dict):
+            raise NetworkError(f"{section} entry {rec!r} must be an object")
+    return records
+
+
+def _finite(value, where, field):
+    """float(value), or NetworkError naming `where` and the field when it is
+    not a finite number (a NaN compares False with every bound)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = np.nan
+    if not np.isfinite(x):
+        raise NetworkError(f"{where}: {field} must be a finite number, got {value!r}")
+    return x
+
+
 def _collect_edges(records, index, what, weight_key, allow_zero=False):
     """Validate an edge section into (i, j, w) arrays keyed by unordered pair."""
     seen = {}
     for rec in records:
         try:
             ends = rec["i"], rec["j"]
-            w = float(rec[weight_key])
+            w = rec[weight_key]
         except KeyError as exc:
             raise NetworkError(f"{what} entry {rec!r}: missing field {exc}") from None
+        w = _finite(w, f"{what} ({ends[0]}, {ends[1]})", weight_key)
         for end, bus in zip("ij", ends):
             if bus not in index:
                 raise NetworkError(f"{what} entry {rec!r}: unknown bus id "
@@ -152,13 +174,15 @@ def _collect_edges(records, index, what, weight_key, allow_zero=False):
 def network_from_dict(doc) -> PowerNetwork:
     """Build and validate a PowerNetwork from a parsed network document."""
     try:
-        buses = doc["buses"]
-        lines = doc["lines"]
+        buses = _entries(doc, "buses")
+        lines = _entries(doc, "lines")
     except (KeyError, TypeError):
         raise NetworkError("network document needs 'buses' and 'lines' sections")
     base = doc.get("base", {})
-    f0 = float(base.get("f0", 50.0))
-    s_base = float(base.get("S0", 100.0))
+    if not isinstance(base, dict):
+        raise NetworkError(f"section 'base' must be an object, got {base!r}")
+    f0 = _finite(base.get("f0", 50.0), "base", "f0")
+    s_base = _finite(base.get("S0", 100.0), "base", "S0")
     if f0 <= 0:
         raise NetworkError("nominal frequency f0 must be positive")
 
@@ -177,8 +201,8 @@ def network_from_dict(doc) -> PowerNetwork:
             raise NetworkError(f"duplicate bus id {bid}")
         if kind not in ("gen", "load"):
             raise NetworkError(f"bus {bid}: kind must be 'gen' or 'load', got {kind!r}")
-        alpha = float(rec.get("alpha", 0.0))
-        vmag = float(rec.get("v", 1.0))
+        alpha = _finite(rec.get("alpha", 0.0), f"bus {bid}", "alpha")
+        vmag = _finite(rec.get("v", 1.0), f"bus {bid}", "v")
         if alpha <= 0:
             raise NetworkError(f"bus {bid}: alpha must be positive")
         if vmag <= 0:
@@ -186,7 +210,7 @@ def network_from_dict(doc) -> PowerNetwork:
         if kind == "gen":
             if "m" not in rec:
                 raise NetworkError(f"generator bus {bid}: missing inertia m")
-            m = float(rec["m"])
+            m = _finite(rec["m"], f"bus {bid}", "m")
             if m <= 0:
                 raise NetworkError(f"bus {bid}: inertia m must be positive")
             m_by_id[bid] = m
@@ -212,7 +236,8 @@ def network_from_dict(doc) -> PowerNetwork:
                            f"cannot be reached from bus {ids[0]}")
 
     if doc.get("comm"):
-        ci, cj, cq = _collect_edges(doc["comm"], index, "comm", "Q", allow_zero=True)
+        ci, cj, cq = _collect_edges(_entries(doc, "comm"), index, "comm", "Q",
+                                    allow_zero=True)
     else:
         # default communication graph: the physical graph with unit weights
         ci, cj, cq = li.copy(), lj.copy(), np.ones_like(lb)
@@ -235,35 +260,23 @@ def network_from_dict(doc) -> PowerNetwork:
 
 
 def load_network(path) -> PowerNetwork:
-    """Load a network file (JSON; see README for the schema)."""
+    """Load a network file (JSON; see README for the schema); a NetworkError
+    names the file."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise NetworkError(f"{path}: parse error at line {exc.lineno}: {exc.msg}")
-    return network_from_dict(doc)
+    try:
+        return network_from_dict(doc)
+    except NetworkError as exc:
+        raise NetworkError(f"{path}: {exc}") from None
 
 
 def to_center_of_inertia(theta):
     """Re-express angles relative to their mean (gauge sum(delta) = 0)."""
     theta = np.asarray(theta, dtype=float)
     return theta - theta.mean(axis=-1, keepdims=True)
-
-
-def project_gauge(delta):
-    """Enforce the center-of-inertia gauge, correcting small drift.
-
-    Drift below GAUGE_CORRECT passes through untouched; up to GAUGE_ERROR it
-    is re-projected (Euler integration accumulates roundoff); beyond that the
-    state is considered corrupted.
-    """
-    delta = np.asarray(delta, dtype=float)
-    worst = float(np.abs(np.add.reduce(delta, axis=-1)).max()) / delta.shape[-1]
-    if worst > GAUGE_ERROR:
-        raise NetworkError(f"angle gauge drift {worst:.3e} exceeds {GAUGE_ERROR}")
-    if worst > GAUGE_CORRECT:
-        return to_center_of_inertia(delta)
-    return delta
 
 
 def angle_differences(net: PowerNetwork, delta):

@@ -42,8 +42,8 @@ import numpy as np
 
 # eval_u is not called here but stays importable from this module, as the
 # benchmark's tracer test looks it up through training
-from .controller import (NetParams, RawParams, eval_u, init_raw_params,
-                         transform_params, validate_params)
+from .controller import (NetParams, RawParams, check_policy_range, eval_u,
+                         init_raw_params, transform_params, validate_params)
 from .costs import CostModel
 from .dynamics import (DynamicsError, Scenario, check_scenario, derivatives,
                        euler_step, gauge_initial)
@@ -96,16 +96,7 @@ class TrainConfig:
         if self.p_lo > self.p_hi:
             raise ValueError(f"TrainConfig.p_lo = {self.p_lo!r} exceeds "
                              f"TrainConfig.p_hi = {self.p_hi!r}")
-        # the policies pass through 0, so the bounds must straddle it
-        for name, sign in (("u_lo", -1), ("u_hi", 1)):
-            value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, float, np.number))
-                                          and sign * value >= 0):
-                raise ValueError(f"TrainConfig.{name} must be None or a number "
-                                 f"{'<=' if sign < 0 else '>='} 0, got {value!r}")
-        if not (isinstance(self.dz, (int, float, np.number)) and 0 <= self.dz < np.inf):
-            raise ValueError(f"TrainConfig.dz must be a finite number >= 0, "
-                             f"got {self.dz!r}")
+        check_policy_range(self.u_lo, self.u_hi, self.dz, "TrainConfig.{}".format)
 
     @property
     def steps(self):
@@ -147,15 +138,15 @@ def rollout_loss(net: PowerNetwork, costs: CostModel, raw: RawParams,
 
     p has shape (B, n).  Returns the scalar loss (batch mean) and the tape
     for backprop.  Each step is one dynamics.euler_step over
-    dynamics.derivatives, the step simulate takes, with its gauge
-    re-projection and its blow-up rule (DynamicsError naming the step, and
-    the state row, bus and scenario); the policies are evaluated here from
-    their tables, so that the step's table ranks go on the tape.  `initial`
-    is the (3, B, n) state of (theta, omega, s) rows at step 0, as
-    dynamics.Scenario takes it (the load-bus omega entries are ignored); it
-    goes through dynamics.gauge_initial as simulate's does (a non-finite
-    entry or a drift past network.GAUGE_ERROR raises DynamicsError), and the
-    tape holds its angles in the center-of-inertia gauge.
+    dynamics.derivatives, the step simulate takes, with its blow-up rule
+    (DynamicsError naming the step, and the state row, bus and scenario);
+    the policies are evaluated here from their tables, so that the step's
+    table ranks go on the tape.  `initial` is the (3, B, n) state of
+    (theta, omega, s) rows at step 0, as dynamics.Scenario takes it (the
+    load-bus omega entries are ignored); it goes through
+    dynamics.gauge_initial as simulate's does (a non-finite entry raises
+    DynamicsError, and the angles are centered), so the tape holds its
+    angles in the center-of-inertia gauge.
     """
     params = transform_params(raw, u_lo=cfg.u_lo, u_hi=cfg.u_hi, dz=cfg.dz)
     p = np.asarray(p, dtype=float)

@@ -123,17 +123,22 @@ def test_criterion_02_frequency_restoration(restoration_cases, capsys):
     cases, elapsed = restoration_cases
     worst_omega = 0.0
     worst_spread = 0.0
+    worst_gauge = 0.0       # no step re-projects the angles' mean
     for name, (net, costs, par, p, eq, traj) in cases.items():
         worst_omega = max(worst_omega, float(np.max(np.abs(traj.omega[-1]))))
         mc = traj.mc[-1]
         worst_spread = max(worst_spread, float(mc.max() - mc.min()))
+        worst_gauge = max(worst_gauge, float(np.max(np.abs(traj.delta.mean(axis=-1)))))
 
-    ok = worst_omega < 1e-4 and worst_spread < 1e-3 and elapsed < 30.0
+    ok = (worst_omega < 1e-4 and worst_spread < 1e-3 and worst_gauge <= 1e-13
+          and elapsed < 30.0)
     report(capsys, 2, ok,
            f"max|omega| {worst_omega:.1e} (<1e-4), mc spread "
-           f"{worst_spread:.1e} (<1e-3), {elapsed:.1f}s (<30s)")
+           f"{worst_spread:.1e} (<1e-3), max|mean delta| {worst_gauge:.1e} "
+           f"(<=1e-13), {elapsed:.1f}s (<30s)")
     assert worst_omega < 1e-4
     assert worst_spread < 1e-3
+    assert worst_gauge <= 1e-13
     assert elapsed < 30.0
 
 

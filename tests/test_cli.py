@@ -492,6 +492,80 @@ def test_a_non_finite_horizon_is_refused_by_name(tmp_path, net2_file,
     assert not (tmp_path / "manifest.json").exists()
 
 
+def _first_bus(kind, field, value):
+    """Set `field` on case39's first bus of `kind`: bus 30 for "gen", bus 1
+    for "load"."""
+    return lambda doc: next(b for b in doc["buses"] if b["kind"] == kind).update(
+        {field: value})
+
+
+NAN, NOT_JSON = float("nan"), "{not json"
+
+# flag: (the change to its valid file, or the file's JSON value or raw text;
+# the words stderr must hold besides the file's path)
+BAD_INPUTS = {
+    "net-nan-alpha": ("--net", _first_bus("gen", "alpha", NAN), ["bus 30", "alpha"]),
+    "net-nan-m": ("--net", _first_bus("gen", "m", NAN), ["bus 30", "m must"]),
+    "net-nan-f0": ("--net", lambda d: d["base"].update(f0=NAN), ["f0"]),
+    "net-nan-B": ("--net", lambda d: d["lines"][0].update(B=NAN), ["line (1, 2)", "B must"]),
+    "net-inf-v": ("--net", _first_bus("load", "v", float("inf")), ["bus 1", "v must"]),
+    "net-buses-5": ("--net", lambda d: d.update(buses=5), ["'buses'"]),
+    "net-string-line": ("--net", lambda d: d["lines"].append("1-2"), ["lines entry"]),
+    "net-string-alpha": ("--net", _first_bus("gen", "alpha", "x"), ["bus 30", "alpha"]),
+    "ckpt-no-mu_plus": ("--checkpoint", lambda d: d.pop("mu_plus"), ["'mu_plus'"]),
+    "ckpt-short-mu_plus": ("--checkpoint", lambda d: d["mu_plus"].pop(), ["'mu_plus'"]),
+    "ckpt-short-chi_plus": ("--checkpoint", lambda d: d["chi_plus"].pop(), ["'chi_plus'"]),
+    "ckpt-wrong-n": ("--checkpoint", lambda d: d.update(n=38), ["(38, 3) array", "n = 38"]),
+    "ckpt-nan-mu": ("--checkpoint", lambda d: d["mu_minus"][4].__setitem__(0, NAN),
+                    ["'mu_minus'"]),
+    "ckpt-negative-dz": ("--checkpoint", lambda d: d["dz"].__setitem__(0, -1.0),
+                         ["'dz' entry 0", "got -1.0"]),
+    "ckpt-u_lo-above-0": ("--checkpoint", lambda d: d["u_lo"].__setitem__(0, 1.0),
+                          ["'u_lo' entry 0", "got 1.0"]),
+    "p-not-json": ("--p", NOT_JSON, ["--p", "not valid JSON"]),
+    "costs-not-json": ("--costs", NOT_JSON, ["--costs", "not valid JSON"]),
+    "costs-list": ("--costs", [1.0] * 39, ["--costs", "JSON object, got list"]),
+    "ckpt-not-json": ("--checkpoint", NOT_JSON, ["--checkpoint", "not valid JSON"]),
+    "config-not-json": ("--config", NOT_JSON, ["--config", "not valid JSON"]),
+    "config-list": ("--config", [1, 2], ["--config", "JSON object, got list"]),
+    "config-unknown-key": ("--config", {"bogus": 1}, ["--config", "unknown field 'bogus'"]),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INPUTS)
+def test_a_bad_input_file_exits_one_naming_the_file_and_field(tmp_path, capsys, name):
+    # each of these once ended in a traceback, in a message that named
+    # neither the file nor the field, or in a run that exited 0
+    flag, content, words = BAD_INPUTS[name]
+    case39 = json.loads((resources.files("gridfreq") / "data" / "case39.json").read_text())
+    files = {"--net": write_json(tmp_path / "net.json", case39),
+             "--p": write_json(tmp_path / "p.json", {"p": {"30": -1.0}}),
+             "--checkpoint": str(tmp_path / "checkpoint.json")}
+    controller.save_checkpoint(files["--checkpoint"], controller.init_raw_params(
+        39, 3, np.random.default_rng(0)), u_lo=np.full(39, -1.0))
+    bad = tmp_path / f"bad_{flag[2:]}.json"
+    if callable(content):
+        with open(files[flag]) as fh:
+            doc = json.load(fh)
+        content(doc)
+        write_json(bad, doc)
+    elif isinstance(content, str):
+        bad.write_text(content)
+    else:
+        write_json(bad, content)
+    files[flag] = str(bad)
+    if flag == "--config":
+        argv = ["train", "--net", files["--net"], "--config", files["--config"]]
+    else:
+        argv = ["equilibrium"] + [a for item in files.items() for a in item]
+    assert main(argv + ["--outdir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for word in [str(bad)] + words:
+        assert word in err
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
 # --------------------------------------------------------------------------
 # certify subcommand
 # --------------------------------------------------------------------------

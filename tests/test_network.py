@@ -273,20 +273,6 @@ def test_flow_jacobian_psd_inside_security_region():
         assert eig[0] == pytest.approx(0.0, abs=1e-12)  # gauge null direction
 
 
-def test_gauge_projection():
-    drifted = network.to_center_of_inertia(np.array([0.3, -0.1, 0.2])) + 1e-6
-    out = network.project_gauge(drifted)
-    assert abs(out.mean()) < 1e-15
-    clean = network.to_center_of_inertia(np.array([0.3, -0.1, 0.2]))
-    assert np.allclose(network.project_gauge(clean), clean, atol=0)
-
-
-def test_gauge_drift_error():
-    delta = np.array([0.3, 0.4, 0.5]) + 0.01
-    with pytest.raises(NetworkError, match="angle gauge drift"):
-        network.project_gauge(delta)
-
-
 def test_center_of_inertia_removes_mean():
     rng = np.random.default_rng(1)
     for _ in range(5):

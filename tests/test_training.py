@@ -276,21 +276,20 @@ def test_rollout_blow_up_message():
 
 
 def test_rollout_gauges_the_initial_angles_before_step_0():
-    # as simulate: initial angles off the gauge by 1e-2 raise before step 0,
-    # naming the initial state; by 1e-6 they are projected, and the tape's
-    # theta[0] holds them in the gauge of theta[1:]
+    # as simulate: initial angles off the gauge, by 1e-2 or by 1e-6, are
+    # centered before step 0, and the tape's theta[0] holds them in the
+    # gauge of theta[1:]
     net = three_bus()
     costs = cm.power_costs(4, np.array([0.9, 1.3, 0.7]))
     raw = ctl.init_raw_params(3, 3, np.random.default_rng(0))
     cfg = TrainConfig(d=3, h=1e-3, T=0.01, batch_size=2, seed=0)
     p = np.array([[-0.5, 0.2, 0.1], [0.3, -0.1, 0.0]])
-    far, near = np.zeros((2, 3, 2, 3))
-    far[0], near[0] = 1e-2, 1e-6
-    with pytest.raises(DynamicsError, match="initial state: angle gauge drift"):
-        trn.rollout_loss(net, costs, raw, p, cfg, far)
-    _, tape = trn.rollout_loss(net, costs, raw, p, cfg, near)
-    assert np.all(tape.theta[0].mean(axis=-1) == 0.0)
-    assert np.all(np.abs(tape.theta.mean(axis=-1)) < 1e-15)
+    for off in (1e-2, 1e-6):
+        initial = np.zeros((3, 2, 3))
+        initial[0] = off
+        _, tape = trn.rollout_loss(net, costs, raw, p, cfg, initial)
+        assert np.all(tape.theta[0].mean(axis=-1) == 0.0)
+        assert np.all(np.abs(tape.theta.mean(axis=-1)) < 1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -32,6 +32,9 @@ covers, on the packaged 39-bus case with comm weight 50 on every line:
   `max_stable_step` for Euler and RK4, in both modes; a B = 8 rollout (every
   `Tape` field) and its gradient; and the stdout of `gridfreq grad-check
   --instances 3`, whose audits start from random integral states;
+- from seeded initial states whose angles are off the center-of-inertia
+  gauge by a 0.01 mean: `simulate` for 0.2 s with RK4 in both modes, and a
+  B = 8 rollout's loss and gradient;
 - through `cli.main`, in the order here: `train` (1 epoch, B = 4, 0.05 s),
   then `equilibrium`, `simulate --lyapunov` (Euler, 0.05 s, both modes) and
   `certify` (RK4, 0.05 s) with that checkpoint: each run's exit code, stdout
@@ -232,11 +235,16 @@ def plot_cli(net, tmpdir):
                 emit(f"plot/{label}/{cols}", fh.read())
 
 
+def random_state(rng, shape):
+    """A (3,) + shape state of seeded (delta, omega, s) rows."""
+    return np.stack([rng.uniform(-0.2, 0.2, shape), rng.uniform(-0.01, 0.01, shape),
+                     rng.uniform(-0.5, 0.5, shape)])
+
+
 def initial_states(net, tmpdir):
     costs, params, p = closed_loop(net)
     rng = np.random.default_rng(11)
-    x0 = np.stack([rng.uniform(-0.2, 0.2, net.n), rng.uniform(-0.01, 0.01, net.n),
-                   rng.uniform(-0.5, 0.5, net.n)])
+    x0 = random_state(rng, net.n)
     x0[0] -= x0[0].mean()
     for mode in ("dai_general", "primary"):
         scenario = dynamics.Scenario(p=p, T=0.2, h=5e-4, mode=mode, initial=x0)
@@ -249,8 +257,7 @@ def initial_states(net, tmpdir):
     cfg = training.TrainConfig(d=20, h=5e-4, T=0.05, batch_size=8, seed=0)
     raw = controller.init_raw_params(net.n, cfg.d, rng)
     p = rng.uniform(cfg.p_lo, cfg.p_hi, (cfg.batch_size, net.n))
-    x0 = np.stack([rng.uniform(-0.2, 0.2, p.shape), rng.uniform(-0.01, 0.01, p.shape),
-                   rng.uniform(-0.5, 0.5, p.shape)])
+    x0 = random_state(rng, p.shape)
     x0[0] -= x0[0].mean(axis=-1, keepdims=True)
     loss, tape = training.rollout_loss(net, costs, raw, p, cfg, x0)
     emit("initial/rollout/loss", np.float64(loss))
@@ -264,6 +271,27 @@ def initial_states(net, tmpdir):
         code = cli.main(["grad-check", "--instances", "3", "--outdir", tmpdir])
     emit("initial/grad-check/exit", np.int64(code))
     emit("initial/grad-check/stdout", out.getvalue().encode())
+
+
+def off_gauge(net):
+    costs, params, p = closed_loop(net)
+    rng = np.random.default_rng(12)
+    x0 = random_state(rng, net.n)
+    x0[0] += 0.01 - x0[0].mean()
+    for mode in ("dai_general", "primary"):
+        scenario = dynamics.Scenario(p=p, T=0.2, h=5e-4, mode=mode, initial=x0)
+        traj = dynamics.simulate(scenario, net, costs, params, stepper=dynamics.rk4_step)
+        for col in ("delta", "omega", "s", "u", "mc"):
+            emit(f"off_gauge/simulate/{mode}/rk4/{col}", getattr(traj, col))
+    cfg = training.TrainConfig(d=20, h=5e-4, T=0.05, batch_size=8, seed=0)
+    raw = controller.init_raw_params(net.n, cfg.d, rng)
+    p = rng.uniform(cfg.p_lo, cfg.p_hi, (cfg.batch_size, net.n))
+    x0 = random_state(rng, p.shape)
+    x0[0] += 0.01 - x0[0].mean(axis=-1, keepdims=True)
+    loss, tape = training.rollout_loss(net, costs, raw, p, cfg, x0)
+    emit("off_gauge/rollout/loss", np.float64(loss))
+    for field, value in vars(training.backprop(tape, net, costs)).items():
+        emit(f"off_gauge/rollout/grad.{field}", value)
 
 
 def cli_runs(path, tmpdir):
@@ -309,6 +337,7 @@ def main():
         certify_cli(path, tmpdir)
         plot_cli(net, tmpdir)
         initial_states(net, tmpdir)
+        off_gauge(net)
         cli_runs(path, tmpdir)
 
 
